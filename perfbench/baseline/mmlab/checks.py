@@ -1,0 +1,646 @@
+"""Inequality checks: lhs/rhs pairs with confidence-aware verdicts.
+
+Each operation produces a :class:`CheckResult` whose ``holds`` field is
+recomputable from the numbers it carries: lhs <= bound + slack*(lhs_ci
++ rhs_ci) + tol, where bound is the rhs unless the metadata carries an
+explicit ``bound_rhs`` (used when the displayed rhs is a constant-free
+shape rather than an enforceable bound).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import InputDomainError
+from .integrands import IntegrandSpec, aggregates, is_path_dependent, is_time_dependent
+from .linalg import (
+    check_symmetric,
+    matrix_exp_sym,
+    matrix_abs,
+    spectral_norm,
+    symmetrize,
+    trace_exp,
+)
+from .montecarlo import (
+    BatchStats,
+    ExperimentConfig,
+    bootstrap_ci,
+    bootstrap_seed,
+    run_batch,
+    wilson_interval,
+)
+from .simulate import exact_constant_spectral_norms
+
+# sup-norm moment bound constant, 12*sqrt(2*log 2)
+BDG_CONSTANT = 12.0 * math.sqrt(2.0 * math.log(2.0))
+# free-probability comparison bound constant
+BIANE_SPEICHER_CONSTANT = 2.0 * math.sqrt(2.0)
+
+TRACE_LEMMA_TOL = 1e-9
+HESSIAN_LEMMA_TOL = 1e-5
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One verified inequality instance.
+
+    ``lhs_ci``/``rhs_ci`` are interval half-widths (0 for deterministic
+    checks).  ``metadata`` echoes parameters plus the verdict inputs
+    (slack_factor, tolerance, optional bound_rhs).
+    """
+
+    name: str
+    lhs: float
+    rhs: float
+    lhs_ci: float
+    rhs_ci: float
+    holds: bool
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.lhs_ci < 0.0 or self.rhs_ci < 0.0:
+            raise InputDomainError("interval half-widths must be >= 0")
+
+    @property
+    def ratio(self) -> float:
+        if self.rhs != 0.0:
+            return self.lhs / self.rhs
+        return 0.0 if self.lhs == 0.0 else math.inf
+
+
+def verdict(
+    lhs: float,
+    rhs: float,
+    lhs_ci: float,
+    rhs_ci: float,
+    slack_factor: float,
+    tolerance: float = 0.0,
+    bound_rhs: float | None = None,
+) -> bool:
+    target = rhs if bound_rhs is None else bound_rhs
+    return bool(lhs <= target + slack_factor * (lhs_ci + rhs_ci) + tolerance)
+
+
+def recompute_holds(result: CheckResult) -> bool:
+    """Re-derive the verdict from the result's own fields."""
+    md = result.metadata
+    if md.get("verdict") == "skipped":
+        return True
+    return verdict(
+        result.lhs,
+        result.rhs,
+        result.lhs_ci,
+        result.rhs_ci,
+        md.get("slack_factor", 0.0),
+        md.get("tolerance", 0.0),
+        md.get("bound_rhs"),
+    )
+
+
+def _batch_meta(batch: BatchStats, slack_factor: float, **extra) -> dict:
+    md = {
+        "n": batch.spec.n,
+        "N": batch.spec.drivers,
+        "family": batch.spec.family,
+        "t": batch.grid.horizon,
+        "paths": batch.path_count,
+        "slack_factor": slack_factor,
+        "tolerance": 0.0,
+    }
+    md.update(extra)
+    return md
+
+
+def _kept(batch: BatchStats) -> int:
+    kept = batch.kept_count
+    if kept < 1:
+        raise InputDomainError("empty batch: no surviving paths")
+    return kept
+
+
+def _sigma2_index(batch: BatchStats, sigma2: float) -> int:
+    try:
+        return batch.plan.sigma2_levels.index(sigma2)
+    except ValueError:
+        raise InputDomainError(
+            f"batch was not collected with sigma2 level {sigma2}; "
+            f"available: {batch.plan.sigma2_levels}"
+        ) from None
+
+
+def _order_index(orders: tuple, value: float, what: str) -> int:
+    try:
+        return orders.index(value)
+    except ValueError:
+        raise InputDomainError(
+            f"batch was not collected with {what} {value}; available: {orders}"
+        ) from None
+
+
+def check_trace_lemma(h, a, q: int, r: int) -> CheckResult:
+    """Tr(H A^q H A^(r-q)) <= Tr(H^2 |A|^r) for integers 0 <= q <= r."""
+    hm = check_symmetric(h, "H")
+    am = check_symmetric(a, "A")
+    if hm.shape != am.shape:
+        raise InputDomainError(f"dimension mismatch: {hm.shape} vs {am.shape}")
+    if int(q) != q or int(r) != r or not 0 <= q <= r:
+        raise InputDomainError(f"need integers 0 <= q <= r, got q={q}, r={r}")
+    q, r = int(q), int(r)
+    aq = np.linalg.matrix_power(am, q)
+    arq = np.linalg.matrix_power(am, r - q)
+    lhs = float(np.trace(hm @ aq @ hm @ arq))
+    abs_r = np.linalg.matrix_power(matrix_abs(am), r)
+    rhs = float(np.trace(hm @ hm @ abs_r))
+    tol = TRACE_LEMMA_TOL * (1.0 + abs(rhs))
+    return CheckResult(
+        name="trace_lemma",
+        lhs=lhs,
+        rhs=rhs,
+        lhs_ci=0.0,
+        rhs_ci=0.0,
+        holds=verdict(lhs, rhs, 0.0, 0.0, 0.0, tol),
+        metadata={"n": hm.shape[0], "q": q, "r": r, "slack_factor": 0.0, "tolerance": tol},
+    )
+
+
+def check_hessian_lemma(m, h, step: float = 1e-4) -> CheckResult:
+    """Second difference of Tr exp along H is at most Tr(e^M H^2).
+
+    The finite-difference lhs carries O(step^2) truncation error, which
+    the fixed 1e-5*(1+|rhs|) slack absorbs for steps in [1e-6, 1e-2].
+    """
+    if not 1e-6 <= step <= 1e-2:
+        raise InputDomainError(f"step must lie in [1e-6, 1e-2], got {step}")
+    mm = check_symmetric(m, "M")
+    hm = check_symmetric(h, "H")
+    if mm.shape != hm.shape:
+        raise InputDomainError(f"dimension mismatch: {mm.shape} vs {hm.shape}")
+    f0 = trace_exp(mm, 1.0)
+    fp = trace_exp(mm + step * hm, 1.0)
+    fm = trace_exp(mm - step * hm, 1.0)
+    lhs = (fp - 2.0 * f0 + fm) / (step * step)
+    rhs = float(np.trace(matrix_exp_sym(mm) @ hm @ hm))
+    tol = HESSIAN_LEMMA_TOL * (1.0 + abs(rhs))
+    return CheckResult(
+        name="hessian_lemma",
+        lhs=lhs,
+        rhs=rhs,
+        lhs_ci=0.0,
+        rhs_ci=0.0,
+        holds=verdict(lhs, rhs, 0.0, 0.0, 0.0, tol),
+        metadata={"n": mm.shape[0], "step": step, "slack_factor": 0.0, "tolerance": tol},
+    )
+
+
+def run_lemma_suite(count: int = 10_000, seed: int = 0) -> list[CheckResult]:
+    """Random sweep of both deterministic lemmas, `count` instances each."""
+    if count < 1:
+        raise InputDomainError(f"count must be >= 1, got {count}")
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        r = int(rng.integers(0, 9))
+        q = int(rng.integers(0, r + 1))
+        hm = symmetrize(rng.standard_normal((n, n)))
+        am = symmetrize(rng.standard_normal((n, n)))
+        results.append(check_trace_lemma(hm, am, q, r))
+    for _ in range(count):
+        n = int(rng.integers(1, 6))
+        mm = symmetrize(rng.standard_normal((n, n)))
+        hm = symmetrize(rng.standard_normal((n, n)))
+        results.append(check_hessian_lemma(mm, hm, 1e-4))
+    return results
+
+
+def freedman_check(
+    batch: BatchStats,
+    u: float,
+    sigma2: float,
+    *,
+    confidence: float = 0.99,
+    slack_factor: float = 3.0,
+    rhs_multiplier: float = 1.0,
+) -> CheckResult:
+    """Joint tail event frequency vs the n*exp(-u^2/(2 sigma^2)) bound.
+
+    Event per path: some grid index k has lambda_max(x[k]) >= u while
+    ||qv[k]|| <= sigma2; the engine reduces it to a threshold on the
+    recorded prefix max.
+    """
+    kept = _kept(batch)
+    li = _sigma2_index(batch, sigma2)
+    hits = int((batch.data["prefix_max_lambda"][:, li] >= u).sum())
+    lhs = wilson_interval(hits, kept, confidence)
+    rhs = batch.spec.n * math.exp(-u * u / (2.0 * sigma2)) * rhs_multiplier
+    holds = verdict(lhs.point, rhs, lhs.half_width, 0.0, slack_factor)
+    return CheckResult(
+        name="freedman",
+        lhs=lhs.point,
+        rhs=rhs,
+        lhs_ci=lhs.half_width,
+        rhs_ci=0.0,
+        holds=holds,
+        metadata=_batch_meta(batch, slack_factor, u=u, sigma2=sigma2, events=hits),
+    )
+
+
+def good_lambda_check(
+    batch: BatchStats,
+    u: float,
+    sigma2: float,
+    *,
+    confidence: float = 0.99,
+    slack_factor: float = 3.0,
+    rhs_multiplier: float = 1.0,
+) -> CheckResult:
+    """Tail at 2u with bounded qv vs n*exp(-u^2/(2 sigma^2)) * P(tail at u)."""
+    kept = _kept(batch)
+    li = _sigma2_index(batch, sigma2)
+    hits2u = int((batch.data["prefix_max_lambda"][:, li] >= 2.0 * u).sum())
+    hits_u = int((batch.data["sup_lambda_max"] >= u).sum())
+    lhs = wilson_interval(hits2u, kept, confidence)
+    u_freq = wilson_interval(hits_u, kept, confidence)
+    factor = batch.spec.n * math.exp(-u * u / (2.0 * sigma2)) * rhs_multiplier
+    rhs = factor * u_freq.point
+    rhs_ci = abs(factor) * u_freq.half_width
+    holds = verdict(lhs.point, rhs, lhs.half_width, rhs_ci, slack_factor)
+    return CheckResult(
+        name="good_lambda",
+        lhs=lhs.point,
+        rhs=rhs,
+        lhs_ci=lhs.half_width,
+        rhs_ci=rhs_ci,
+        holds=holds,
+        metadata=_batch_meta(
+            batch, slack_factor, u=u, sigma2=sigma2, u_event_freq=u_freq.point
+        ),
+    )
+
+
+def _moment_flag(p: float, est) -> bool:
+    return p >= 4 and est.point > 0.0 and est.half_width > 0.25 * est.point
+
+
+def bdg_check(
+    batch: BatchStats,
+    p: int,
+    t: float | None = None,
+    *,
+    confidence: float = 0.99,
+    slack_factor: float = 3.0,
+    resamples: int = 1000,
+    seed: int = 0,
+    rhs_multiplier: float = 1.0,
+) -> CheckResult:
+    """p-th moment of the running sup vs the sqrt(p + log n) weighted qv moment."""
+    _kept(batch)
+    if p < 1 or int(p) != p:
+        raise InputDomainError(f"p must be an integer >= 1, got {p}")
+    p = int(p)
+    t = batch.grid.horizon if t is None else t
+    sup = batch.data["sup_spectral"]
+    qv = batch.data["terminal_qv_norm"]
+    coeff = BDG_CONSTANT * math.sqrt(p + math.log(batch.spec.n)) * rhs_multiplier
+
+    def lhs_stat(a):
+        return float(np.mean(a**p)) ** (1.0 / p)
+
+    def rhs_stat(a):
+        return coeff * float(np.mean(a ** (0.5 * p))) ** (1.0 / p)
+
+    lhs = bootstrap_ci(sup, lhs_stat, resamples, confidence, seed)
+    rhs = bootstrap_ci(qv, rhs_stat, resamples, confidence, seed + 1)
+    holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
+    return CheckResult(
+        name="bdg",
+        lhs=lhs.point,
+        rhs=rhs.point,
+        lhs_ci=lhs.half_width,
+        rhs_ci=rhs.half_width,
+        holds=holds,
+        metadata=_batch_meta(
+            batch,
+            slack_factor,
+            p=p,
+            t=t,
+            constant=BDG_CONSTANT,
+            unstable_moment=_moment_flag(p, lhs),
+        ),
+    )
+
+
+def schatten_check(
+    batch: BatchStats,
+    p: int,
+    t: float | None = None,
+    *,
+    confidence: float = 0.99,
+    slack_factor: float = 3.0,
+    resamples: int = 1000,
+    seed: int = 0,
+    rhs_multiplier: float = 1.0,
+) -> CheckResult:
+    """Mean squared terminal 2p-norm vs (2p-1) times the quadrature mean."""
+    _kept(batch)
+    if p < 1 or int(p) != p:
+        raise InputDomainError(f"p must be an integer >= 1, got {p}")
+    p = int(p)
+    t = batch.grid.horizon if t is None else t
+    si = _order_index(batch.plan.schatten_orders, 2.0 * p, "terminal Schatten order")
+    qi = _order_index(batch.plan.quad_schatten_orders, float(p), "quadrature order")
+    values = batch.data["schatten_terminal"][:, si] ** 2
+    quad = batch.data["quad_schatten"][:, qi]
+    factor = (2.0 * p - 1.0) * rhs_multiplier
+    lhs = bootstrap_ci(values, np.mean, resamples, confidence, seed)
+    rhs = bootstrap_ci(
+        quad, lambda a: factor * float(np.mean(a)), resamples, confidence, seed + 1
+    )
+    holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
+    return CheckResult(
+        name="schatten",
+        lhs=lhs.point,
+        rhs=rhs.point,
+        lhs_ci=lhs.half_width,
+        rhs_ci=rhs.half_width,
+        holds=holds,
+        metadata=_batch_meta(
+            batch, slack_factor, p=p, t=t, unstable_moment=_moment_flag(p, lhs)
+        ),
+    )
+
+
+def schatten_rect_check(
+    batch: BatchStats,
+    p: int,
+    t: float | None = None,
+    *,
+    confidence: float = 0.99,
+    slack_factor: float = 3.0,
+    resamples: int = 1000,
+    seed: int = 0,
+    rhs_multiplier: float = 1.0,
+) -> CheckResult:
+    """Rectangular Schatten bound via the dilated process.
+
+    The recorded dilated terminal 2p-norm relates to the rectangular
+    one by a 2^(1/(2p)) factor, and the dilated quadrature integrand
+    equals (||sum H H^T||_p^p + ||sum H^T H||_p^p)^(1/p) exactly.  The
+    verdict uses the conservative factor 2^(-1/p)*(2p-1); the stricter
+    2^(-1/p)*sqrt(2p-1) variant is reported in the metadata.
+    """
+    _kept(batch)
+    if batch.spec.rect_shape is None:
+        raise InputDomainError(
+            "rectangular check requires a batch built from rectangular constant payloads"
+        )
+    if p < 1 or int(p) != p:
+        raise InputDomainError(f"p must be an integer >= 1, got {p}")
+    p = int(p)
+    t = batch.grid.horizon if t is None else t
+    si = _order_index(batch.plan.schatten_orders, 2.0 * p, "terminal Schatten order")
+    qi = _order_index(batch.plan.quad_schatten_orders, float(p), "quadrature order")
+    scale = 2.0 ** (-1.0 / p)
+    values = batch.data["schatten_terminal"][:, si] ** 2 * scale
+    quad = batch.data["quad_schatten"][:, qi]
+    factor_cons = scale * (2.0 * p - 1.0) * rhs_multiplier
+    factor_paper = scale * math.sqrt(2.0 * p - 1.0) * rhs_multiplier
+    lhs = bootstrap_ci(values, np.mean, resamples, confidence, seed)
+    rhs = bootstrap_ci(
+        quad, lambda a: factor_cons * float(np.mean(a)), resamples, confidence, seed + 1
+    )
+    rhs_paper = rhs.point * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
+    rhs_paper_ci = rhs.half_width * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
+    holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
+    holds_paper = verdict(lhs.point, rhs_paper, lhs.half_width, rhs_paper_ci, slack_factor)
+    return CheckResult(
+        name="schatten_rect",
+        lhs=lhs.point,
+        rhs=rhs.point,
+        lhs_ci=lhs.half_width,
+        rhs_ci=rhs.half_width,
+        holds=holds,
+        metadata=_batch_meta(
+            batch,
+            slack_factor,
+            p=p,
+            t=t,
+            rect_shape=batch.spec.rect_shape,
+            rhs_paper=rhs_paper,
+            rhs_paper_ci=rhs_paper_ci,
+            holds_paper=holds_paper,
+            unstable_moment=_moment_flag(p, lhs),
+        ),
+    )
+
+
+def khintchine_check(
+    spec: IntegrandSpec,
+    *,
+    samples: int = 100_000,
+    sample_seed: int = 0,
+    resamples: int = 1000,
+    seed: int = 1,
+    confidence: float = 0.99,
+    slack_factor: float = 3.0,
+    rhs_multiplier: float = 1.0,
+) -> CheckResult:
+    """Mean norm of the Gaussian matrix series against the sqrt(log n) shape.
+
+    The displayed rhs is the constant-free shape sqrt(log n) *
+    ||sum H_i^2||^(1/2); the verdict compares against the enforceable
+    moment bound with the sup-norm constant (metadata ``bound_rhs``).
+    The ratio lhs / ||sum H_i^2||^(1/2) drives the growth-in-n check.
+    For n = 1 the shape degenerates and the verdict is skipped.
+    """
+    if is_path_dependent(spec) or is_time_dependent(spec):
+        raise InputDomainError("khintchine check requires a constant-in-time integrand")
+    norms = exact_constant_spectral_norms(spec.matrices, 1.0, sample_seed, samples)
+    lhs = bootstrap_ci(norms, np.mean, resamples, confidence, seed)
+    base = math.sqrt(spectral_norm(aggregates(spec).sum_sq_base))
+    n = spec.n
+    rhs = math.sqrt(math.log(n)) * base
+    bound = BDG_CONSTANT * math.sqrt(1.0 + math.log(n)) * base * rhs_multiplier
+    ratio = lhs.point / base if base > 0.0 else 0.0
+    md = {
+        "n": n,
+        "N": spec.drivers,
+        "family": spec.family,
+        "t": 1.0,
+        "paths": samples,
+        "slack_factor": slack_factor,
+        "tolerance": 0.0,
+        "ratio": ratio,
+        "bound_rhs": bound,
+    }
+    if n == 1:
+        md["verdict"] = "skipped"
+        holds = True
+    else:
+        holds = verdict(lhs.point, rhs, lhs.half_width, 0.0, slack_factor, bound_rhs=bound)
+    return CheckResult(
+        name="khintchine",
+        lhs=lhs.point,
+        rhs=rhs,
+        lhs_ci=lhs.half_width,
+        rhs_ci=0.0,
+        holds=holds,
+        metadata=md,
+    )
+
+
+def biane_speicher_check(
+    batch: BatchStats,
+    t: float | None = None,
+    *,
+    confidence: float = 0.99,
+    slack_factor: float = 3.0,
+    resamples: int = 1000,
+    seed: int = 0,
+    rhs_multiplier: float = 1.0,
+) -> CheckResult:
+    """Mean terminal norm vs 2*sqrt(2) times the root-quadrature mean."""
+    _kept(batch)
+    if "sum_norm_quad" not in batch.data:
+        raise InputDomainError("batch was not collected with the driver-sum quadrature")
+    t = batch.grid.horizon if t is None else t
+    coeff = BIANE_SPEICHER_CONSTANT * rhs_multiplier
+    lhs = bootstrap_ci(
+        batch.data["terminal_spectral"], np.mean, resamples, confidence, seed
+    )
+    rhs = bootstrap_ci(
+        batch.data["sum_norm_quad"],
+        lambda a: coeff * float(np.mean(np.sqrt(a))),
+        resamples,
+        confidence,
+        seed + 1,
+    )
+    holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
+    return CheckResult(
+        name="biane_speicher",
+        lhs=lhs.point,
+        rhs=rhs.point,
+        lhs_ci=lhs.half_width,
+        rhs_ci=rhs.half_width,
+        holds=holds,
+        metadata=_batch_meta(batch, slack_factor, t=t, constant=BIANE_SPEICHER_CONSTANT),
+    )
+
+
+def supermartingale_check(
+    batch: BatchStats,
+    beta: float,
+    *,
+    confidence: float = 0.99,
+    slack_factor: float = 3.0,
+    resamples: int = 1000,
+    seed: int = 0,
+    rhs_multiplier: float = 1.0,
+) -> CheckResult:
+    """Checkpoint means of Tr exp(beta*X - (beta^2/2)*qv) never increase.
+
+    lhs/rhs are the later/earlier means of the worst consecutive
+    checkpoint pair; the verdict requires every pair to be nonincreasing
+    within the combined interval slack.
+    """
+    _kept(batch)
+    try:
+        bi = batch.plan.supermartingale_betas.index(beta)
+    except ValueError:
+        raise InputDomainError(
+            f"batch was not collected with beta {beta}; "
+            f"available: {batch.plan.supermartingale_betas}"
+        ) from None
+    cps = batch.plan.checkpoints
+    vals = batch.data["supermart"][:, bi, :]
+    ests = [
+        bootstrap_ci(vals[:, c], np.mean, resamples, confidence, seed + c)
+        for c in range(len(cps))
+    ]
+    worst = None
+    worst_excess = -math.inf
+    for c in range(len(cps) - 1):
+        earlier, later = ests[c], ests[c + 1]
+        rhs_point = earlier.point * rhs_multiplier
+        rhs_ci = earlier.half_width * abs(rhs_multiplier)
+        excess = later.point - rhs_point - slack_factor * (later.half_width + rhs_ci)
+        if excess > worst_excess:
+            worst_excess = excess
+            worst = (c, later, rhs_point, rhs_ci)
+    c, later, rhs_point, rhs_ci = worst
+    holds = verdict(later.point, rhs_point, later.half_width, rhs_ci, slack_factor)
+    return CheckResult(
+        name="supermartingale",
+        lhs=later.point,
+        rhs=rhs_point,
+        lhs_ci=later.half_width,
+        rhs_ci=rhs_ci,
+        holds=holds,
+        metadata=_batch_meta(
+            batch,
+            slack_factor,
+            beta=beta,
+            checkpoints=tuple(cps),
+            checkpoint_means=tuple(e.point for e in ests),
+            initial_value=float(vals[:, 0].mean()) if 0 in cps else None,
+            worst_pair=(cps[c], cps[c + 1]),
+        ),
+    )
+
+
+def evaluate_checks(config: ExperimentConfig, batch: BatchStats | None) -> list[CheckResult]:
+    """Run every requested check against one shared batch.
+
+    Bootstrap and sampling seeds come from the config's auxiliary
+    stream, indexed by check order, so results are reproducible and
+    independent of evaluation parallelism.
+    """
+    results = []
+    for i, req in enumerate(config.checks):
+        bseed = bootstrap_seed(config, 2 * i)
+        sseed = bootstrap_seed(config, 2 * i + 1)
+        common = dict(confidence=config.confidence, slack_factor=config.slack_factor)
+        boot = dict(resamples=config.bootstrap_resamples, seed=bseed, **common)
+        mult = dict(rhs_multiplier=config.rhs_multiplier)
+        if req.kind == "khintchine":
+            results.append(
+                khintchine_check(
+                    config.spec,
+                    samples=config.paths,
+                    sample_seed=sseed,
+                    resamples=config.bootstrap_resamples,
+                    seed=bseed,
+                    **common,
+                    **mult,
+                )
+            )
+            continue
+        if batch is None:
+            raise InputDomainError(f"check '{req.kind}' requires a simulated batch")
+        if req.kind == "freedman":
+            results.append(freedman_check(batch, req.u, req.sigma2, **common, **mult))
+        elif req.kind == "good_lambda":
+            results.append(good_lambda_check(batch, req.u, req.sigma2, **common, **mult))
+        elif req.kind == "bdg":
+            results.append(bdg_check(batch, req.p, req.t, **boot, **mult))
+        elif req.kind == "schatten":
+            results.append(schatten_check(batch, req.p, req.t, **boot, **mult))
+        elif req.kind == "schatten_rect":
+            results.append(schatten_rect_check(batch, req.p, req.t, **boot, **mult))
+        elif req.kind == "biane_speicher":
+            results.append(biane_speicher_check(batch, req.t, **boot, **mult))
+        elif req.kind == "supermartingale":
+            results.append(supermartingale_check(batch, req.beta, **boot, **mult))
+        else:  # pragma: no cover - CheckRequest already validates kinds
+            raise InputDomainError(f"unknown check kind '{req.kind}'")
+    return results
+
+
+def run_experiment_checks(config: ExperimentConfig, workers: int = 1) -> tuple[BatchStats | None, list[CheckResult]]:
+    """Simulate (when needed) and evaluate all configured checks."""
+    needs_batch = any(c.kind != "khintchine" for c in config.checks)
+    batch = run_batch(config, workers=workers) if needs_batch else None
+    return batch, evaluate_checks(config, batch)
