@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, NumericError
 from .integrands import IntegrandSpec, aggregates, is_path_dependent, is_time_dependent
 from .linalg import (
     check_symmetric,
@@ -313,14 +313,17 @@ def bdg_check(
     qv = batch.data["terminal_qv_norm"]
     coeff = BDG_CONSTANT * math.sqrt(p + math.log(batch.spec.n)) * rhs_multiplier
 
-    def lhs_stat(a):
-        return float(np.mean(a**p)) ** (1.0 / p)
-
-    def rhs_stat(a):
-        return coeff * float(np.mean(a ** (0.5 * p))) ** (1.0 / p)
-
-    lhs = bootstrap_ci(sup, lhs_stat, resamples, confidence, seed)
-    rhs = bootstrap_ci(qv, rhs_stat, resamples, confidence, seed + 1)
+    lhs = bootstrap_ci(
+        sup**p, lambda s: s ** (1.0 / p), resamples, confidence, seed, label="bdg lhs"
+    )
+    rhs = bootstrap_ci(
+        qv ** (0.5 * p),
+        lambda s: coeff * s ** (1.0 / p),
+        resamples,
+        confidence,
+        seed + 1,
+        label="bdg rhs",
+    )
     holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
     return CheckResult(
         name="bdg",
@@ -362,9 +365,9 @@ def schatten_check(
     values = batch.data["schatten_terminal"][:, si] ** 2
     quad = batch.data["quad_schatten"][:, qi]
     factor = (2.0 * p - 1.0) * rhs_multiplier
-    lhs = bootstrap_ci(values, np.mean, resamples, confidence, seed)
+    lhs = bootstrap_ci(values, float, resamples, confidence, seed, label="schatten lhs")
     rhs = bootstrap_ci(
-        quad, lambda a: factor * float(np.mean(a)), resamples, confidence, seed + 1
+        quad, lambda s: factor * s, resamples, confidence, seed + 1, label="schatten rhs"
     )
     holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
     return CheckResult(
@@ -415,9 +418,16 @@ def schatten_rect_check(
     quad = batch.data["quad_schatten"][:, qi]
     factor_cons = scale * (2.0 * p - 1.0) * rhs_multiplier
     factor_paper = scale * math.sqrt(2.0 * p - 1.0) * rhs_multiplier
-    lhs = bootstrap_ci(values, np.mean, resamples, confidence, seed)
+    lhs = bootstrap_ci(
+        values, float, resamples, confidence, seed, label="schatten_rect lhs"
+    )
     rhs = bootstrap_ci(
-        quad, lambda a: factor_cons * float(np.mean(a)), resamples, confidence, seed + 1
+        quad,
+        lambda s: factor_cons * s,
+        resamples,
+        confidence,
+        seed + 1,
+        label="schatten_rect rhs",
     )
     rhs_paper = rhs.point * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
     rhs_paper_ci = rhs.half_width * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
@@ -466,7 +476,7 @@ def khintchine_check(
     if is_path_dependent(spec) or is_time_dependent(spec):
         raise InputDomainError("khintchine check requires a constant-in-time integrand")
     norms = exact_constant_spectral_norms(spec.matrices, 1.0, sample_seed, samples)
-    lhs = bootstrap_ci(norms, np.mean, resamples, confidence, seed)
+    lhs = bootstrap_ci(norms, float, resamples, confidence, seed, label="khintchine lhs")
     base = math.sqrt(spectral_norm(aggregates(spec).sum_sq_base))
     n = spec.n
     rhs = math.sqrt(math.log(n)) * base
@@ -516,14 +526,20 @@ def biane_speicher_check(
     t = batch.grid.horizon if t is None else t
     coeff = BIANE_SPEICHER_CONSTANT * rhs_multiplier
     lhs = bootstrap_ci(
-        batch.data["terminal_spectral"], np.mean, resamples, confidence, seed
+        batch.data["terminal_spectral"],
+        float,
+        resamples,
+        confidence,
+        seed,
+        label="biane_speicher lhs",
     )
     rhs = bootstrap_ci(
-        batch.data["sum_norm_quad"],
-        lambda a: coeff * float(np.mean(np.sqrt(a))),
+        np.sqrt(batch.data["sum_norm_quad"]),
+        lambda s: coeff * s,
         resamples,
         confidence,
         seed + 1,
+        label="biane_speicher rhs",
     )
     holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
     return CheckResult(
@@ -564,7 +580,14 @@ def supermartingale_check(
     cps = batch.plan.checkpoints
     vals = batch.data["supermart"][:, bi, :]
     ests = [
-        bootstrap_ci(vals[:, c], np.mean, resamples, confidence, seed + c)
+        bootstrap_ci(
+            vals[:, c],
+            float,
+            resamples,
+            confidence,
+            seed + c,
+            label=f"supermartingale checkpoint {cps[c]}",
+        )
         for c in range(len(cps))
     ]
     worst = None
@@ -647,7 +670,14 @@ def evaluate_checks(config: ExperimentConfig, batch: BatchStats | None) -> list[
 
 
 def run_experiment_checks(config: ExperimentConfig, workers: int = 1) -> tuple[BatchStats | None, list[CheckResult]]:
-    """Simulate (when needed) and evaluate all configured checks."""
+    """Simulate (when needed) and evaluate all configured checks.
+
+    A NumericError from the checks carries the batch's ``excluded`` count.
+    """
     needs_batch = any(c.kind != "khintchine" for c in config.checks)
     batch = run_batch(config, workers=workers) if needs_batch else None
-    return batch, evaluate_checks(config, batch)
+    try:
+        return batch, evaluate_checks(config, batch)
+    except NumericError as exc:
+        exc.excluded = batch.excluded_count if batch is not None else 0
+        raise

@@ -62,6 +62,8 @@ def _execute(body):
 
 
 def _print_report(report, files):
+    if report.error is not None:
+        click.echo(f"run failed: {report.error}", err=True)
     if len(report.results) > 20:
         held = sum(r.holds for r in report.results)
         click.echo(f"{held}/{len(report.results)} checks hold")
@@ -98,7 +100,9 @@ _format_option = click.option(
     help="Report formats to write.",
 )
 _seed_option = click.option("--seed", type=int, default=None, help="Master seed override.")
-_workers_option = click.option("--workers", type=int, default=1, help="Worker processes.")
+_workers_option = click.option(
+    "--workers", type=click.IntRange(min=1), default=1, help="Worker processes."
+)
 _set_option = click.option(
     "--set",
     "sets",

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
-from .errors import BatchError, InputDomainError
+from .errors import BatchError, InputDomainError, NumericError
 from .integrands import IntegrandSpec, validate_spec
 from .simulate import (
     MASK64,
@@ -30,6 +29,12 @@ from .simulate import (
 # offset namespace for auxiliary seed streams (bootstrap); path indices
 # stay far below this
 STREAM_OFFSET = 1 << 48
+
+# bootstrap resamples are drawn and gathered in blocks of about this many
+# elements: large enough to amortise the per-call overhead, small enough
+# that each block's index and gathered arrays stay under glibc's default
+# 128 KiB mmap threshold and reuse heap pages instead of faulting new ones
+BOOTSTRAP_BLOCK_ELEMENTS = 15_000
 
 CHECK_KINDS = (
     "freedman",
@@ -93,6 +98,114 @@ def exact_estimate(value: float) -> EstimateCI:
     return EstimateCI(point=value, lo=value, hi=value, method="exact")
 
 
+# Cephes ndtri (as shipped in scipy.special): rational approximations of
+# the standard normal quantile on |y - 1/2| <= 3/8, on z = sqrt(-2 log y)
+# in [2, 8) and on z in [8, 64).  Kept bit-identical to scipy so that the
+# Wilson intervals do not depend on scipy being installed.  The Q
+# denominators lead with the implicit 1 of Cephes' p1evl (1*x is exact).
+_NDTRI_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0,
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0,
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    1.0,
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+_SQRT_2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+
+
+def _polevl(x: float, coef) -> float:
+    """Horner evaluation, highest-degree coefficient first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of the standard normal CDF (Cephes ndtri)."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> EstimateCI:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
@@ -101,7 +214,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> Es
         raise InputDomainError(f"successes {successes} outside [0, {trials}]")
     if not 0.0 < confidence < 1.0:
         raise InputDomainError(f"confidence must be in (0, 1), got {confidence}")
-    z = float(ndtri(1.0 - 0.5 * (1.0 - confidence)))
+    z = _ndtri(1.0 - 0.5 * (1.0 - confidence))
     phat = successes / trials
     z2n = z * z / trials
     denom = 1.0 + z2n
@@ -114,18 +227,27 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> Es
 
 def bootstrap_ci(
     values,
-    statistic=np.mean,
+    statistic=float,
     resamples: int = 1000,
     confidence: float = 0.99,
     seed: int = 0,
+    *,
+    label: str = "values",
 ) -> EstimateCI:
-    """Percentile bootstrap interval for statistic(values).
+    """Percentile bootstrap interval for statistic(mean(values)).
 
-    ``values`` is (m,) or (m, d); rows are resampled jointly.  The
-    returned interval is widened (never narrowed) to contain the point
-    estimate, and the resampling stream is fixed by ``seed``.
+    ``values`` is a 1-D sample.  Callers apply any elementwise transform
+    first and pass the rest as ``statistic``, a map of one float, which
+    is called once for the point estimate and once per resample.  Each
+    resample's m indices follow on from the previous one's in the
+    ``default_rng(seed)`` stream, as a per-resample loop would draw them;
+    they are drawn and averaged in blocks of rows.  The returned interval
+    is widened (never narrowed) to contain the point estimate.  Non-finite
+    values or statistics raise NumericError naming ``label``.
     """
     arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise InputDomainError(f"bootstrap needs a 1-D sample, got shape {arr.shape}")
     m = arr.shape[0]
     if m < 100:
         raise InputDomainError(f"bootstrap needs >= 100 samples, got {m}")
@@ -133,13 +255,23 @@ def bootstrap_ci(
         raise InputDomainError(f"bootstrap needs >= 100 resamples, got {resamples}")
     if not 0.0 < confidence < 1.0:
         raise InputDomainError(f"confidence must be in (0, 1), got {confidence}")
-    point = float(statistic(arr))
-    if arr.ndim == 1 and np.all(arr == arr[0]):
+    bad = m - int(np.count_nonzero(np.isfinite(arr)))
+    if bad:
+        raise NumericError(f"{label}: {bad} of {m} values are not finite", detail=float(bad))
+    point = float(statistic(float(np.mean(arr))))
+    if not math.isfinite(point):
+        raise NumericError(f"{label}: point estimate {point} is not finite", detail=point)
+    if np.all(arr == arr[0]):
         return EstimateCI(point=point, lo=point, hi=point, method="bootstrap")
     rng = np.random.default_rng(seed)
-    stats = np.empty(resamples)
-    for r in range(resamples):
-        stats[r] = statistic(arr[rng.integers(0, m, size=m)])
+    rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // m)
+    means = np.empty(resamples)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
+        means[start:stop] = arr[rng.integers(0, m, size=(stop - start, m))].mean(axis=1)
+    stats = np.array([statistic(s) for s in means.tolist()], dtype=np.float64)
+    if not np.all(np.isfinite(stats)):
+        raise NumericError(f"{label}: a bootstrap resample gave a non-finite statistic")
     alpha = 0.5 * (1.0 - confidence)
     lo = float(np.quantile(stats, alpha))
     hi = float(np.quantile(stats, 1.0 - alpha))
@@ -325,6 +457,3 @@ def bootstrap_seed(config: ExperimentConfig, check_index: int) -> int:
     """
     return derive_path_seed(config.master_seed, STREAM_OFFSET + check_index)
 
-
-def with_paths(config: ExperimentConfig, paths: int) -> ExperimentConfig:
-    return replace(config, paths=paths)

@@ -25,7 +25,7 @@ from .checks import (
     run_lemma_suite,
 )
 from .config import DumpSettings, RunSettings, sweep_configs
-from .errors import BatchError, ConfigError, InputDomainError
+from .errors import BatchError, ConfigError, InputDomainError, NumericError
 from .linalg import stacked_eigenvalues
 from .montecarlo import CheckRequest, ExperimentConfig, derive_path_seed
 from .simulate import Trajectory, simulate_path, supermartingale_series
@@ -77,7 +77,11 @@ def _normalize(result: CheckResult) -> CheckResult:
 
 @dataclass(frozen=True)
 class Report:
-    """One run's results plus the facts needed to reproduce it."""
+    """One run's results plus the facts needed to reproduce it.
+
+    ``wall_time`` and ``error`` (why a run ended without results) are for
+    console display and are never written to files.
+    """
 
     schema_version: int
     version: str
@@ -88,6 +92,7 @@ class Report:
     config: dict
     results: tuple[CheckResult, ...]
     wall_time: float | None = field(default=None, compare=False)
+    error: str | None = field(default=None, compare=False)
 
 
 def config_echo(config: ExperimentConfig) -> dict:
@@ -130,6 +135,7 @@ def assemble_report(
     config: dict,
     wall_time: float | None = None,
     force_failed: bool = False,
+    error: str | None = None,
 ) -> Report:
     normalized = tuple(_normalize(r) for r in results)
     failed = (
@@ -147,6 +153,7 @@ def assemble_report(
         config=config,
         results=normalized,
         wall_time=wall_time,
+        error=error,
     )
 
 
@@ -265,20 +272,25 @@ def emit_report(report: Report, fmt: str, out_dir) -> list[Path]:
 
 
 def run_verify(settings: RunSettings, workers: int = 1) -> Report:
-    """Simulate the configured batch and evaluate every check."""
+    """Simulate the configured batch and evaluate every check.
+
+    A batch over the exclusion limit or a non-finite check statistic ends
+    in a failed report without results.
+    """
     exp = settings.experiment
     started = time.perf_counter()
     try:
         batch, results = run_experiment_checks(exp, workers=workers)
-    except BatchError as exc:
+    except (BatchError, NumericError) as exc:
         return assemble_report(
             (),
             master_seed=exp.master_seed,
             paths=exp.paths,
-            excluded=getattr(exc, "excluded", exp.paths),
+            excluded=getattr(exc, "excluded", 0),
             config=config_echo(exp),
             wall_time=time.perf_counter() - started,
             force_failed=True,
+            error=str(exc),
         )
     return assemble_report(
         results,

@@ -81,3 +81,26 @@ def standard_normal_cdf(x: float) -> float:
 def reflection_sup_tail(u: float, sigma: float = 1.0, t: float = 1.0) -> float:
     """P(sup_{s<=t} B_s >= u) for scalar Brownian motion, by reflection."""
     return 2.0 * (1.0 - standard_normal_cdf(u / (sigma * math.sqrt(t))))
+
+
+def loop_bootstrap_ci(values, statistic, resamples=1000, confidence=0.99, seed=0):
+    """Percentile bootstrap as one Python loop over resamples.
+
+    The reference form of ``mmlab.montecarlo.bootstrap_ci``: each
+    resample draws m indices from ``default_rng(seed)``, gathers them
+    and evaluates ``statistic`` on the gathered array.  Returns
+    (point, lo, hi), widened to contain the point.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    m = arr.shape[0]
+    point = float(statistic(arr))
+    if np.all(arr == arr[0]):
+        return point, point, point
+    rng = np.random.default_rng(seed)
+    stats = np.empty(resamples)
+    for r in range(resamples):
+        stats[r] = statistic(arr[rng.integers(0, m, size=m)])
+    alpha = 0.5 * (1.0 - confidence)
+    lo = float(np.quantile(stats, alpha))
+    hi = float(np.quantile(stats, 1.0 - alpha))
+    return point, min(lo, point), max(hi, point)

@@ -123,6 +123,33 @@ class TestVerify:
         assert result.exit_code == 0, result.output
         assert json.loads((out / "report.json").read_text())["paths"] == 150
 
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_zero_workers_is_a_usage_error(self, runner, tmp_path, command):
+        cfg = write_cfg(tmp_path, VERIFY_CFG)
+        result = runner.invoke(
+            main, [command, "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "0"]
+        )
+        assert result.exit_code == 2
+        assert "--workers" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_statistic_writes_failed_report(self, runner, tmp_path):
+        # no tail check, so nothing excludes the overflowed paths: the
+        # moment checks' samples hold inf and the interval layer refuses
+        text = VERIFY_CFG.split("check.1.kind")[0] + "check.1.kind = bdg\ncheck.1.p = 1\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["verify", "--config", cfg, "--out", str(out), "--set", "integrand.matrix.1=1e200"],
+        )
+        assert result.exit_code == 1
+        assert "run failed: bdg rhs: 300 of 300 values are not finite" in result.output
+        assert "FAILED" in result.output
+        obj = json.loads((out / "report.json").read_text())
+        assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 0
+        assert (out / "report.csv").read_text() == GOLDEN_HEADER + "\n"
+
     def test_worker_counts_emit_identical_bytes(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, VERIFY_CFG + "block_size = 64\n")
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

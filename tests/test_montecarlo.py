@@ -1,15 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from mmlab.errors import BatchError, InputDomainError
+import mmlab
+from mmlab.errors import BatchError, InputDomainError, NumericError
 from mmlab.integrands import constant_spec, goe_like_spec, path_feedback_spec
 from mmlab.linalg import spectral_norm
 from mmlab.montecarlo import (
     CheckRequest,
     EstimateCI,
     ExperimentConfig,
+    BOOTSTRAP_BLOCK_ELEMENTS,
+    _ndtri,
     bootstrap_ci,
     bootstrap_seed,
     derive_path_seed,
@@ -21,6 +29,8 @@ from mmlab.montecarlo import (
     STREAM_OFFSET,
 )
 from mmlab.simulate import CollectorPlan, TimeGrid, simulate_path, summarize
+
+from .oracles import loop_bootstrap_ci
 
 
 def small_config(**kw):
@@ -98,15 +108,23 @@ class TestWilson:
 
 class TestBootstrap:
     def test_constant_sample_degenerates(self):
-        ci = bootstrap_ci(np.full(500, 3.25), np.mean, seed=1)
+        ci = bootstrap_ci(np.full(500, 3.25), seed=1)
         assert ci.lo == ci.hi == ci.point == 3.25
 
     def test_contains_point(self):
+        # statistic(mean of a resample): identity, root mean square, and a
+        # decreasing map, whose percentiles come out in reverse order
         rng = np.random.default_rng(9)
         sample = rng.lognormal(size=2000)
-        for stat in (np.mean, np.median, lambda a: float(np.mean(a**2)) ** 0.5):
-            ci = bootstrap_ci(sample, stat, resamples=200, seed=3)
+        cases = (
+            (sample, float),
+            (sample**2, lambda s: s**0.5),
+            (sample, lambda s: -3.0 * s),
+        )
+        for values, stat in cases:
+            ci = bootstrap_ci(values, stat, resamples=200, seed=3)
             assert ci.lo <= ci.point <= ci.hi
+            assert ci.lo < ci.hi
 
     def test_coverage_of_normal_mean(self):
         # 99% intervals over 100 seeded meta-trials trap 0 at least 98 times
@@ -114,30 +132,144 @@ class TestBootstrap:
         contain = 0
         for trial in range(100):
             sample = rng.standard_normal(10**4)
-            ci = bootstrap_ci(sample, np.mean, resamples=1000, confidence=0.99, seed=trial)
+            ci = bootstrap_ci(sample, float, resamples=1000, confidence=0.99, seed=trial)
             contain += ci.lo <= 0.0 <= ci.hi
         assert contain >= 98
 
     def test_width_clt_scaling(self):
         rng = np.random.default_rng(11)
         big = rng.standard_normal(4000)
-        w_small = bootstrap_ci(big[:1000], np.mean, resamples=600, seed=5).half_width
-        w_big = bootstrap_ci(big, np.mean, resamples=600, seed=6).half_width
+        w_small = bootstrap_ci(big[:1000], float, resamples=600, seed=5).half_width
+        w_big = bootstrap_ci(big, float, resamples=600, seed=6).half_width
         assert 1.5 <= w_small / w_big <= 2.5
 
     def test_deterministic_in_seed(self):
         sample = np.random.default_rng(2).standard_normal(300)
-        a = bootstrap_ci(sample, np.mean, seed=42)
-        b = bootstrap_ci(sample, np.mean, seed=42)
+        a = bootstrap_ci(sample, float, seed=42)
+        b = bootstrap_ci(sample, float, seed=42)
         assert (a.lo, a.hi) == (b.lo, b.hi)
 
     def test_too_few_samples(self):
         with pytest.raises(InputDomainError, match=">= 100 samples"):
-            bootstrap_ci(np.ones(50), np.mean)
+            bootstrap_ci(np.ones(50))
 
     def test_too_few_resamples(self):
         with pytest.raises(InputDomainError, match=">= 100 resamples"):
-            bootstrap_ci(np.ones(200), np.mean, resamples=10)
+            bootstrap_ci(np.ones(200), resamples=10)
+
+    def test_rejects_two_dimensional_sample(self):
+        with pytest.raises(InputDomainError, match="1-D sample"):
+            bootstrap_ci(np.ones((200, 2)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_raise_numeric_error(self, bad):
+        sample = np.random.default_rng(4).standard_normal(300)
+        sample[17] = bad
+        with pytest.raises(NumericError, match="bdg rhs: 1 of 300 values are not finite"):
+            bootstrap_ci(sample, label="bdg rhs")
+
+    def test_non_finite_statistic_raises_numeric_error(self):
+        sample = np.random.default_rng(4).lognormal(size=300)
+        with pytest.raises(NumericError, match="schatten lhs: point estimate"):
+            bootstrap_ci(sample, lambda s: s * 1e308 * 10.0, label="schatten lhs")
+
+    def test_statistic_called_once_per_resample_plus_point(self):
+        calls = []
+        sample = np.random.default_rng(4).standard_normal(300)
+        bootstrap_ci(sample, lambda s: calls.append(type(s)) or s, resamples=157)
+        assert len(calls) == 158 and set(calls) == {float}
+
+
+# (elementwise transform, statistic of the mean) as the checks pass them,
+# next to the statistic of the whole resample that the loop evaluated
+CHECK_TRANSFORMS = {
+    "mean": (lambda a: a, float, np.mean),
+    "schatten_rhs": (lambda a: a, lambda s: 3.0 * s, lambda a: 3.0 * float(np.mean(a))),
+    "biane_speicher_rhs": (
+        np.sqrt,
+        lambda s: 2.0 * math.sqrt(2.0) * s,
+        lambda a: 2.0 * math.sqrt(2.0) * float(np.mean(np.sqrt(a))),
+    ),
+}
+for _p in (1, 2, 3, 5):
+    CHECK_TRANSFORMS[f"bdg_lhs_p{_p}"] = (
+        lambda a, p=_p: a**p,
+        lambda s, p=_p: s ** (1.0 / p),
+        lambda a, p=_p: float(np.mean(a**p)) ** (1.0 / p),
+    )
+for _p in (1, 2, 3, 4):
+    CHECK_TRANSFORMS[f"bdg_rhs_p{_p}"] = (
+        lambda a, p=_p: a ** (0.5 * p),
+        lambda s, p=_p: 7.3 * s ** (1.0 / p),
+        lambda a, p=_p: 7.3 * float(np.mean(a ** (0.5 * p))) ** (1.0 / p),
+    )
+
+
+class TestBootstrapMatchesLoop:
+    """The blocked bootstrap reproduces the per-resample loop bit for bit."""
+
+    @staticmethod
+    def assert_same(raw, name, resamples, seed):
+        transform, stat, loop_stat = CHECK_TRANSFORMS[name]
+        ci = bootstrap_ci(transform(raw), stat, resamples, 0.99, seed)
+        assert (ci.point, ci.lo, ci.hi) == loop_bootstrap_ci(raw, loop_stat, resamples, 0.99, seed)
+
+    @pytest.mark.parametrize("m", [100, 257, 1280, 5000, 20000])
+    def test_sample_sizes(self, m):
+        raw = np.random.default_rng(m).lognormal(size=m)
+        self.assert_same(raw, "mean", 1000, 2**40 + m)
+
+    @pytest.mark.parametrize("name", sorted(CHECK_TRANSFORMS))
+    @pytest.mark.parametrize("m", [257, 1280])
+    def test_check_transforms(self, name, m):
+        raw = np.abs(np.random.default_rng(3 * m).standard_normal(m)) * 1.7
+        self.assert_same(raw, name, 1000, 12345)
+
+    def test_resamples_not_a_multiple_of_block_rows(self):
+        m = 301
+        rows = BOOTSTRAP_BLOCK_ELEMENTS // m
+        resamples = 2 * rows + 7
+        raw = np.random.default_rng(8).standard_normal(m)
+        self.assert_same(raw, "mean", resamples, 99)
+
+    def test_constant_sample(self):
+        self.assert_same(np.full(400, 0.3), "bdg_lhs_p3", 200, 1)
+
+
+class TestNdtri:
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        tiny = np.nextafter(0.0, 1.0)
+        probs = np.concatenate(
+            [
+                rng.random(100_000),
+                np.linspace(0.0, 1.0, 50_001)[1:-1],
+                np.logspace(-320, math.log10(0.5), 50_000),
+                1.0 - np.logspace(-16, math.log10(0.5), 50_000),
+                [tiny, 0.5, math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)],
+                np.nextafter(math.exp(-2.0), [0.0, 1.0]),
+                np.nextafter(1.0 - math.exp(-2.0), [0.0, 1.0]),
+                np.nextafter(math.exp(-32.0), [0.0, 1.0]),
+                [1.0 - 0.5 * (1.0 - c) for c in (0.5, 0.9, 0.95, 0.99, 0.999, 1 - 1e-9)],
+            ]
+        )
+        ours = np.array([_ndtri(p) for p in probs.tolist()])
+        assert np.array_equal(ours, ndtri(probs))
+
+    def test_edges(self):
+        assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
+        assert math.isnan(_ndtri(-0.1)) and math.isnan(_ndtri(1.5))
+        assert math.isnan(_ndtri(math.nan))
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(mmlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, mmlab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestEstimateCI:
