@@ -10,7 +10,8 @@ shape rather than an enforceable bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -26,13 +27,14 @@ from .linalg import (
 )
 from .montecarlo import (
     BatchStats,
+    EstimateCI,
     ExperimentConfig,
     bootstrap_ci,
     bootstrap_seed,
     run_batch,
     wilson_interval,
 )
-from .simulate import exact_constant_spectral_norms
+from .simulate import TimeGrid, default_checkpoints, exact_constant_spectral_norms
 
 # sup-norm moment bound constant, 12*sqrt(2*log 2)
 BDG_CONSTANT = 12.0 * math.sqrt(2.0 * math.log(2.0))
@@ -100,20 +102,6 @@ def recompute_holds(result: CheckResult) -> bool:
     )
 
 
-def _batch_meta(batch: BatchStats, slack_factor: float, **extra) -> dict:
-    md = {
-        "n": batch.spec.n,
-        "N": batch.spec.drivers,
-        "family": batch.spec.family,
-        "t": batch.grid.horizon,
-        "paths": batch.path_count,
-        "slack_factor": slack_factor,
-        "tolerance": 0.0,
-    }
-    md.update(extra)
-    return md
-
-
 def _kept(batch: BatchStats) -> int:
     kept = batch.kept_count
     if kept < 1:
@@ -121,23 +109,61 @@ def _kept(batch: BatchStats) -> int:
     return kept
 
 
-def _sigma2_index(batch: BatchStats, sigma2: float) -> int:
-    try:
-        return batch.plan.sigma2_levels.index(sigma2)
-    except ValueError:
-        raise InputDomainError(
-            f"batch was not collected with sigma2 level {sigma2}; "
-            f"available: {batch.plan.sigma2_levels}"
-        ) from None
+def _moment_order(batch: BatchStats, p) -> int:
+    """The integer order p >= 1 of a moment check on a non-empty batch."""
+    _kept(batch)
+    if p < 1 or int(p) != p:
+        raise InputDomainError(f"p must be an integer >= 1, got {p}")
+    return int(p)
 
 
-def _order_index(orders: tuple, value: float, what: str) -> int:
+def _plan_index(orders: tuple, value: float, what: str) -> int:
     try:
         return orders.index(value)
     except ValueError:
         raise InputDomainError(
             f"batch was not collected with {what} {value}; available: {orders}"
         ) from None
+
+
+def _batch_result(
+    name: str,
+    batch: BatchStats,
+    slack_factor: float,
+    lhs: EstimateCI,
+    rhs: EstimateCI | float,
+    rhs_ci: float = 0.0,
+    *,
+    t: float | None = None,
+    **extra,
+) -> CheckResult:
+    """Verdict and result of a batch check.
+
+    ``rhs`` is an interval estimate, or a point with half-width
+    ``rhs_ci``.  The metadata describes the batch, with ``t`` defaulting
+    to the grid horizon, and then lists ``extra`` in order.
+    """
+    if isinstance(rhs, EstimateCI):
+        rhs, rhs_ci = rhs.point, rhs.half_width
+    md = {
+        "n": batch.spec.n,
+        "N": batch.spec.drivers,
+        "family": batch.spec.family,
+        "t": batch.grid.horizon if t is None else t,
+        "paths": batch.path_count,
+        "slack_factor": slack_factor,
+        "tolerance": 0.0,
+    }
+    md.update(extra)
+    return CheckResult(
+        name=name,
+        lhs=lhs.point,
+        rhs=rhs,
+        lhs_ci=lhs.half_width,
+        rhs_ci=rhs_ci,
+        holds=verdict(lhs.point, rhs, lhs.half_width, rhs_ci, slack_factor),
+        metadata=md,
+    )
 
 
 def check_trace_lemma(h, a, q: int, r: int) -> CheckResult:
@@ -234,19 +260,12 @@ def freedman_check(
     threshold on one number per path and the Wilson interval applies.
     """
     kept = _kept(batch)
-    li = _sigma2_index(batch, sigma2)
+    li = _plan_index(batch.plan.sigma2_levels, sigma2, "sigma2 level")
     hits = int((batch.data["bridge_prefix_max"][:, li] >= u).sum())
     lhs = wilson_interval(hits, kept, confidence)
     rhs = batch.spec.n * math.exp(-u * u / (2.0 * sigma2)) * rhs_multiplier
-    holds = verdict(lhs.point, rhs, lhs.half_width, 0.0, slack_factor)
-    return CheckResult(
-        name="freedman",
-        lhs=lhs.point,
-        rhs=rhs,
-        lhs_ci=lhs.half_width,
-        rhs_ci=0.0,
-        holds=holds,
-        metadata=_batch_meta(batch, slack_factor, u=u, sigma2=sigma2, events=hits),
+    return _batch_result(
+        "freedman", batch, slack_factor, lhs, rhs, u=u, sigma2=sigma2, events=hits
     )
 
 
@@ -266,25 +285,22 @@ def good_lambda_check(
     (as in :func:`freedman_check`), the u-tail on the unconditioned one.
     """
     kept = _kept(batch)
-    li = _sigma2_index(batch, sigma2)
+    li = _plan_index(batch.plan.sigma2_levels, sigma2, "sigma2 level")
     hits2u = int((batch.data["bridge_prefix_max"][:, li] >= 2.0 * u).sum())
     hits_u = int((batch.data["bridge_sup"] >= u).sum())
     lhs = wilson_interval(hits2u, kept, confidence)
     u_freq = wilson_interval(hits_u, kept, confidence)
     factor = batch.spec.n * math.exp(-u * u / (2.0 * sigma2)) * rhs_multiplier
-    rhs = factor * u_freq.point
-    rhs_ci = abs(factor) * u_freq.half_width
-    holds = verdict(lhs.point, rhs, lhs.half_width, rhs_ci, slack_factor)
-    return CheckResult(
-        name="good_lambda",
-        lhs=lhs.point,
-        rhs=rhs,
-        lhs_ci=lhs.half_width,
-        rhs_ci=rhs_ci,
-        holds=holds,
-        metadata=_batch_meta(
-            batch, slack_factor, u=u, sigma2=sigma2, u_event_freq=u_freq.point
-        ),
+    return _batch_result(
+        "good_lambda",
+        batch,
+        slack_factor,
+        lhs,
+        factor * u_freq.point,
+        abs(factor) * u_freq.half_width,
+        u=u,
+        sigma2=sigma2,
+        u_event_freq=u_freq.point,
     )
 
 
@@ -304,11 +320,7 @@ def bdg_check(
     rhs_multiplier: float = 1.0,
 ) -> CheckResult:
     """p-th moment of the running sup vs the sqrt(p + log n) weighted qv moment."""
-    _kept(batch)
-    if p < 1 or int(p) != p:
-        raise InputDomainError(f"p must be an integer >= 1, got {p}")
-    p = int(p)
-    t = batch.grid.horizon if t is None else t
+    p = _moment_order(batch, p)
     sup = batch.data["sup_spectral"]
     qv = batch.data["terminal_qv_norm"]
     coeff = BDG_CONSTANT * math.sqrt(p + math.log(batch.spec.n)) * rhs_multiplier
@@ -324,23 +336,24 @@ def bdg_check(
         seed + 1,
         label="bdg rhs",
     )
-    holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
-    return CheckResult(
-        name="bdg",
-        lhs=lhs.point,
-        rhs=rhs.point,
-        lhs_ci=lhs.half_width,
-        rhs_ci=rhs.half_width,
-        holds=holds,
-        metadata=_batch_meta(
-            batch,
-            slack_factor,
-            p=p,
-            t=t,
-            constant=BDG_CONSTANT,
-            unstable_moment=_moment_flag(p, lhs),
-        ),
+    return _batch_result(
+        "bdg",
+        batch,
+        slack_factor,
+        lhs,
+        rhs,
+        t=t,
+        p=p,
+        constant=BDG_CONSTANT,
+        unstable_moment=_moment_flag(p, lhs),
     )
+
+
+def _schatten_samples(batch: BatchStats, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path squared terminal 2p-norms and quadratures of ||sum H^2||_p."""
+    si = _plan_index(batch.plan.schatten_orders, 2.0 * p, "terminal Schatten order")
+    qi = _plan_index(batch.plan.quad_schatten_orders, float(p), "quadrature order")
+    return batch.data["schatten_terminal"][:, si] ** 2, batch.data["quad_schatten"][:, qi]
 
 
 def schatten_check(
@@ -355,31 +368,15 @@ def schatten_check(
     rhs_multiplier: float = 1.0,
 ) -> CheckResult:
     """Mean squared terminal 2p-norm vs (2p-1) times the quadrature mean."""
-    _kept(batch)
-    if p < 1 or int(p) != p:
-        raise InputDomainError(f"p must be an integer >= 1, got {p}")
-    p = int(p)
-    t = batch.grid.horizon if t is None else t
-    si = _order_index(batch.plan.schatten_orders, 2.0 * p, "terminal Schatten order")
-    qi = _order_index(batch.plan.quad_schatten_orders, float(p), "quadrature order")
-    values = batch.data["schatten_terminal"][:, si] ** 2
-    quad = batch.data["quad_schatten"][:, qi]
+    p = _moment_order(batch, p)
+    values, quad = _schatten_samples(batch, p)
     factor = (2.0 * p - 1.0) * rhs_multiplier
     lhs = bootstrap_ci(values, float, resamples, confidence, seed, label="schatten lhs")
     rhs = bootstrap_ci(
         quad, lambda s: factor * s, resamples, confidence, seed + 1, label="schatten rhs"
     )
-    holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
-    return CheckResult(
-        name="schatten",
-        lhs=lhs.point,
-        rhs=rhs.point,
-        lhs_ci=lhs.half_width,
-        rhs_ci=rhs.half_width,
-        holds=holds,
-        metadata=_batch_meta(
-            batch, slack_factor, p=p, t=t, unstable_moment=_moment_flag(p, lhs)
-        ),
+    return _batch_result(
+        "schatten", batch, slack_factor, lhs, rhs, t=t, p=p, unstable_moment=_moment_flag(p, lhs)
     )
 
 
@@ -402,20 +399,14 @@ def schatten_rect_check(
     verdict uses the conservative factor 2^(-1/p)*(2p-1); the stricter
     2^(-1/p)*sqrt(2p-1) variant is reported in the metadata.
     """
-    _kept(batch)
+    p = _moment_order(batch, p)
     if batch.spec.rect_shape is None:
         raise InputDomainError(
             "rectangular check requires a batch built from rectangular constant payloads"
         )
-    if p < 1 or int(p) != p:
-        raise InputDomainError(f"p must be an integer >= 1, got {p}")
-    p = int(p)
-    t = batch.grid.horizon if t is None else t
-    si = _order_index(batch.plan.schatten_orders, 2.0 * p, "terminal Schatten order")
-    qi = _order_index(batch.plan.quad_schatten_orders, float(p), "quadrature order")
+    squares, quad = _schatten_samples(batch, p)
     scale = 2.0 ** (-1.0 / p)
-    values = batch.data["schatten_terminal"][:, si] ** 2 * scale
-    quad = batch.data["quad_schatten"][:, qi]
+    values = squares * scale
     factor_cons = scale * (2.0 * p - 1.0) * rhs_multiplier
     factor_paper = scale * math.sqrt(2.0 * p - 1.0) * rhs_multiplier
     lhs = bootstrap_ci(
@@ -431,26 +422,20 @@ def schatten_rect_check(
     )
     rhs_paper = rhs.point * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
     rhs_paper_ci = rhs.half_width * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
-    holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
     holds_paper = verdict(lhs.point, rhs_paper, lhs.half_width, rhs_paper_ci, slack_factor)
-    return CheckResult(
-        name="schatten_rect",
-        lhs=lhs.point,
-        rhs=rhs.point,
-        lhs_ci=lhs.half_width,
-        rhs_ci=rhs.half_width,
-        holds=holds,
-        metadata=_batch_meta(
-            batch,
-            slack_factor,
-            p=p,
-            t=t,
-            rect_shape=batch.spec.rect_shape,
-            rhs_paper=rhs_paper,
-            rhs_paper_ci=rhs_paper_ci,
-            holds_paper=holds_paper,
-            unstable_moment=_moment_flag(p, lhs),
-        ),
+    return _batch_result(
+        "schatten_rect",
+        batch,
+        slack_factor,
+        lhs,
+        rhs,
+        t=t,
+        p=p,
+        rect_shape=batch.spec.rect_shape,
+        rhs_paper=rhs_paper,
+        rhs_paper_ci=rhs_paper_ci,
+        holds_paper=holds_paper,
+        unstable_moment=_moment_flag(p, lhs),
     )
 
 
@@ -523,7 +508,6 @@ def biane_speicher_check(
     _kept(batch)
     if "sum_norm_quad" not in batch.data:
         raise InputDomainError("batch was not collected with the driver-sum quadrature")
-    t = batch.grid.horizon if t is None else t
     coeff = BIANE_SPEICHER_CONSTANT * rhs_multiplier
     lhs = bootstrap_ci(
         batch.data["terminal_spectral"],
@@ -541,15 +525,8 @@ def biane_speicher_check(
         seed + 1,
         label="biane_speicher rhs",
     )
-    holds = verdict(lhs.point, rhs.point, lhs.half_width, rhs.half_width, slack_factor)
-    return CheckResult(
-        name="biane_speicher",
-        lhs=lhs.point,
-        rhs=rhs.point,
-        lhs_ci=lhs.half_width,
-        rhs_ci=rhs.half_width,
-        holds=holds,
-        metadata=_batch_meta(batch, slack_factor, t=t, constant=BIANE_SPEICHER_CONSTANT),
+    return _batch_result(
+        "biane_speicher", batch, slack_factor, lhs, rhs, t=t, constant=BIANE_SPEICHER_CONSTANT
     )
 
 
@@ -570,13 +547,7 @@ def supermartingale_check(
     within the combined interval slack.
     """
     _kept(batch)
-    try:
-        bi = batch.plan.supermartingale_betas.index(beta)
-    except ValueError:
-        raise InputDomainError(
-            f"batch was not collected with beta {beta}; "
-            f"available: {batch.plan.supermartingale_betas}"
-        ) from None
+    bi = _plan_index(batch.plan.supermartingale_betas, beta, "beta")
     cps = batch.plan.checkpoints
     vals = batch.data["supermart"][:, bi, :]
     ests = [
@@ -601,24 +572,166 @@ def supermartingale_check(
             worst_excess = excess
             worst = (c, later, rhs_point, rhs_ci)
     c, later, rhs_point, rhs_ci = worst
-    holds = verdict(later.point, rhs_point, later.half_width, rhs_ci, slack_factor)
-    return CheckResult(
-        name="supermartingale",
-        lhs=later.point,
-        rhs=rhs_point,
-        lhs_ci=later.half_width,
-        rhs_ci=rhs_ci,
-        holds=holds,
-        metadata=_batch_meta(
-            batch,
-            slack_factor,
-            beta=beta,
-            checkpoints=tuple(cps),
-            checkpoint_means=tuple(e.point for e in ests),
-            initial_value=float(vals[:, 0].mean()) if 0 in cps else None,
-            worst_pair=(cps[c], cps[c + 1]),
-        ),
+    return _batch_result(
+        "supermartingale",
+        batch,
+        slack_factor,
+        later,
+        rhs_point,
+        rhs_ci,
+        beta=beta,
+        checkpoints=tuple(cps),
+        checkpoint_means=tuple(e.point for e in ests),
+        initial_value=float(vals[:, 0].mean()) if 0 in cps else None,
+        worst_pair=(cps[c], cps[c + 1]),
     )
+
+
+# --- the check registry ----------------------------------------------------
+
+
+def _any_value(value) -> bool:
+    return True
+
+
+@dataclass(frozen=True)
+class Param:
+    """A check parameter and the rule its value must meet.
+
+    ``rule`` is worded as error messages state it ("sigma2 > 0").  An
+    integer parameter's rule names its type ("integer p >= 1"), so a
+    missing one is named by its rule rather than its bare name.
+    """
+
+    name: str
+    rule: str = ""
+    ok: Callable[[float], bool] = _any_value
+    integer: bool = False
+    optional: bool = False
+
+    @property
+    def needs(self) -> str:
+        return self.rule if self.integer else self.name
+
+
+U_POSITIVE = Param("u", "u > 0", lambda v: v > 0.0)
+U_NONNEGATIVE = Param("u", "u >= 0", lambda v: v >= 0.0)
+SIGMA2 = Param("sigma2", "sigma2 > 0", lambda v: v > 0.0)
+ORDER = Param("p", "integer p >= 1", lambda v: v >= 1 and int(v) == v, integer=True)
+BETA = Param("beta")
+HORIZON = Param("t", optional=True)
+
+
+def _no_collectors(req, grid: TimeGrid) -> dict:
+    return {}
+
+
+@dataclass(frozen=True)
+class CheckKind:
+    """One inequality kind: its parameters, collectors and evaluator.
+
+    ``params`` lists, in order, the parameters a request of this kind
+    takes; ``evaluate`` is called with the batch (or, when the kind does
+    not need one, the integrand spec) and those parameter values, see
+    :func:`evaluate_checks`.  ``collect(request, grid)`` names the
+    :class:`~mmlab.simulate.CollectorPlan` fields the request needs: a
+    tuple of values to record, or True for an opt-in quadrature.
+    ``bootstrap`` kinds take ``resamples`` and ``seed``.
+    """
+
+    name: str
+    params: tuple[Param, ...]
+    evaluate: Callable[..., CheckResult]
+    collect: Callable[..., dict] = _no_collectors
+    needs_batch: bool = True
+    bootstrap: bool = True
+
+    def takes(self, name: str) -> bool:
+        return any(p.name == name for p in self.params)
+
+    def validate(self, req: "CheckRequest") -> None:
+        required = [p for p in self.params if not p.optional]
+        if any(getattr(req, p.name) is None for p in required):
+            needs = " and ".join(p.needs for p in required)
+            raise InputDomainError(f"{self.name} check requires {needs}")
+        for p in self.params:
+            value = getattr(req, p.name)
+            if value is not None and not p.ok(value):
+                raise InputDomainError(f"{self.name} check requires {p.rule}")
+        for f in fields(req)[1:]:  # every parameter field, after kind
+            if getattr(req, f.name) is not None and not self.takes(f.name):
+                raise InputDomainError(f"{self.name} check does not take {f.name}")
+
+
+def _sigma2_level(req, grid: TimeGrid) -> dict:
+    return {"sigma2_levels": (req.sigma2,)}
+
+
+def _schatten_orders(req, grid: TimeGrid) -> dict:
+    return {"schatten_orders": (2.0 * req.p,), "quad_schatten_orders": (float(req.p),)}
+
+
+def _sum_norm_quad(req, grid: TimeGrid) -> dict:
+    return {"sum_norm_quad": True}
+
+
+def _supermartingale(req, grid: TimeGrid) -> dict:
+    return {"supermartingale_betas": (req.beta,), "checkpoints": default_checkpoints(grid.steps)}
+
+
+CHECK_REGISTRY: dict[str, CheckKind] = {
+    kind.name: kind
+    for kind in (
+        CheckKind(
+            "freedman", (U_POSITIVE, SIGMA2), freedman_check, _sigma2_level, bootstrap=False
+        ),
+        CheckKind(
+            "good_lambda",
+            (U_NONNEGATIVE, SIGMA2),
+            good_lambda_check,
+            _sigma2_level,
+            bootstrap=False,
+        ),
+        CheckKind("bdg", (ORDER, HORIZON), bdg_check),
+        CheckKind("schatten", (ORDER, HORIZON), schatten_check, _schatten_orders),
+        CheckKind("schatten_rect", (ORDER, HORIZON), schatten_rect_check, _schatten_orders),
+        CheckKind("khintchine", (), khintchine_check, needs_batch=False),
+        CheckKind("biane_speicher", (HORIZON,), biane_speicher_check, _sum_norm_quad),
+        CheckKind("supermartingale", (BETA,), supermartingale_check, _supermartingale),
+    )
+}
+
+
+@dataclass(frozen=True)
+class CheckRequest:
+    """One requested inequality check with its parameters.
+
+    Parameters the kind does not take (see :data:`CHECK_REGISTRY`) stay
+    None; `t` defaults to the grid horizon.
+    """
+
+    kind: str
+    u: float | None = None
+    sigma2: float | None = None
+    p: int | None = None
+    beta: float | None = None
+    t: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in CHECK_REGISTRY:
+            raise InputDomainError(
+                f"unknown check kind '{self.kind}'; expected one of {tuple(CHECK_REGISTRY)}"
+            )
+        CHECK_REGISTRY[self.kind].validate(self)
+
+    @property
+    def needs_batch(self) -> bool:
+        """Whether the check reads a simulated batch (and so needs >= 100 paths)."""
+        return CHECK_REGISTRY[self.kind].needs_batch
+
+    def collectors(self, grid: TimeGrid) -> dict:
+        """The CollectorPlan fields this check needs on ``grid``."""
+        return CHECK_REGISTRY[self.kind].collect(self, grid)
 
 
 def evaluate_checks(config: ExperimentConfig, batch: BatchStats | None) -> list[CheckResult]:
@@ -626,46 +739,30 @@ def evaluate_checks(config: ExperimentConfig, batch: BatchStats | None) -> list[
 
     Bootstrap and sampling seeds come from the config's auxiliary
     stream, indexed by check order, so results are reproducible and
-    independent of evaluation parallelism.
+    independent of evaluation parallelism.  A kind that needs no batch
+    draws its own sample of ``config.paths`` from the integrand spec.
     """
     results = []
     for i, req in enumerate(config.checks):
-        bseed = bootstrap_seed(config, 2 * i)
-        sseed = bootstrap_seed(config, 2 * i + 1)
-        common = dict(confidence=config.confidence, slack_factor=config.slack_factor)
-        boot = dict(resamples=config.bootstrap_resamples, seed=bseed, **common)
-        mult = dict(rhs_multiplier=config.rhs_multiplier)
-        if req.kind == "khintchine":
-            results.append(
-                khintchine_check(
-                    config.spec,
-                    samples=config.paths,
-                    sample_seed=sseed,
-                    resamples=config.bootstrap_resamples,
-                    seed=bseed,
-                    **common,
-                    **mult,
-                )
-            )
-            continue
-        if batch is None:
-            raise InputDomainError(f"check '{req.kind}' requires a simulated batch")
-        if req.kind == "freedman":
-            results.append(freedman_check(batch, req.u, req.sigma2, **common, **mult))
-        elif req.kind == "good_lambda":
-            results.append(good_lambda_check(batch, req.u, req.sigma2, **common, **mult))
-        elif req.kind == "bdg":
-            results.append(bdg_check(batch, req.p, req.t, **boot, **mult))
-        elif req.kind == "schatten":
-            results.append(schatten_check(batch, req.p, req.t, **boot, **mult))
-        elif req.kind == "schatten_rect":
-            results.append(schatten_rect_check(batch, req.p, req.t, **boot, **mult))
-        elif req.kind == "biane_speicher":
-            results.append(biane_speicher_check(batch, req.t, **boot, **mult))
-        elif req.kind == "supermartingale":
-            results.append(supermartingale_check(batch, req.beta, **boot, **mult))
-        else:  # pragma: no cover - CheckRequest already validates kinds
-            raise InputDomainError(f"unknown check kind '{req.kind}'")
+        kind = CHECK_REGISTRY[req.kind]
+        options = dict(
+            confidence=config.confidence,
+            slack_factor=config.slack_factor,
+            rhs_multiplier=config.rhs_multiplier,
+        )
+        if kind.bootstrap:
+            options["resamples"] = config.bootstrap_resamples
+            options["seed"] = bootstrap_seed(config, 2 * i)
+        if kind.needs_batch:
+            if batch is None:
+                raise InputDomainError(f"check '{req.kind}' requires a simulated batch")
+            subject = batch
+        else:
+            subject = config.spec
+            options["samples"] = config.paths
+            options["sample_seed"] = bootstrap_seed(config, 2 * i + 1)
+        params = [getattr(req, p.name) for p in kind.params]
+        results.append(kind.evaluate(subject, *params, **options))
     return results
 
 
@@ -674,7 +771,7 @@ def run_experiment_checks(config: ExperimentConfig, workers: int = 1) -> tuple[B
 
     A NumericError from the checks carries the batch's ``excluded`` count.
     """
-    needs_batch = any(c.kind != "khintchine" for c in config.checks)
+    needs_batch = any(c.needs_batch for c in config.checks)
     batch = run_batch(config, workers=workers) if needs_batch else None
     try:
         return batch, evaluate_checks(config, batch)

@@ -25,12 +25,17 @@ Documented schema (defaults in parentheses):
     confidence (0.99)           interval confidence level
     slack_factor (3.0)          verdict slack in combined half-widths
     bootstrap.resamples (1000)  bootstrap resample count
-    check.<i>.kind              freedman | good_lambda | bdg | schatten |
-                                schatten_rect | khintchine |
-                                biane_speicher | supermartingale
-    check.<i>.u / sigma2 / beta / t    real check parameters
-    check.<i>.p                 integer moment order
-    sweep.parameter             n | p | u | steps
+    check.<i>.kind              a kind in checks.CHECK_REGISTRY
+    check.<i>.<param>           the parameters that kind takes, and no
+                                others (t defaults to grid.horizon):
+                                freedman, good_lambda    u, sigma2
+                                bdg, schatten,
+                                schatten_rect            p (integer), t
+                                biane_speicher           t
+                                supermartingale          beta
+                                khintchine               none
+    sweep.parameter             n | p | u | steps (p and u: the checks
+                                that take them)
     sweep.values                whitespace-separated numbers
     dump.paths (0)              path indices to dump as trajectories
     dump.beta                   adds a supermartingale dump column
@@ -54,7 +59,8 @@ from .integrands import (
     rect_constant_spec,
     time_poly_spec,
 )
-from .montecarlo import CheckRequest, ExperimentConfig
+from .checks import CHECK_REGISTRY, CheckRequest
+from .montecarlo import ExperimentConfig
 from .simulate import TimeGrid
 
 ENV_PREFIX = "MMLAB_"
@@ -69,6 +75,9 @@ CONFIG_FAMILIES = (
 )
 SWEEP_PARAMETERS = ("n", "p", "u", "steps")
 
+# every parameter some check kind takes, by name
+_CHECK_PARAMS = {p.name: p for kind in CHECK_REGISTRY.values() for p in kind.params}
+
 _INDEXED = r"[1-9][0-9]*"
 _KEY_KINDS = (
     (re.compile(r"integrand\.family\Z"), "family"),
@@ -82,8 +91,7 @@ _KEY_KINDS = (
     (re.compile(r"(confidence|slack_factor)\Z"), "float"),
     (re.compile(r"bootstrap\.resamples\Z"), "int"),
     (re.compile(rf"check\.{_INDEXED}\.kind\Z"), "str"),
-    (re.compile(rf"check\.{_INDEXED}\.(u|sigma2|beta|t)\Z"), "float"),
-    (re.compile(rf"check\.{_INDEXED}\.p\Z"), "int"),
+    (re.compile(rf"check\.{_INDEXED}\.({'|'.join(_CHECK_PARAMS)})\Z"), "number"),
     (re.compile(r"sweep\.parameter\Z"), "str"),
     (re.compile(r"sweep\.values\Z"), "numbers"),
     (re.compile(r"dump\.paths\Z"), "ints"),
@@ -351,10 +359,14 @@ def _build_checks(entries) -> tuple[CheckRequest, ...]:
         fields = groups[index]
         if "kind" not in fields:
             raise ConfigError("missing required key", key=f"check.{index}.kind")
-        kwargs = {"kind": fields.pop("kind").value}
+        kind = fields.pop("kind").value
+        kwargs = {"kind": kind}
         for name, entry in fields.items():
             key = f"check.{index}.{name}"
-            kwargs[name] = _to_int(key, entry) if name == "p" else _to_float(key, entry)
+            if kind in CHECK_REGISTRY and not CHECK_REGISTRY[kind].takes(name):
+                raise _err(f"{key} is not valid for check kind '{kind}'", key, entry)
+            convert = _to_int if _CHECK_PARAMS[name].integer else _to_float
+            kwargs[name] = convert(key, entry)
         try:
             checks.append(CheckRequest(**kwargs))
         except InputDomainError as exc:
@@ -390,16 +402,14 @@ def _build_sweep(entries, experiment: ExperimentConfig) -> SweepSettings | None:
             "sweep.parameter",
             param,
         )
-    if name == "p" and not any(
-        c.kind in ("bdg", "schatten", "schatten_rect") for c in experiment.checks
-    ):
-        raise _err("sweep over p requires a bdg or schatten check", "sweep.parameter", param)
-    if name == "u" and not any(
-        c.kind in ("freedman", "good_lambda") for c in experiment.checks
-    ):
-        raise _err(
-            "sweep over u requires a freedman or good_lambda check", "sweep.parameter", param
-        )
+    if name in _CHECK_PARAMS:
+        takers = [kind.name for kind in CHECK_REGISTRY.values() if kind.takes(name)]
+        if not any(c.kind in takers for c in experiment.checks):
+            raise _err(
+                f"sweep over {name} requires a {' or '.join(takers)} check",
+                "sweep.parameter",
+                param,
+            )
     return SweepSettings(parameter=name, values=nums)
 
 
@@ -504,18 +514,11 @@ def sweep_configs(settings: RunSettings) -> list[tuple[float, ExperimentConfig]]
             cfg = dataclasses.replace(base, spec=spec)
         elif param == "steps":
             cfg = dataclasses.replace(base, grid=TimeGrid(base.grid.horizon, int(v)))
-        elif param == "p":
-            checks = tuple(
-                dataclasses.replace(c, p=int(v))
-                if c.kind in ("bdg", "schatten", "schatten_rect")
-                else c
-                for c in base.checks
-            )
-            cfg = dataclasses.replace(base, checks=checks)
         else:
+            value = int(v) if _CHECK_PARAMS[param].integer else float(v)
             checks = tuple(
-                dataclasses.replace(c, u=float(v))
-                if c.kind in ("freedman", "good_lambda")
+                dataclasses.replace(c, **{param: value})
+                if CHECK_REGISTRY[c.kind].takes(param)
                 else c
                 for c in base.checks
             )

@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import InputDomainError, NumericError
 
-# Default tolerances.  Call sites may override per argument.
-PSD_TOL = 1e-10
-RECONSTRUCT_RTOL = 1e-10
-
 # exp() overflows above this; trace_exp refuses to produce silent inf
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
@@ -157,23 +153,6 @@ def schatten_norm(a, p: float) -> float:
     return float(schatten_from_eigenvalues(w, p))
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values of a rectangular matrix, descending.
-
-    Computed from the eigenvalues of the smaller Gram matrix; negative
-    round-off is clipped at zero.
-    """
-    m = check_rectangular(a)
-    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    w = np.linalg.eigvalsh(symmetrize(gram))
-    return np.sqrt(np.clip(w[::-1], 0.0, None))
-
-
-def schatten_norm_rect(a, p: float) -> float:
-    """Schatten p-norm of a rectangular matrix over its singular values."""
-    return float(schatten_from_eigenvalues(singular_values(a), p))
-
-
 def matrix_abs(a) -> np.ndarray:
     """Matrix absolute value (A^2)^(1/2): same eigenvectors, |eigenvalues|."""
     spec = sym_eigen(a)
@@ -209,19 +188,3 @@ def hermitian_dilation(a) -> np.ndarray:
     out[:n1, n1:] = m
     out[n1:, :n1] = m.T
     return out
-
-
-def loewner_leq(a, b, tol: float | None = None) -> bool:
-    """Positive semi-definite order: True iff B - A is PSD up to tolerance.
-
-    Default tolerance is PSD_TOL * max(1, ||B - A||).
-    """
-    ma = check_symmetric(a, "A")
-    mb = check_symmetric(b, "B")
-    if ma.shape != mb.shape:
-        raise InputDomainError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    w = np.linalg.eigvalsh(mb - ma)
-    if tol is None:
-        scale = max(abs(w[0]), abs(w[-1]))
-        tol = PSD_TOL * max(1.0, scale)
-    return bool(w[0] >= -tol)

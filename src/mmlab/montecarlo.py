@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,10 +22,12 @@ from .simulate import (
     SPLITMIX_GAMMA,
     CollectorPlan,
     TimeGrid,
-    default_checkpoints,
     simulate_block,
     splitmix64,
 )
+
+if TYPE_CHECKING:
+    from .checks import CheckRequest
 
 # offset namespace for auxiliary seed streams (bootstrap); path indices
 # stay far below this
@@ -35,21 +38,6 @@ STREAM_OFFSET = 1 << 48
 # that each block's index and gathered arrays stay under glibc's default
 # 128 KiB mmap threshold and reuse heap pages instead of faulting new ones
 BOOTSTRAP_BLOCK_ELEMENTS = 15_000
-
-CHECK_KINDS = (
-    "freedman",
-    "good_lambda",
-    "bdg",
-    "schatten",
-    "schatten_rect",
-    "khintchine",
-    "biane_speicher",
-    "supermartingale",
-)
-
-# checks whose lhs/rhs come from simulated batches rather than closed
-# forms; these enforce the minimum path count
-PROBABILISTIC_KINDS = frozenset(CHECK_KINDS) - {"khintchine"}
 
 
 def derive_path_seed(master: int, index: int) -> int:
@@ -92,10 +80,6 @@ class EstimateCI:
     @property
     def half_width(self) -> float:
         return 0.5 * (self.hi - self.lo)
-
-
-def exact_estimate(value: float) -> EstimateCI:
-    return EstimateCI(point=value, lo=value, hi=value, method="exact")
 
 
 # Cephes ndtri (as shipped in scipy.special): rational approximations of
@@ -279,41 +263,6 @@ def bootstrap_ci(
 
 
 @dataclass(frozen=True)
-class CheckRequest:
-    """One requested inequality check with its parameters.
-
-    Unused parameters stay None; `t` defaults to the grid horizon.
-    """
-
-    kind: str
-    u: float | None = None
-    sigma2: float | None = None
-    p: int | None = None
-    beta: float | None = None
-    t: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in CHECK_KINDS:
-            raise InputDomainError(
-                f"unknown check kind '{self.kind}'; expected one of {CHECK_KINDS}"
-            )
-        if self.kind in ("freedman", "good_lambda"):
-            if self.u is None or self.sigma2 is None:
-                raise InputDomainError(f"{self.kind} check requires u and sigma2")
-            if self.sigma2 <= 0.0:
-                raise InputDomainError(f"{self.kind} check requires sigma2 > 0")
-            if self.kind == "freedman" and self.u <= 0.0:
-                raise InputDomainError("freedman check requires u > 0")
-            if self.kind == "good_lambda" and self.u < 0.0:
-                raise InputDomainError("good_lambda check requires u >= 0")
-        if self.kind in ("bdg", "schatten", "schatten_rect"):
-            if self.p is None or self.p < 1 or int(self.p) != self.p:
-                raise InputDomainError(f"{self.kind} check requires integer p >= 1")
-        if self.kind == "supermartingale" and self.beta is None:
-            raise InputDomainError("supermartingale check requires beta")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a batch run depends on (reproducibility boundary)."""
 
@@ -330,7 +279,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         validate_spec(self.spec)
-        if any(c.kind in PROBABILISTIC_KINDS for c in self.checks) and self.paths < 100:
+        if any(c.needs_batch for c in self.checks) and self.paths < 100:
             raise InputDomainError("paths must be >= 100 for probabilistic checks")
         if self.paths < 1:
             raise InputDomainError(f"paths must be >= 1, got {self.paths}")
@@ -352,23 +301,15 @@ class ExperimentConfig:
 
 
 def plan_for_config(config: ExperimentConfig) -> CollectorPlan:
-    """Map the requested checks onto engine collectors."""
-    sigma2 = sorted({c.sigma2 for c in config.checks if c.sigma2 is not None})
-    betas = sorted({c.beta for c in config.checks if c.kind == "supermartingale"})
-    schatten_orders = sorted(
-        {2.0 * c.p for c in config.checks if c.kind in ("schatten", "schatten_rect")}
-    )
-    quad_orders = sorted(
-        {float(c.p) for c in config.checks if c.kind in ("schatten", "schatten_rect")}
-    )
-    return CollectorPlan(
-        sigma2_levels=tuple(sigma2),
-        supermartingale_betas=tuple(betas),
-        checkpoints=default_checkpoints(config.grid.steps) if betas else (),
-        schatten_orders=tuple(schatten_orders),
-        quad_schatten_orders=tuple(quad_orders),
-        sum_norm_quad=any(c.kind == "biane_speicher" for c in config.checks),
-    )
+    """The union of the engine collectors that the requested checks name."""
+    fields: dict = {}
+    for c in config.checks:
+        for name, value in c.collectors(config.grid).items():
+            if isinstance(value, bool):
+                fields[name] = fields.get(name, False) or value
+            else:
+                fields[name] = tuple(sorted({*fields.get(name, ()), *value}))
+    return CollectorPlan(**fields)
 
 
 @dataclass(frozen=True)

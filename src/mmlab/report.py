@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .checks import (
+    CheckRequest,
     CheckResult,
     evaluate_checks,
     run_experiment_checks,
@@ -27,7 +28,7 @@ from .checks import (
 from .config import DumpSettings, RunSettings, sweep_configs
 from .errors import BatchError, ConfigError, InputDomainError, NumericError
 from .linalg import stacked_eigenvalues
-from .montecarlo import CheckRequest, ExperimentConfig, derive_path_seed
+from .montecarlo import ExperimentConfig, derive_path_seed
 from .simulate import Trajectory, simulate_path, supermartingale_series
 
 SCHEMA_VERSION = 1
@@ -305,7 +306,7 @@ def run_verify(settings: RunSettings, workers: int = 1) -> Report:
 def run_khintchine(settings: RunSettings) -> Report:
     """Evaluate only the Gaussian-series checks (no path simulation)."""
     exp = settings.experiment
-    kchecks = tuple(c for c in exp.checks if c.kind == "khintchine")
+    kchecks = tuple(c for c in exp.checks if not c.needs_batch)
     if not kchecks:
         kchecks = (CheckRequest("khintchine"),)
     cfg = dataclasses.replace(exp, checks=kchecks)

@@ -17,7 +17,7 @@ so they agree up to float vectorization order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .integrands import (
     feedback_sum_squares,
     is_path_dependent,
 )
-from .linalg import schatten_from_eigenvalues, schatten_norm, stacked_eigenvalues
+from .linalg import schatten_from_eigenvalues, stacked_eigenvalues
 
 DEFAULT_HORIZON = 1.0
 DEFAULT_STEPS = 256
@@ -135,58 +135,6 @@ def simulate_path(spec: IntegrandSpec, grid: TimeGrid, seed) -> Trajectory:
     return euler_with_increments(spec, grid, brownian_increments(grid, spec.drivers, seed))
 
 
-@dataclass(frozen=True)
-class PathSummary:
-    """Per-path reductions of a trajectory.
-
-    Carries the trajectory so the parametric series (hitting index,
-    supermartingale statistic, terminal Schatten norms) can be computed
-    on demand.
-    """
-
-    sup_spectral: float
-    sup_lambda_max: float
-    terminal_x: np.ndarray
-    terminal_qv: np.ndarray
-    qv_norm_series: np.ndarray
-    lambda_max_series: np.ndarray
-    trajectory: Trajectory = field(repr=False)
-
-    def hit_index(self, u: float) -> int | None:
-        return first_hitting_index(self.trajectory, u)
-
-    def supermartingale_series(self, beta: float) -> np.ndarray:
-        return supermartingale_series(self.trajectory, beta)
-
-    def schatten_terminal(self, p: float) -> float:
-        return schatten_norm(self.terminal_x, p)
-
-
-def summarize(traj: Trajectory) -> PathSummary:
-    eig_x = stacked_eigenvalues(traj.x)
-    eig_qv = stacked_eigenvalues(traj.qv)
-    spectral = np.maximum(np.abs(eig_x[:, 0]), np.abs(eig_x[:, -1]))
-    qv_norms = np.maximum(np.abs(eig_qv[:, 0]), np.abs(eig_qv[:, -1]))
-    return PathSummary(
-        sup_spectral=float(spectral.max()),
-        sup_lambda_max=float(eig_x[:, -1].max()),
-        terminal_x=traj.x[-1],
-        terminal_qv=traj.qv[-1],
-        qv_norm_series=qv_norms,
-        lambda_max_series=eig_x[:, -1].copy(),
-        trajectory=traj,
-    )
-
-
-def first_hitting_index(traj: Trajectory, u: float) -> int | None:
-    """Smallest grid index with lambda_max(x[k]) >= u, or None."""
-    if not math.isfinite(u):
-        raise InputDomainError(f"hitting level must be finite, got {u}")
-    lam = stacked_eigenvalues(traj.x)[:, -1]
-    hits = np.nonzero(lam >= u)[0]
-    return int(hits[0]) if hits.size else None
-
-
 def supermartingale_series(traj: Trajectory, beta: float) -> np.ndarray:
     """Tr exp(beta*x[k] - (beta^2/2)*qv[k]) along the grid.
 
@@ -201,21 +149,6 @@ def supermartingale_series(traj: Trajectory, beta: float) -> np.ndarray:
     if top + math.log(traj.dim) > math.log(np.finfo(np.float64).max):
         raise PathBlowupError("supermartingale statistic overflows float64")
     return np.exp(eigs).sum(axis=-1)
-
-
-def exact_constant_path(matrices, t: float, seed) -> np.ndarray:
-    """Discretization-free sample of X_t for constant integrands.
-
-    For fixed matrices the integral at time t is the matrix Gaussian
-    sum_i g_i * sqrt(t) * H_i with independent standard normals g_i.
-    """
-    mats = np.asarray(matrices, dtype=np.float64)
-    if mats.ndim == 2:
-        mats = mats[None]
-    if not (math.isfinite(t) and t >= 0.0):
-        raise InputDomainError(f"time must be finite and >= 0, got {t}")
-    g = np.random.default_rng(seed).standard_normal(mats.shape[0])
-    return math.sqrt(t) * np.einsum("i,ikl->kl", g, mats)
 
 
 def exact_constant_spectral_norms(matrices, t: float, seed, count: int) -> np.ndarray:
@@ -342,6 +275,7 @@ def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
     total[...] = t
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def simulate_block(
     spec: IntegrandSpec, grid: TimeGrid, seeds, plan: CollectorPlan | None = None
 ) -> dict[str, np.ndarray]:
@@ -349,9 +283,10 @@ def simulate_block(
 
     Results for path j depend only on (spec, grid, seeds[j], plan), so
     any partition of a batch into blocks reproduces identical numbers.
-    Paths whose state or bridge statistic leaves float64 range are
-    zeroed out and flagged in the returned ``excluded`` mask instead of
-    raising.
+    A path whose state leaves float64 range is zeroed out, and a path
+    with a non-finite entry in any output is flagged in the returned
+    ``excluded`` mask, instead of raising.  Overflow in the arithmetic
+    raises no numpy warning: the exclusion mask reports it.
     """
     plan = plan or CollectorPlan()
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -373,8 +308,6 @@ def simulate_block(
         "sup_spectral": np.zeros(total),
         "terminal_spectral": np.zeros(total),
         "terminal_qv_norm": np.zeros(total),
-        "trace_x2": np.zeros(total),
-        "trace_qv": np.zeros(total),
         "excluded": np.zeros(total, dtype=bool),
     }
     if len(levels):
@@ -450,36 +383,35 @@ def simulate_block(
 
         for k in range(K):
             if feedback:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    s2 = feedback_sum_squares(spec, x, agg)
-                    # sanitize before any eigen work: a blown-up state must
-                    # never reach LAPACK
-                    bad = _bad_rows(s2)
-                    if bad is not None:
-                        excluded |= bad
-                        x[bad] = 0.0
-                        qv[bad] = 0.0
-                        s2[bad] = 0.0
-                    if quad_tot is not None or prefix is not None:
-                        es2 = stacked_eigenvalues(s2)
-                    if prefix is not None:
-                        s2_norm = np.maximum(np.abs(es2[:, 0]), np.abs(es2[:, -1]))
-                        bridge_var = 2.0 * dt * s2_norm
-                    if quad_tot is not None:
-                        for j, order in enumerate(plan.quad_schatten_orders):
-                            term = dt * schatten_from_eigenvalues(es2, order, axis=-1)
-                            _kahan_add(quad_tot[:, j], quad_comp[:, j], term)
-                    if snq_tot is not None:
-                        e1 = stacked_eigenvalues(feedback_sum(spec, x, agg))
-                        term = dt * np.maximum(np.abs(e1[:, 0]), np.abs(e1[:, -1])) ** 2
-                        _kahan_add(snq_tot, snq_comp, term)
-                    sum_db = dB[:, k, :].sum(axis=1)
-                    x = (
-                        x
-                        + np.einsum("ci,ikl->ckl", dB[:, k, :], spec.matrices)
-                        + spec.gamma * sum_db[:, None, None] * x
-                    )
-                    qv = qv + s2 * dt
+                s2 = feedback_sum_squares(spec, x, agg)
+                # sanitize before any eigen work: a blown-up state must
+                # never reach LAPACK
+                bad = _bad_rows(s2)
+                if bad is not None:
+                    excluded |= bad
+                    x[bad] = 0.0
+                    qv[bad] = 0.0
+                    s2[bad] = 0.0
+                if quad_tot is not None or prefix is not None:
+                    es2 = stacked_eigenvalues(s2)
+                if prefix is not None:
+                    s2_norm = np.maximum(np.abs(es2[:, 0]), np.abs(es2[:, -1]))
+                    bridge_var = 2.0 * dt * s2_norm
+                if quad_tot is not None:
+                    for j, order in enumerate(plan.quad_schatten_orders):
+                        term = dt * schatten_from_eigenvalues(es2, order, axis=-1)
+                        _kahan_add(quad_tot[:, j], quad_comp[:, j], term)
+                if snq_tot is not None:
+                    e1 = stacked_eigenvalues(feedback_sum(spec, x, agg))
+                    term = dt * np.maximum(np.abs(e1[:, 0]), np.abs(e1[:, -1])) ** 2
+                    _kahan_add(snq_tot, snq_comp, term)
+                sum_db = dB[:, k, :].sum(axis=1)
+                x = (
+                    x
+                    + np.einsum("ci,ikl->ckl", dB[:, k, :], spec.matrices)
+                    + spec.gamma * sum_db[:, None, None] * x
+                )
+                qv = qv + s2 * dt
                 bad = _bad_rows(x, qv)
                 if bad is not None:
                     excluded |= bad
@@ -509,10 +441,9 @@ def simulate_block(
                         chunk_seeds, range(k, min(k + _BRIDGE_STEPS, K))
                     )
                 var = bridge_var if feedback else det_bridge_var[k]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    d = lam - lam_prev
-                    e = exps[k % _BRIDGE_STEPS]
-                    peak = 0.5 * (lam_prev + lam + np.sqrt(d * d + var * e))
+                d = lam - lam_prev
+                e = exps[k % _BRIDGE_STEPS]
+                peak = 0.5 * (lam_prev + lam + np.sqrt(d * d + var * e))
                 np.maximum(bridge_sup, peak, out=bridge_sup)
                 lam_prev = lam
                 if feedback:
@@ -539,24 +470,16 @@ def simulate_block(
         out["sup_lambda_max"][idx] = sup_lam
         out["sup_spectral"][idx] = sup_spec
         out["terminal_spectral"][idx] = spc
-        out["trace_x2"][idx] = (eigs**2).sum(axis=-1)
         if feedback:
             eq = stacked_eigenvalues(qv)
             out["terminal_qv_norm"][idx] = np.maximum(np.abs(eq[:, 0]), np.abs(eq[:, -1]))
-            out["trace_qv"][idx] = np.einsum("cii->c", qv)
         else:
             out["terminal_qv_norm"][idx] = det_qv_norms[K]
-            out["trace_qv"][idx] = float(np.trace(det_qv[K]))
         if prefix is not None:
-            # np.maximum carries a nan or inf peak through to the end; such
-            # a path must not reach an event count
-            excluded |= ~(np.isfinite(bridge_sup) & np.isfinite(bridge_prefix).all(axis=1))
             out["prefix_max_lambda"][idx] = prefix
             out["bridge_prefix_max"][idx] = bridge_prefix
             out["bridge_sup"][idx] = bridge_sup
         if supermart is not None:
-            bad = ~np.isfinite(supermart).all(axis=(1, 2))
-            excluded |= bad
             out["supermart"][idx] = supermart
         if plan.schatten_orders:
             for j, order in enumerate(plan.schatten_orders):
@@ -567,5 +490,10 @@ def simulate_block(
             out["quad_schatten"][idx] = quad_tot if feedback else det_quads
         if plan.sum_norm_quad:
             out["sum_norm_quad"][idx] = snq_tot if feedback else det_sum_quad
+        # an overflowed statistic (np.maximum carries a nan or inf peak
+        # through to the end) must not reach an event count or an interval
+        for key, values in out.items():
+            if key != "excluded":
+                excluded |= ~np.isfinite(values[idx].reshape(c, -1)).all(axis=1)
         out["excluded"][idx] = excluded
     return out

@@ -8,8 +8,13 @@ that agreement between the two routes is meaningful.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from mmlab.errors import InputDomainError
+from mmlab.linalg import check_rectangular, check_symmetric, stacked_eigenvalues
+from mmlab.simulate import Trajectory
 
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -104,3 +109,84 @@ def loop_bootstrap_ci(values, statistic, resamples=1000, confidence=0.99, seed=0
     lo = float(np.quantile(stats, alpha))
     hi = float(np.quantile(stats, 1.0 - alpha))
     return point, min(lo, point), max(hi, point)
+
+
+@dataclass(frozen=True)
+class PathSummary:
+    """Per-step spectral series of one trajectory and their reductions."""
+
+    sup_spectral: float
+    sup_lambda_max: float
+    terminal_x: np.ndarray
+    terminal_qv: np.ndarray
+    qv_norm_series: np.ndarray
+    lambda_max_series: np.ndarray
+    trajectory: Trajectory
+
+    def schatten_terminal(self, p: float) -> float:
+        return jacobi_schatten(self.terminal_x, p)
+
+
+def summarize(traj: Trajectory) -> PathSummary:
+    """Grid series of lambda_max, ||X|| and ||<X>|| along one trajectory."""
+    eig_x = stacked_eigenvalues(traj.x)
+    eig_qv = stacked_eigenvalues(traj.qv)
+    spectral = np.maximum(np.abs(eig_x[:, 0]), np.abs(eig_x[:, -1]))
+    return PathSummary(
+        sup_spectral=float(spectral.max()),
+        sup_lambda_max=float(eig_x[:, -1].max()),
+        terminal_x=traj.x[-1],
+        terminal_qv=traj.qv[-1],
+        qv_norm_series=np.maximum(np.abs(eig_qv[:, 0]), np.abs(eig_qv[:, -1])),
+        lambda_max_series=eig_x[:, -1].copy(),
+        trajectory=traj,
+    )
+
+
+def exact_constant_path(matrices, t: float, seed) -> np.ndarray:
+    """One exact sample of X_t for constant integrands.
+
+    For fixed matrices the integral at time t is the matrix Gaussian
+    sum_i g_i * sqrt(t) * H_i with independent standard normals g_i,
+    drawn from ``default_rng(seed)``.
+    """
+    mats = np.asarray(matrices, dtype=np.float64)
+    if mats.ndim == 2:
+        mats = mats[None]
+    if not (math.isfinite(t) and t >= 0.0):
+        raise InputDomainError(f"time must be finite and >= 0, got {t}")
+    g = np.random.default_rng(seed).standard_normal(mats.shape[0])
+    return math.sqrt(t) * np.einsum("i,ikl->kl", g, mats)
+
+
+def singular_values(a) -> np.ndarray:
+    """Singular values of a rectangular matrix, descending.
+
+    From the eigenvalues of the smaller Gram matrix; negative round-off
+    is clipped at zero.
+    """
+    m = check_rectangular(a)
+    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    return np.sqrt(np.clip(w[::-1], 0.0, None))
+
+
+def schatten_norm_rect(a, p: float) -> float:
+    """Schatten p-norm of a rectangular matrix over its singular values."""
+    s = singular_values(a)
+    return float(np.sum(s**p) ** (1.0 / p))
+
+
+def loewner_leq(a, b, tol: float | None = None) -> bool:
+    """Positive semi-definite order: True iff B - A is PSD up to tolerance.
+
+    Default tolerance is 1e-10 * max(1, ||B - A||).
+    """
+    ma = check_symmetric(a, "A")
+    mb = check_symmetric(b, "B")
+    if ma.shape != mb.shape:
+        raise InputDomainError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
+    w = np.linalg.eigvalsh(mb - ma)
+    if tol is None:
+        tol = 1e-10 * max(1.0, abs(w[0]), abs(w[-1]))
+    return bool(w[0] >= -tol)

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from scipy.stats import ks_2samp
 
 from mmlab.checks import (
+    CheckRequest,
     evaluate_checks,
     freedman_check,
     khintchine_check,
@@ -33,7 +34,6 @@ from mmlab.integrands import (
 )
 from mmlab.linalg import hermitian_dilation, lambda_max, spectral_norm
 from mmlab.montecarlo import (
-    CheckRequest,
     ExperimentConfig,
     derive_path_seed,
     run_batch,

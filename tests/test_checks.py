@@ -8,6 +8,7 @@ import pytest
 from mmlab.checks import (
     BDG_CONSTANT,
     BIANE_SPEICHER_CONSTANT,
+    CheckRequest,
     CheckResult,
     bdg_check,
     biane_speicher_check,
@@ -32,7 +33,7 @@ from mmlab.integrands import (
     rect_constant_spec,
     time_poly_spec,
 )
-from mmlab.montecarlo import CheckRequest, ExperimentConfig, run_batch, wilson_interval
+from mmlab.montecarlo import ExperimentConfig, run_batch, wilson_interval
 from mmlab.simulate import TimeGrid
 
 from .oracles import reflection_sup_tail

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -134,20 +135,23 @@ class TestVerify:
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_statistic_writes_failed_report(self, runner, tmp_path):
-        # no tail check, so nothing excludes the overflowed paths: the
-        # moment checks' samples hold inf and the interval layer refuses
+        # no tail check: the engine itself excludes every path whose qv
+        # norm overflowed, silently, and the batch fails the exclusion rate
         text = VERIFY_CFG.split("check.1.kind")[0] + "check.1.kind = bdg\ncheck.1.p = 1\n"
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
-        result = runner.invoke(
-            main,
-            ["verify", "--config", cfg, "--out", str(out), "--set", "integrand.matrix.1=1e200"],
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args = ["verify", "--config", cfg, "--out", str(out)]
+            result = runner.invoke(main, args + ["--set", "integrand.matrix.1=1e200"])
         assert result.exit_code == 1
-        assert "run failed: bdg rhs: 300 of 300 values are not finite" in result.output
+        assert "run failed: 300 of 300 paths excluded" in result.output
+        assert "exclusion rate exceeds 0.1%" in result.output
         assert "FAILED" in result.output
+        assert [w.message for w in caught] == []
+        assert "Warning" not in result.stderr
         obj = json.loads((out / "report.json").read_text())
-        assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 0
+        assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 300
         assert (out / "report.csv").read_text() == GOLDEN_HEADER + "\n"
 
     def test_worker_counts_emit_identical_bytes(self, runner, tmp_path):

@@ -158,6 +158,17 @@ class TestErrors:
         assert err.value.key == "check.1"
         assert "requires u and sigma2" in str(err.value)
 
+    def test_check_parameter_the_kind_does_not_take(self):
+        with pytest.raises(ConfigError, match="not valid for check kind 'bdg'") as err:
+            parse_settings(MINIMAL + "check.1.kind = bdg\ncheck.1.p = 1\ncheck.1.u = 3\n")
+        assert err.value.key == "check.1.u"
+        with pytest.raises(ConfigError, match="not valid for check kind 'freedman'") as err:
+            parse_settings(CHECKED + "check.1.t = 1.0\n")
+        assert err.value.key == "check.1.t"
+        # t is taken by the moment checks and biane_speicher
+        text = CHECKED + "check.2.t = 1.0\ncheck.3.kind = biane_speicher\ncheck.3.t = 1.0\n"
+        assert [c.t for c in parse_settings(text).experiment.checks] == [None, 1.0, 1.0]
+
 
 class TestFamilies:
     def test_goe_like(self):

@@ -7,13 +7,10 @@ from mmlab.errors import InputDomainError, NumericError
 from mmlab.linalg import (
     hermitian_dilation,
     lambda_max,
-    loewner_leq,
     matrix_abs,
     matrix_exp_sym,
     schatten_from_eigenvalues,
     schatten_norm,
-    schatten_norm_rect,
-    singular_values,
     spectral_norm,
     stacked_eigenvalues,
     sym_eigen,
@@ -21,7 +18,7 @@ from mmlab.linalg import (
     trace_exp,
 )
 
-from .oracles import jacobi_eigenvalues
+from .oracles import jacobi_eigenvalues, loewner_leq, schatten_norm_rect, singular_values
 
 
 def random_sym(rng, n):

@@ -9,11 +9,11 @@ import pytest
 from scipy.special import ndtri
 
 import mmlab
+from mmlab.checks import CheckRequest
 from mmlab.errors import BatchError, InputDomainError, NumericError
 from mmlab.integrands import constant_spec, goe_like_spec, path_feedback_spec
 from mmlab.linalg import spectral_norm
 from mmlab.montecarlo import (
-    CheckRequest,
     EstimateCI,
     ExperimentConfig,
     BOOTSTRAP_BLOCK_ELEMENTS,
@@ -22,15 +22,14 @@ from mmlab.montecarlo import (
     bootstrap_seed,
     derive_path_seed,
     derive_path_seeds,
-    exact_estimate,
     plan_for_config,
     run_batch,
     wilson_interval,
     STREAM_OFFSET,
 )
-from mmlab.simulate import CollectorPlan, TimeGrid, simulate_path, summarize
+from mmlab.simulate import CollectorPlan, TimeGrid, simulate_path
 
-from .oracles import loop_bootstrap_ci
+from .oracles import loop_bootstrap_ci, summarize
 
 
 def small_config(**kw):
@@ -278,7 +277,7 @@ class TestEstimateCI:
             EstimateCI(point=2.0, lo=0.0, hi=1.0, method="exact")
 
     def test_exact_helper(self):
-        ci = exact_estimate(1.5)
+        ci = EstimateCI(point=1.5, lo=1.5, hi=1.5, method="exact")
         assert ci.lo == ci.hi == ci.point == 1.5 and ci.half_width == 0.0
 
 
@@ -303,6 +302,12 @@ class TestCheckRequest:
     def test_supermartingale_requires_beta(self):
         with pytest.raises(InputDomainError, match="beta"):
             CheckRequest(kind="supermartingale")
+
+    def test_rejects_parameters_the_kind_does_not_take(self):
+        with pytest.raises(InputDomainError, match="bdg check does not take u"):
+            CheckRequest(kind="bdg", p=1, u=3.0)
+        with pytest.raises(InputDomainError, match="khintchine check does not take t"):
+            CheckRequest(kind="khintchine", t=1.0)
 
 
 class TestExperimentConfig:

@@ -27,7 +27,9 @@ from mmlab.report import (
     run_verify,
     trajectory_csv,
 )
-from mmlab.simulate import TimeGrid, simulate_path, summarize
+from mmlab.simulate import TimeGrid, simulate_path, supermartingale_series
+
+from .oracles import summarize
 
 GOLDEN_HEADER = "name,n,N,family,p,u,sigma2,t,lhs,lhs_ci,rhs,rhs_ci,ratio,holds,paths,seed"
 
@@ -169,7 +171,7 @@ class TestTrajectoryDump:
         text = trajectory_csv(traj, beta=0.5)
         lines = text.splitlines()
         assert lines[0].endswith(",supermart_beta0.5")
-        series = summarize(traj).supermartingale_series(0.5)
+        series = supermartingale_series(traj, 0.5)
         assert float(lines[1].split(",")[5]) == series[0] == 1.0
 
     def test_run_simulate_writes_files(self, tmp_path):
