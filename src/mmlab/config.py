@@ -79,24 +79,15 @@ SWEEP_PARAMETERS = ("n", "p", "u", "steps")
 _CHECK_PARAMS = {p.name: p for kind in CHECK_REGISTRY.values() for p in kind.params}
 
 _INDEXED = r"[1-9][0-9]*"
-_KEY_KINDS = (
-    (re.compile(r"integrand\.family\Z"), "family"),
-    (re.compile(rf"integrand\.matrix\.{_INDEXED}\Z"), "matrix"),
-    (re.compile(rf"integrand\.slope\.{_INDEXED}\Z"), "matrix"),
-    (re.compile(r"integrand\.gamma\Z"), "float"),
-    (re.compile(r"integrand\.(n|drivers|seed)\Z"), "int"),
-    (re.compile(r"grid\.horizon\Z"), "float"),
-    (re.compile(r"grid\.steps\Z"), "int"),
-    (re.compile(r"(paths|master_seed|block_size)\Z"), "int"),
-    (re.compile(r"(confidence|slack_factor)\Z"), "float"),
-    (re.compile(r"bootstrap\.resamples\Z"), "int"),
-    (re.compile(rf"check\.{_INDEXED}\.kind\Z"), "str"),
-    (re.compile(rf"check\.{_INDEXED}\.({'|'.join(_CHECK_PARAMS)})\Z"), "number"),
-    (re.compile(r"sweep\.parameter\Z"), "str"),
-    (re.compile(r"sweep\.values\Z"), "numbers"),
-    (re.compile(r"dump\.paths\Z"), "ints"),
-    (re.compile(r"dump\.beta\Z"), "float"),
-    (re.compile(r"test_hooks\.rhs_multiplier\Z"), "float"),
+_KNOWN_KEYS = (
+    re.compile(rf"integrand\.(family|gamma|n|drivers|seed|(matrix|slope)\.{_INDEXED})\Z"),
+    re.compile(r"grid\.(horizon|steps)\Z"),
+    re.compile(r"(paths|master_seed|block_size|confidence|slack_factor)\Z"),
+    re.compile(r"bootstrap\.resamples\Z"),
+    re.compile(rf"check\.{_INDEXED}\.(kind|{'|'.join(_CHECK_PARAMS)})\Z"),
+    re.compile(r"sweep\.(parameter|values)\Z"),
+    re.compile(r"dump\.(paths|beta)\Z"),
+    re.compile(r"test_hooks\.rhs_multiplier\Z"),
 )
 
 
@@ -136,11 +127,9 @@ def _err(message: str, key: str | None, entry: _Entry | None = None) -> ConfigEr
     return ConfigError(message, key=key, line=entry.line if entry else None)
 
 
-def _key_kind(key: str, entry: _Entry) -> str:
-    for pattern, kind in _KEY_KINDS:
-        if pattern.match(key):
-            return kind
-    raise _err(f"unknown key '{key}'", key, entry)
+def _check_known(key: str, entry: _Entry) -> None:
+    if not any(pattern.match(key) for pattern in _KNOWN_KEYS):
+        raise _err(f"unknown key '{key}'", key, entry)
 
 
 def _parse_pairs(text: str) -> dict[str, _Entry]:
@@ -156,7 +145,7 @@ def _parse_pairs(text: str) -> dict[str, _Entry]:
         entry = _Entry(value, lineno, None)
         if not key:
             raise ConfigError("empty key", line=lineno)
-        _key_kind(key, entry)
+        _check_known(key, entry)
         if not value:
             raise _err("empty value", key, entry)
         if key in entries:
@@ -177,7 +166,7 @@ def env_overrides(environ) -> dict[str, str]:
 def _apply_overrides(entries, pairs: dict[str, str], source_prefix: str):
     for key, value in pairs.items():
         entry = _Entry(value.strip(), None, f"{source_prefix} {key}")
-        _key_kind(key, entry)
+        _check_known(key, entry)
         if not entry.value:
             raise _err("empty value", key, entry)
         entries[key] = entry

@@ -60,24 +60,6 @@ class IntegrandSpec:
         _freeze(self.slopes)
 
 
-@dataclass(frozen=True)
-class EvalContext:
-    """State visible to the integrand at one grid time (left endpoint).
-
-    ``qv_current`` is positive semi-definite whenever the context comes
-    from the simulation scheme; that invariant is maintained by
-    construction and asserted in tests, not re-checked here.
-    """
-
-    time: float
-    x_current: np.ndarray
-    qv_current: np.ndarray
-
-    def __post_init__(self):
-        if not (self.time >= 0.0 and math.isfinite(self.time)):
-            raise InputDomainError(f"context time must be finite and >= 0, got {self.time}")
-
-
 def validate_spec(spec: IntegrandSpec) -> IntegrandSpec:
     """Validate dimensions, symmetry and finiteness of a spec.
 
@@ -234,24 +216,6 @@ def is_path_dependent(spec: IntegrandSpec) -> bool:
 
 def is_time_dependent(spec: IntegrandSpec) -> bool:
     return spec.family == "time_poly"
-
-
-def evaluate_integrand(spec: IntegrandSpec, ctx: EvalContext) -> np.ndarray:
-    """The N matrices H_i at one left endpoint; pure in (spec, ctx).
-
-    Returns a read-only (N, n, n) view or a fresh array; callers must
-    not mutate the result.
-    """
-    x = np.asarray(ctx.x_current)
-    if x.shape != (spec.n, spec.n):
-        raise InputDomainError(
-            f"context state shape {x.shape} does not match spec dimension {spec.n}"
-        )
-    if spec.family == "time_poly":
-        return spec.matrices + ctx.time * spec.slopes
-    if spec.family == "path_feedback":
-        return spec.matrices + spec.gamma * x[None]
-    return spec.matrices
 
 
 @dataclass(frozen=True)

@@ -74,11 +74,6 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        if self.basis is None:
-            raise InputDomainError("spectrum was computed without a basis")
-        return symmetrize((self.basis * self.eigenvalues) @ self.basis.T)
-
 
 def sym_eigen(a, with_basis: bool = True) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix.
@@ -140,17 +135,6 @@ def spectral_norm(a) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     w = sym_eigen(a, with_basis=False).eigenvalues
     return float(max(abs(w[0]), abs(w[-1])))
-
-
-def lambda_max(a) -> float:
-    """Largest eigenvalue (signed) of a symmetric matrix."""
-    return float(sym_eigen(a, with_basis=False).eigenvalues[0])
-
-
-def schatten_norm(a, p: float) -> float:
-    """Schatten p-norm (sum of |eigenvalue|^p to the 1/p) of a symmetric matrix."""
-    w = sym_eigen(a, with_basis=False).eigenvalues
-    return float(schatten_from_eigenvalues(w, p))
 
 
 def matrix_abs(a) -> np.ndarray:

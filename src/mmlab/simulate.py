@@ -6,18 +6,18 @@ uniform grid with left-endpoint (Ito) evaluation:
     x[k+1]  = x[k]  + sum_i H_i(t_k, state_k) * dB_k^i
     qv[k+1] = qv[k] + sum_i H_i(t_k, state_k)^2 * dt
 
-Two construction routes exist: :func:`simulate_path` produces a full
-:class:`Trajectory` for one seed (reference implementation, used for
-trajectory dumps and tests), and :func:`simulate_block` streams many
-paths at once, recording only the per-path statistics requested by a
-:class:`CollectorPlan`.  Both consume identical per-path increments,
-so they agree up to float vectorization order.
+One stepper, :meth:`EulerScheme.steps`, runs this update on a batch of
+increments (paths, steps, drivers).  :func:`simulate_block` feeds it
+each chunk of a block and records only the per-path statistics a
+:class:`CollectorPlan` asks for; :func:`simulate_path` runs it on one
+path and keeps the whole :class:`Trajectory` (trajectory dumps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .integrands import (
     aggregates,
     deterministic_sum,
     deterministic_sum_squares,
-    evaluate_integrand,
-    EvalContext,
     feedback_sum,
     feedback_sum_squares,
     is_path_dependent,
@@ -101,38 +99,119 @@ def brownian_increments(grid: TimeGrid, drivers: int, seed) -> np.ndarray:
     return rng.standard_normal((grid.steps, drivers)) * math.sqrt(grid.dt)
 
 
-def euler_with_increments(spec: IntegrandSpec, grid: TimeGrid, increments) -> Trajectory:
-    """Run the Euler scheme on externally supplied increments.
+class EulerStep(NamedTuple):
+    """A batch of paths after Euler step k, i.e. at grid index k + 1.
 
-    Used directly by refinement studies that need the same Brownian
-    path at several grid resolutions; raises PathBlowupError as soon as
-    the state leaves float range.
+    ``x`` and ``qv`` are the states at t_{k+1}; ``x_left`` and
+    ``s2`` = sum_i H_i(t_k)^2 are the left-endpoint values the step
+    used.  For families whose integrand depends on time alone ``qv`` and
+    ``s2`` are one (n, n) matrix shared by every path.  ``excluded``
+    flags the paths whose state left float64 range; their state is
+    carried on as zeros.  It is one array, updated in place.
     """
-    inc = np.asarray(increments, dtype=np.float64)
-    if inc.shape != (grid.steps, spec.drivers):
-        raise InputDomainError(
-            f"increments shape {inc.shape} does not match (steps, drivers) = "
-            f"({grid.steps}, {spec.drivers})"
-        )
-    times = grid.times()
-    dt = grid.dt
-    n = spec.n
-    x = np.zeros((grid.steps + 1, n, n))
-    qv = np.zeros((grid.steps + 1, n, n))
-    for k in range(grid.steps):
-        ctx = EvalContext(time=float(times[k]), x_current=x[k], qv_current=qv[k])
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = evaluate_integrand(spec, ctx)
-            x[k + 1] = x[k] + np.einsum("i,ikl->kl", inc[k], h)
-            qv[k + 1] = qv[k] + np.einsum("ikl,ilm->km", h, h) * dt
-        if not (np.all(np.isfinite(x[k + 1])) and np.all(np.isfinite(qv[k + 1]))):
-            raise PathBlowupError(f"path left float64 range at step {k + 1}")
-    return Trajectory(times=times, x=x, qv=qv)
+
+    k: int
+    x_left: np.ndarray
+    x: np.ndarray
+    qv: np.ndarray
+    s2: np.ndarray
+    excluded: np.ndarray
+
+
+class EulerScheme:
+    """The left-endpoint Euler update of one integrand on one grid.
+
+    Construction does the path-free work once: the driver aggregates
+    and, for families whose integrand depends on time alone, ``s2``
+    (sum_i H_i(t_k)^2 at each left endpoint, shape (steps, n, n)) and
+    ``qv`` (the quadratic variation on the whole grid, shape
+    (steps + 1, n, n)).  For path_feedback both are None.
+    """
+
+    def __init__(self, spec: IntegrandSpec, grid: TimeGrid):
+        self.spec = spec
+        self.grid = grid
+        self.feedback = is_path_dependent(spec)
+        self.agg = aggregates(spec)
+        self.s2 = self.qv = None
+        if not self.feedback:
+            n = spec.n
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.s2 = deterministic_sum_squares(spec, grid.times()[:-1])
+                self.qv = np.concatenate(
+                    [np.zeros((1, n, n)), np.cumsum(self.s2 * grid.dt, axis=0)]
+                )
+
+    def steps(self, dB):
+        """Yield one :class:`EulerStep` per grid step of the paths driven
+        by ``dB`` (paths, steps, drivers), starting from x = qv = 0."""
+        spec, grid = self.spec, self.grid
+        K, n, dt = grid.steps, spec.n, grid.dt
+        if dB.shape[1:] != (K, spec.drivers):
+            raise InputDomainError(
+                f"increments shape {dB.shape} does not match (paths, steps, drivers) = "
+                f"(..., {K}, {spec.drivers})"
+            )
+        c = dB.shape[0]
+        times = grid.times()
+        x = np.zeros((c, n, n))
+        qv = np.zeros((c, n, n)) if self.feedback else None
+        excluded = np.zeros(c, dtype=bool)
+        for k in range(K):
+            x_left = x
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.feedback:
+                    s2 = feedback_sum_squares(spec, x, self.agg)
+                    # sanitize before any eigen work: a blown-up state must
+                    # never reach LAPACK
+                    bad = _bad_rows(s2)
+                    if bad is not None:
+                        excluded |= bad
+                        x[bad] = 0.0
+                        qv[bad] = 0.0
+                        s2[bad] = 0.0
+                    sum_db = dB[:, k, :].sum(axis=1)
+                    x = (
+                        x
+                        + np.einsum("ci,ikl->ckl", dB[:, k, :], spec.matrices)
+                        + spec.gamma * sum_db[:, None, None] * x
+                    )
+                    qv = qv + s2 * dt
+                    bad = _bad_rows(x, qv)
+                else:
+                    s2 = self.s2[k]
+                    if spec.family == "time_poly":
+                        h_k = spec.matrices + times[k] * spec.slopes
+                    else:
+                        h_k = spec.matrices
+                    x = x + np.einsum("ci,ikl->ckl", dB[:, k, :], h_k)
+                    bad = _bad_rows(x)
+            if bad is not None:
+                excluded |= bad
+                x[bad] = 0.0
+                if self.feedback:
+                    qv[bad] = 0.0
+            yield EulerStep(
+                k, x_left, x, qv if self.feedback else self.qv[k + 1], s2, excluded
+            )
 
 
 def simulate_path(spec: IntegrandSpec, grid: TimeGrid, seed) -> Trajectory:
-    """One full trajectory for one seed (reference route)."""
-    return euler_with_increments(spec, grid, brownian_increments(grid, spec.drivers, seed))
+    """One full trajectory for one seed: the stepper on a single path.
+
+    Raises PathBlowupError at the first step whose state leaves float64
+    range.
+    """
+    n = spec.n
+    x = np.zeros((grid.steps + 1, n, n))
+    qv = np.zeros((grid.steps + 1, n, n))
+    dB = brownian_increments(grid, spec.drivers, seed)[None]
+    for step in EulerScheme(spec, grid).steps(dB):
+        x[step.k + 1] = step.x
+        qv[step.k + 1] = step.qv
+        if step.excluded[0] or not np.isfinite(qv[step.k + 1]).all():
+            raise PathBlowupError(f"path left float64 range at step {step.k + 1}")
+    return Trajectory(times=grid.times(), x=x, qv=qv)
 
 
 def supermartingale_series(traj: Trajectory, beta: float) -> np.ndarray:
@@ -300,8 +379,8 @@ def simulate_block(
     if cps and (min(cps) < 0 or max(cps) > K):
         raise InputDomainError(f"checkpoints must lie in [0, {K}]")
     levels = np.asarray(plan.sigma2_levels, dtype=np.float64)
-    feedback = is_path_dependent(spec)
-    agg = aggregates(spec)
+    scheme = EulerScheme(spec, grid)
+    feedback = scheme.feedback
 
     out = {
         "sup_lambda_max": np.zeros(total),
@@ -324,14 +403,17 @@ def simulate_block(
         out["sum_norm_quad"] = np.zeros(total)
 
     # deterministic families: qv and the quadratures are path-free
-    det_qv_norms = det_qv = det_quads = det_sum_quad = det_bridge_var = None
+    det_qv_norms = det_quads = det_sum_quad = det_bridge_var = None
     if not feedback:
-        s2_series = deterministic_sum_squares(spec, times[:-1])
-        det_qv = np.concatenate([np.zeros((1, n, n)), np.cumsum(s2_series * dt, axis=0)])
-        eq = stacked_eigenvalues(det_qv)
+        if not np.isfinite(scheme.qv).all():
+            # the shared qv left float64 range: no path has a finite
+            # statistic, and a non-finite matrix must never reach LAPACK
+            out["excluded"][:] = True
+            return out
+        eq = stacked_eigenvalues(scheme.qv)
         det_qv_norms = np.maximum(np.abs(eq[:, 0]), np.abs(eq[:, -1]))
         if plan.quad_schatten_orders or len(levels):
-            es2 = stacked_eigenvalues(s2_series)
+            es2 = stacked_eigenvalues(scheme.s2)
         if len(levels):
             # 2 * ||sum_i H_i(t_k)^2|| * dt, the bridge's variance term per step
             det_bridge_var = 2.0 * dt * np.maximum(np.abs(es2[:, 0]), np.abs(es2[:, -1]))
@@ -356,8 +438,6 @@ def simulate_block(
         dB = np.empty((c, K, spec.drivers))
         for b in range(c):
             dB[b] = brownian_increments(grid, spec.drivers, seeds[start + b])
-        x = np.zeros((c, n, n))
-        qv = np.zeros((c, n, n)) if feedback else None
         sup_lam = np.zeros(c)
         sup_spec = np.zeros(c)
         prefix = bridge_prefix = bridge_sup = None
@@ -366,7 +446,6 @@ def simulate_block(
             bridge_prefix = np.zeros((c, len(levels)))
             bridge_sup = np.zeros(c)
             lam_prev = np.zeros(c)
-        excluded = np.zeros(c, dtype=bool)
         supermart = None
         if betas:
             supermart = np.zeros((c, len(betas), len(cps)))
@@ -381,19 +460,12 @@ def simulate_block(
             snq_tot = np.zeros(c)
             snq_comp = np.zeros(c)
 
-        for k in range(K):
+        for step in scheme.steps(dB):
+            k, x, qv = step.k, step.x, step.qv
             if feedback:
-                s2 = feedback_sum_squares(spec, x, agg)
-                # sanitize before any eigen work: a blown-up state must
-                # never reach LAPACK
-                bad = _bad_rows(s2)
-                if bad is not None:
-                    excluded |= bad
-                    x[bad] = 0.0
-                    qv[bad] = 0.0
-                    s2[bad] = 0.0
+                # left-endpoint reductions of the step's sum of squares
                 if quad_tot is not None or prefix is not None:
-                    es2 = stacked_eigenvalues(s2)
+                    es2 = stacked_eigenvalues(step.s2)
                 if prefix is not None:
                     s2_norm = np.maximum(np.abs(es2[:, 0]), np.abs(es2[:, -1]))
                     bridge_var = 2.0 * dt * s2_norm
@@ -402,31 +474,9 @@ def simulate_block(
                         term = dt * schatten_from_eigenvalues(es2, order, axis=-1)
                         _kahan_add(quad_tot[:, j], quad_comp[:, j], term)
                 if snq_tot is not None:
-                    e1 = stacked_eigenvalues(feedback_sum(spec, x, agg))
+                    e1 = stacked_eigenvalues(feedback_sum(spec, step.x_left, scheme.agg))
                     term = dt * np.maximum(np.abs(e1[:, 0]), np.abs(e1[:, -1])) ** 2
                     _kahan_add(snq_tot, snq_comp, term)
-                sum_db = dB[:, k, :].sum(axis=1)
-                x = (
-                    x
-                    + np.einsum("ci,ikl->ckl", dB[:, k, :], spec.matrices)
-                    + spec.gamma * sum_db[:, None, None] * x
-                )
-                qv = qv + s2 * dt
-                bad = _bad_rows(x, qv)
-                if bad is not None:
-                    excluded |= bad
-                    x[bad] = 0.0
-                    qv[bad] = 0.0
-            else:
-                if spec.family == "time_poly":
-                    h_k = spec.matrices + times[k] * spec.slopes
-                else:
-                    h_k = spec.matrices
-                x = x + np.einsum("ci,ikl->ckl", dB[:, k, :], h_k)
-                bad = _bad_rows(x)
-                if bad is not None:
-                    excluded |= bad
-                    x[bad] = 0.0
 
             eigs = stacked_eigenvalues(x)
             lam = eigs[:, -1]
@@ -461,12 +511,12 @@ def simulate_block(
                             prefix[:, j] = np.maximum(prefix[:, j], lam)
                             bridge_prefix[:, j] = np.maximum(bridge_prefix[:, j], peak)
             if supermart is not None and (k + 1) in cp_slot:
-                qv_here = qv if feedback else det_qv[k + 1]
                 for j, beta in enumerate(betas):
-                    m = beta * x - (0.5 * beta * beta) * qv_here
+                    m = beta * x - (0.5 * beta * beta) * qv
                     me = stacked_eigenvalues(m)
                     supermart[:, j, cp_slot[k + 1]] = np.exp(me).sum(axis=-1)
 
+        excluded = step.excluded
         out["sup_lambda_max"][idx] = sup_lam
         out["sup_spectral"][idx] = sup_spec
         out["terminal_spectral"][idx] = spc

@@ -12,9 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmlab.errors import InputDomainError
-from mmlab.linalg import check_rectangular, check_symmetric, stacked_eigenvalues
-from mmlab.simulate import Trajectory
+from mmlab.errors import InputDomainError, PathBlowupError
+from mmlab.integrands import IntegrandSpec
+from mmlab.linalg import (
+    Spectrum,
+    check_rectangular,
+    check_symmetric,
+    schatten_from_eigenvalues,
+    stacked_eigenvalues,
+    sym_eigen,
+    symmetrize,
+)
+from mmlab.simulate import TimeGrid, Trajectory, brownian_increments
 
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -190,3 +199,99 @@ def loewner_leq(a, b, tol: float | None = None) -> bool:
     if tol is None:
         tol = 1e-10 * max(1.0, abs(w[0]), abs(w[-1]))
     return bool(w[0] >= -tol)
+
+
+def lambda_max(a) -> float:
+    """Largest eigenvalue (signed) of a symmetric matrix."""
+    return float(sym_eigen(a, with_basis=False).eigenvalues[0])
+
+
+def schatten_norm(a, p: float) -> float:
+    """Schatten p-norm (sum of |eigenvalue|^p to the 1/p) of a symmetric matrix."""
+    w = sym_eigen(a, with_basis=False).eigenvalues
+    return float(schatten_from_eigenvalues(w, p))
+
+
+def reconstruct(spectrum: Spectrum) -> np.ndarray:
+    """The symmetric matrix Q diag(w) Q^T a spectrum was computed from."""
+    if spectrum.basis is None:
+        raise InputDomainError("spectrum was computed without a basis")
+    return symmetrize((spectrum.basis * spectrum.eigenvalues) @ spectrum.basis.T)
+
+
+# --- the per-matrix Euler scheme ----------------------------------------
+#
+# One path, one step at a time, with the integrand evaluated as N
+# matrices at each left endpoint.  mmlab's engine (simulate.EulerScheme)
+# uses driver-summed aggregates and path-free precomputations instead;
+# the two agree up to float rounding.
+
+
+@dataclass(frozen=True)
+class EvalContext:
+    """State visible to the integrand at one grid time (left endpoint).
+
+    ``qv_current`` is positive semi-definite whenever the context comes
+    from the simulation scheme; that invariant is maintained by
+    construction and asserted in tests, not re-checked here.
+    """
+
+    time: float
+    x_current: np.ndarray
+    qv_current: np.ndarray
+
+    def __post_init__(self):
+        if not (self.time >= 0.0 and math.isfinite(self.time)):
+            raise InputDomainError(f"context time must be finite and >= 0, got {self.time}")
+
+
+def evaluate_integrand(spec: IntegrandSpec, ctx: EvalContext) -> np.ndarray:
+    """The N matrices H_i at one left endpoint; pure in (spec, ctx).
+
+    Returns a read-only (N, n, n) view or a fresh array; callers must
+    not mutate the result.
+    """
+    x = np.asarray(ctx.x_current)
+    if x.shape != (spec.n, spec.n):
+        raise InputDomainError(
+            f"context state shape {x.shape} does not match spec dimension {spec.n}"
+        )
+    if spec.family == "time_poly":
+        return spec.matrices + ctx.time * spec.slopes
+    if spec.family == "path_feedback":
+        return spec.matrices + spec.gamma * x[None]
+    return spec.matrices
+
+
+def euler_with_increments(spec: IntegrandSpec, grid: TimeGrid, increments) -> Trajectory:
+    """Run the Euler scheme on externally supplied increments.
+
+    Used directly by refinement studies that need the same Brownian
+    path at several grid resolutions; raises PathBlowupError as soon as
+    the state leaves float range.
+    """
+    inc = np.asarray(increments, dtype=np.float64)
+    if inc.shape != (grid.steps, spec.drivers):
+        raise InputDomainError(
+            f"increments shape {inc.shape} does not match (steps, drivers) = "
+            f"({grid.steps}, {spec.drivers})"
+        )
+    times = grid.times()
+    dt = grid.dt
+    n = spec.n
+    x = np.zeros((grid.steps + 1, n, n))
+    qv = np.zeros((grid.steps + 1, n, n))
+    for k in range(grid.steps):
+        ctx = EvalContext(time=float(times[k]), x_current=x[k], qv_current=qv[k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = evaluate_integrand(spec, ctx)
+            x[k + 1] = x[k] + np.einsum("i,ikl->kl", inc[k], h)
+            qv[k + 1] = qv[k] + np.einsum("ikl,ilm->km", h, h) * dt
+        if not (np.all(np.isfinite(x[k + 1])) and np.all(np.isfinite(qv[k + 1]))):
+            raise PathBlowupError(f"path left float64 range at step {k + 1}")
+    return Trajectory(times=times, x=x, qv=qv)
+
+
+def reference_path(spec: IntegrandSpec, grid: TimeGrid, seed) -> Trajectory:
+    """The per-matrix Euler trajectory of one seed's increments."""
+    return euler_with_increments(spec, grid, brownian_increments(grid, spec.drivers, seed))

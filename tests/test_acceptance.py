@@ -32,18 +32,20 @@ from mmlab.integrands import (
     path_feedback_spec,
     time_poly_spec,
 )
-from mmlab.linalg import hermitian_dilation, lambda_max, spectral_norm
+from mmlab.linalg import hermitian_dilation, spectral_norm
 from mmlab.montecarlo import (
     ExperimentConfig,
     derive_path_seed,
     run_batch,
 )
 from mmlab.simulate import (
+    EulerScheme,
     TimeGrid,
     brownian_increments,
-    euler_with_increments,
     exact_constant_spectral_norms,
 )
+
+from .oracles import lambda_max
 
 GRID = TimeGrid(1.0, 256)
 
@@ -298,6 +300,14 @@ def test_09_gaussian_series_norm_growth():
     assert ok, (growth, r2.lhs, r2.lhs_ci)
 
 
+def _terminal_states(spec, grid, increments):
+    """X_T of each path the engine's stepper runs on the given increments."""
+    for step in EulerScheme(spec, grid).steps(increments):
+        pass
+    assert not step.excluded.any()
+    return step.x
+
+
 def test_10_discretization_fidelity():
     spec = constant_spec(_structured_pair(2))
     cfg = ExperimentConfig(
@@ -313,13 +323,15 @@ def test_10_discretization_fidelity():
     ks_levels = [2**j for j in range(4, 11)]
     errs = np.zeros(len(ks_levels))
     paths = 64
-    for j in range(paths):
-        inc = brownian_increments(ref_grid, tp.drivers, derive_path_seed(777, j))
-        ref = euler_with_increments(tp, ref_grid, inc).x[-1]
-        for i, k in enumerate(ks_levels):
-            inc_k = inc.reshape(k, ref_grid.steps // k, tp.drivers).sum(axis=1)
-            xk = euler_with_increments(tp, TimeGrid(1.0, k), inc_k).x[-1]
-            errs[i] += spectral_norm(xk - ref)
+    inc = np.stack(
+        [brownian_increments(ref_grid, tp.drivers, derive_path_seed(777, j)) for j in range(paths)]
+    )
+    ref = _terminal_states(tp, ref_grid, inc)
+    for i, k in enumerate(ks_levels):
+        # the same Brownian paths, summed onto the coarser grid
+        inc_k = inc.reshape(paths, k, ref_grid.steps // k, tp.drivers).sum(axis=2)
+        xk = _terminal_states(tp, TimeGrid(1.0, k), inc_k)
+        errs[i] = sum(spectral_norm(xk[j] - ref[j]) for j in range(paths))
     errs /= paths
     slope = float(np.polyfit(np.log2(1.0 / np.asarray(ks_levels)), np.log2(errs), 1)[0])
     ok = ks.pvalue >= 0.001 and slope >= 0.5

@@ -154,6 +154,26 @@ class TestVerify:
         assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 300
         assert (out / "report.csv").read_text() == GOLDEN_HEADER + "\n"
 
+    def test_overflowing_deterministic_qv_writes_failed_report(self, runner, tmp_path):
+        # n = 3 takes LAPACK, which must never see the non-finite shared qv
+        text = VERIFY_CFG.replace("paths = 300", "paths = 200").replace(
+            "integrand.matrix.1 = 1", "integrand.matrix.1 = 1 0 0; 0 2 1; 0 1 3"
+        )
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                main,
+                ["verify", "--config", cfg, "--out", str(out)]
+                + ["--set", "integrand.matrix.1=1e160 1e160 0; 1e160 2 1; 0 1 3"],
+            )
+        assert result.exit_code == 1, result.output
+        assert "run failed: 200 of 200 paths excluded" in result.output
+        assert [w.message for w in caught] == []
+        obj = json.loads((out / "report.json").read_text())
+        assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 200
+
     def test_worker_counts_emit_identical_bytes(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, VERIFY_CFG + "block_size = 64\n")
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

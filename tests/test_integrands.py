@@ -3,14 +3,12 @@ import pytest
 
 from mmlab.errors import InputDomainError, SpecValidationError
 from mmlab.integrands import (
-    EvalContext,
     IntegrandSpec,
     aggregates,
     constant_spec,
     deterministic_sum,
     deterministic_sum_squares,
     diag_basis_spec,
-    evaluate_integrand,
     feedback_sum,
     feedback_sum_squares,
     goe_like_spec,
@@ -22,6 +20,8 @@ from mmlab.integrands import (
     validate_spec,
 )
 from mmlab.linalg import symmetrize
+
+from .oracles import EvalContext, evaluate_integrand
 
 
 def ctx_at(t, n):

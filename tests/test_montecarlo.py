@@ -27,9 +27,9 @@ from mmlab.montecarlo import (
     wilson_interval,
     STREAM_OFFSET,
 )
-from mmlab.simulate import CollectorPlan, TimeGrid, simulate_path
+from mmlab.simulate import CollectorPlan, TimeGrid
 
-from .oracles import loop_bootstrap_ci, summarize
+from .oracles import loop_bootstrap_ci, reference_path, summarize
 
 
 def small_config(**kw):
@@ -346,7 +346,7 @@ class TestRunBatch:
     def test_single_path_matches_reference(self):
         cfg = small_config(paths=1, checks=())
         batch = run_batch(cfg, plan=CollectorPlan(sigma2_levels=(1.0,)))
-        s = summarize(simulate_path(cfg.spec, cfg.grid, derive_path_seed(cfg.master_seed, 0)))
+        s = summarize(reference_path(cfg.spec, cfg.grid, derive_path_seed(cfg.master_seed, 0)))
         assert batch.path_count == 1 and batch.excluded_count == 0
         assert batch.data["sup_spectral"][0] == pytest.approx(s.sup_spectral, rel=1e-12)
         assert batch.data["terminal_spectral"][0] == pytest.approx(

@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmlab.simulate as simulate_module
 from mmlab.checks import CHECK_REGISTRY, CheckRequest, evaluate_checks, recompute_holds
 from mmlab.integrands import rect_constant_spec
 from mmlab.montecarlo import ExperimentConfig, derive_path_seed, derive_path_seeds, run_batch
-from mmlab.simulate import TimeGrid
+from mmlab.simulate import (
+    CollectorPlan,
+    TimeGrid,
+    default_checkpoints,
+    simulate_block,
+    simulate_path,
+)
+
+from .test_simulate import family_zoo
 
 GRID = TimeGrid(1.0, 16)
 SIGMA2_LEVELS = (0.5, 1.0)
@@ -87,3 +96,56 @@ def test_derive_path_seeds_matches_scalar(master, start, count):
     got = derive_path_seeds(master, start, start + count)
     assert got.dtype == np.uint64
     assert got.tolist() == [derive_path_seed(master, i) for i in range(start, start + count)]
+
+
+# every collector simulate_block has
+FULL_PLAN = CollectorPlan(
+    sigma2_levels=(0.1, 1.0),
+    supermartingale_betas=(0.5, 1.0),
+    checkpoints=default_checkpoints(GRID.steps),
+    schatten_orders=(1.0, 3.0),
+    quad_schatten_orders=(1.0, 2.0),
+    sum_norm_quad=True,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.integers(0, 4),
+    n=st.integers(1, 4),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+    cuts=st.lists(st.integers(0, 12), max_size=4),
+    chunk=st.integers(1, 8),
+)
+def test_block_partition_is_bit_identical(family, n, seeds, cuts, chunk):
+    # any split of the seed array into blocks, and of each block into
+    # vectorized chunks, gives the same numbers bit for bit
+    spec = family_zoo(n)[family]
+    seeds = np.array(seeds, dtype=np.uint64)
+    whole = simulate_block(spec, GRID, seeds, FULL_PLAN)
+    bounds = sorted({0, len(seeds), *(c % (len(seeds) + 1) for c in cuts)})
+    saved = simulate_module._CHUNK
+    simulate_module._CHUNK = chunk
+    try:
+        parts = [simulate_block(spec, GRID, seeds[a:b], FULL_PLAN) for a, b in zip(bounds, bounds[1:])]
+    finally:
+        simulate_module._CHUNK = saved
+    assert not whole["excluded"].any()
+    for key, values in whole.items():
+        assert np.array_equal(values, np.concatenate([p[key] for p in parts])), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.integers(0, 4),
+    n=st.integers(1, 4),
+    payload_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_qv_symmetric_psd_nondecreasing(family, n, payload_seed, seed):
+    qv = simulate_path(family_zoo(n, payload_seed)[family], GRID, seed).qv
+    assert np.array_equal(qv, np.swapaxes(qv, -1, -2))
+    tol = 1e-12 * max(1.0, float(np.abs(qv).max()))
+    assert np.linalg.eigvalsh(qv)[:, 0].min() >= -tol
+    # Loewner order: every increment qv[k+1] - qv[k] is PSD
+    assert np.linalg.eigvalsh(np.diff(qv, axis=0))[:, 0].min() >= -tol

@@ -29,7 +29,7 @@ from mmlab.report import (
 )
 from mmlab.simulate import TimeGrid, simulate_path, supermartingale_series
 
-from .oracles import summarize
+from .oracles import reference_path, summarize
 
 GOLDEN_HEADER = "name,n,N,family,p,u,sigma2,t,lhs,lhs_ci,rhs,rhs_ci,ratio,holds,paths,seed"
 
@@ -150,15 +150,15 @@ class TestTrajectoryDump:
     def test_columns_and_values(self):
         settings = parse_settings(SMALL_VERIFY)
         exp = settings.experiment
-        traj = simulate_path(exp.spec, TimeGrid(1.0, 8), derive_path_seed(exp.master_seed, 0))
-        text = trajectory_csv(traj)
+        grid, seed = TimeGrid(1.0, 8), derive_path_seed(exp.master_seed, 0)
+        text = trajectory_csv(simulate_path(exp.spec, grid, seed))
         lines = text.splitlines()
         assert lines[0] == "step,time,lambda_max,spectral_norm,qv_norm"
         assert len(lines) == 10
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[1]) == 0.0
         assert float(first[2]) == 0.0 and float(first[3]) == 0.0
-        summary = summarize(traj)
+        summary = summarize(reference_path(exp.spec, grid, seed))
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed[:, 2], summary.lambda_max_series)
         assert np.array_equal(parsed[:, 4], summary.qv_norm_series)
@@ -167,12 +167,14 @@ class TestTrajectoryDump:
     def test_supermartingale_column(self):
         settings = parse_settings(SMALL_VERIFY)
         exp = settings.experiment
-        traj = simulate_path(exp.spec, TimeGrid(1.0, 8), derive_path_seed(exp.master_seed, 0))
-        text = trajectory_csv(traj, beta=0.5)
+        grid, seed = TimeGrid(1.0, 8), derive_path_seed(exp.master_seed, 0)
+        text = trajectory_csv(simulate_path(exp.spec, grid, seed), beta=0.5)
         lines = text.splitlines()
         assert lines[0].endswith(",supermart_beta0.5")
-        series = supermartingale_series(traj, 0.5)
+        series = supermartingale_series(reference_path(exp.spec, grid, seed), 0.5)
         assert float(lines[1].split(",")[5]) == series[0] == 1.0
+        parsed = [float(line.split(",")[5]) for line in lines[1:]]
+        assert np.array_equal(parsed, series)
 
     def test_run_simulate_writes_files(self, tmp_path):
         text = SMALL_VERIFY + "dump.paths = 0 3\ndump.beta = 1.0\n"

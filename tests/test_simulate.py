@@ -7,22 +7,20 @@ import pytest
 import mmlab.simulate as simulate_module
 from mmlab.errors import InputDomainError, PathBlowupError
 from mmlab.integrands import (
-    EvalContext,
     constant_spec,
     diag_basis_spec,
-    evaluate_integrand,
     goe_like_spec,
     path_feedback_spec,
     time_poly_spec,
 )
-from mmlab.linalg import schatten_norm, spectral_norm, symmetrize
+from mmlab.linalg import spectral_norm, symmetrize
 from mmlab.simulate import (
     CollectorPlan,
+    EulerScheme,
     TimeGrid,
     bridge_exponentials,
     brownian_increments,
     default_checkpoints,
-    euler_with_increments,
     exact_constant_spectral_norms,
     simulate_block,
     simulate_path,
@@ -30,13 +28,22 @@ from mmlab.simulate import (
     Trajectory,
 )
 
-from .oracles import exact_constant_path, loewner_leq, summarize
+from .oracles import (
+    EvalContext,
+    evaluate_integrand,
+    exact_constant_path,
+    loewner_leq,
+    reference_path,
+    schatten_norm,
+    summarize,
+)
 
 GRID = TimeGrid(horizon=1.0, steps=256)
 
 
-def family_zoo(n=2):
-    rng = np.random.default_rng(99)
+def family_zoo(n=2, seed=99):
+    """One spec of each family, with payloads drawn from `seed`."""
+    rng = np.random.default_rng(seed)
     a = symmetrize(rng.standard_normal((2, n, n)))
     b = symmetrize(rng.standard_normal((2, n, n)))
     return [
@@ -122,13 +129,32 @@ class TestSimulatePath:
 
     def test_blowup_raises(self):
         spec = path_feedback_spec(np.ones((1, 1, 1)), gamma=1e200)
-        with pytest.raises(PathBlowupError):
+        with pytest.raises(PathBlowupError, match=r"at step \d+$"):
+            simulate_path(spec, TimeGrid(1.0, 8), seed=1)
+
+    def test_deterministic_qv_overflow_raises(self):
+        # the shared qv of a time-only integrand overflows at the first step
+        spec = constant_spec([[1e160]])
+        with pytest.raises(PathBlowupError, match="at step 1$"):
             simulate_path(spec, TimeGrid(1.0, 8), seed=1)
 
     def test_increment_shape_mismatch(self):
         spec = constant_spec(np.eye(2))
         with pytest.raises(InputDomainError, match="increments shape"):
-            euler_with_increments(spec, GRID, np.zeros((10, 1)))
+            next(EulerScheme(spec, GRID).steps(np.zeros((1, 10, 1))))
+
+    def test_matches_oracle_euler_all_families(self):
+        # the engine's trajectory against the per-matrix Euler scheme
+        grid = TimeGrid(1.0, 64)
+        for spec in family_zoo(3):
+            for seed in (5, 6):
+                got = simulate_path(spec, grid, seed)
+                ref = reference_path(spec, grid, seed)
+                for name in ("x", "qv"):
+                    a, b = getattr(got, name), getattr(ref, name)
+                    for k in range(grid.steps + 1):
+                        err = np.max(np.abs(a[k] - b[k]))
+                        assert err <= 1e-12 * np.max(np.abs(b[k])), (spec.family, name, k)
 
 
 class TestSummaries:
@@ -235,7 +261,7 @@ class TestSimulateBlock:
             seeds = np.arange(40, 44, dtype=np.uint64)
             out = simulate_block(spec, grid, seeds, plan)
             for j, seed in enumerate(seeds):
-                s = summarize(simulate_path(spec, grid, seed))
+                s = summarize(reference_path(spec, grid, seed))
                 rel = max(1.0, s.sup_spectral)
                 assert abs(out["sup_spectral"][j] - s.sup_spectral) < 1e-12 * rel
                 assert abs(out["sup_lambda_max"][j] - s.sup_lambda_max) < 1e-12 * rel
@@ -261,7 +287,7 @@ class TestSimulateBlock:
             seeds = np.arange(100, 120, dtype=np.uint64)
             out = simulate_block(spec, grid, seeds, CollectorPlan(sigma2_levels=levels))
             for j, seed in enumerate(seeds):
-                s = summarize(simulate_path(spec, grid, seed))
+                s = summarize(reference_path(spec, grid, seed))
                 lam = s.lambda_max_series
                 for li, lvl in enumerate(levels):
                     ok = s.qv_norm_series <= lvl
@@ -297,7 +323,7 @@ class TestSimulateBlock:
         for spec in family_zoo(2):
             out = simulate_block(spec, grid, seeds, CollectorPlan(sigma2_levels=levels))
             for j, seed in enumerate(seeds):
-                traj = simulate_path(spec, grid, seed)
+                traj = reference_path(spec, grid, seed)
                 s = summarize(traj)
                 hs = [
                     evaluate_integrand(spec, EvalContext(t, x, q))
