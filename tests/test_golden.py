@@ -8,6 +8,13 @@ the engine takes the closed form).  ``golden/report.csv`` and
 before the checks moved into one registry; any change to a number, a
 metadata key or its order shows up here as a byte difference.
 
+``golden/feedback_kinds.cfg`` runs the ``path_feedback`` route (a 2x2
+payload, two drivers, closed-form eigen solves) under the freedman,
+good_lambda, bdg, schatten, biane_speicher and supermartingale checks;
+``golden/feedback_kinds_report.{csv,json}`` pin its per-path sum-of-squares
+solves, Kahan quadratures and per-path sigma2 masks.  They were written
+by ``mmlab verify`` before the engine's collectors became objects.
+
 ``golden/trajectory_{0,1,2}.csv`` were written by ``mmlab simulate`` on
 ``configs/simulate_dump.cfg`` (a 2x2 ``path_feedback`` integrand, 256
 steps) when the dump moved onto the block engine's stepper; an edit to
@@ -26,14 +33,17 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_reports_match_golden_bytes(tmp_path, workers):
+@pytest.mark.parametrize(
+    "config, stem", [("all_kinds.cfg", "report"), ("feedback_kinds.cfg", "feedback_kinds_report")]
+)
+def test_reports_match_golden_bytes(tmp_path, workers, config, stem):
     out = tmp_path / "out"
     result = CliRunner().invoke(
         main,
         [
             "verify",
             "--config",
-            str(GOLDEN / "all_kinds.cfg"),
+            str(GOLDEN / config),
             "--out",
             str(out),
             "--workers",
@@ -41,8 +51,9 @@ def test_reports_match_golden_bytes(tmp_path, workers):
         ],
     )
     assert result.exit_code == 0, result.output
-    for name in ("report.csv", "report.json"):
-        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    for ext in ("csv", "json"):
+        got = (out / f"report.{ext}").read_bytes()
+        assert got == (GOLDEN / f"{stem}.{ext}").read_bytes(), ext
 
 
 def test_trajectory_dump_matches_golden_bytes(tmp_path):
