@@ -473,15 +473,6 @@ def parse_settings(
     return RunSettings(experiment=experiment, sweep=sweep, dump=dump)
 
 
-def parse_config(
-    text: str,
-    overrides: dict[str, str] | None = None,
-    environ: dict[str, str] | None = None,
-) -> ExperimentConfig:
-    """Parse config text into the experiment it describes."""
-    return parse_settings(text, overrides, environ).experiment
-
-
 def sweep_configs(settings: RunSettings) -> list[tuple[float, ExperimentConfig]]:
     """Expand a sweep into one experiment per parameter value.
 

@@ -7,10 +7,12 @@ uniform grid with left-endpoint (Ito) evaluation:
     qv[k+1] = qv[k] + sum_i H_i(t_k, state_k)^2 * dt
 
 One stepper, :meth:`EulerScheme.steps`, runs this update on a batch of
-increments (paths, steps, drivers).  :func:`simulate_block` feeds it
-each chunk of a block and records only the per-path statistics a
-:class:`CollectorPlan` asks for; :func:`simulate_path` runs it on one
+increments (paths, steps, drivers); :func:`simulate_path` runs it on one
 path and keeps the whole :class:`Trajectory` (trajectory dumps).
+:func:`simulate_block` runs it on each chunk of a block and, after every
+step, feeds one collector object per :class:`CollectorPlan` field from a
+cache that solves each spectrum (x, qv, sum_i H_i^2, sum_i H_i) at most
+once per step.
 """
 
 from __future__ import annotations
@@ -82,14 +84,6 @@ class Trajectory:
         self.x.flags.writeable = False
         self.qv.flags.writeable = False
 
-    @property
-    def steps(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[-1]
-
 
 def brownian_increments(grid: TimeGrid, drivers: int, seed) -> np.ndarray:
     """(steps, drivers) Gaussian increments of variance dt, fixed by seed."""
@@ -106,8 +100,9 @@ class EulerStep(NamedTuple):
     ``s2`` = sum_i H_i(t_k)^2 are the left-endpoint values the step
     used.  For families whose integrand depends on time alone ``qv`` and
     ``s2`` are one (n, n) matrix shared by every path.  ``excluded``
-    flags the paths whose state left float64 range; their state is
-    carried on as zeros.  It is one array, updated in place.
+    flags the paths dropped so far by :func:`_drop`: those whose state
+    left float64 range (carried on as zeros) and those a collector
+    dropped.  It is one array, updated in place.
     """
 
     k: int
@@ -164,12 +159,7 @@ class EulerScheme:
                     s2 = feedback_sum_squares(spec, x, self.agg)
                     # sanitize before any eigen work: a blown-up state must
                     # never reach LAPACK
-                    bad = _bad_rows(s2)
-                    if bad is not None:
-                        excluded |= bad
-                        x[bad] = 0.0
-                        qv[bad] = 0.0
-                        s2[bad] = 0.0
+                    _drop(_bad_rows(s2), excluded, x, qv, s2)
                     sum_db = dB[:, k, :].sum(axis=1)
                     x = (
                         x
@@ -177,23 +167,16 @@ class EulerScheme:
                         + spec.gamma * sum_db[:, None, None] * x
                     )
                     qv = qv + s2 * dt
-                    bad = _bad_rows(x, qv)
+                    _drop(_bad_rows(x, qv), excluded, x, qv)
                 else:
-                    s2 = self.s2[k]
+                    s2, qv = self.s2[k], self.qv[k + 1]
                     if spec.family == "time_poly":
                         h_k = spec.matrices + times[k] * spec.slopes
                     else:
                         h_k = spec.matrices
                     x = x + np.einsum("ci,ikl->ckl", dB[:, k, :], h_k)
-                    bad = _bad_rows(x)
-            if bad is not None:
-                excluded |= bad
-                x[bad] = 0.0
-                if self.feedback:
-                    qv[bad] = 0.0
-            yield EulerStep(
-                k, x_left, x, qv if self.feedback else self.qv[k + 1], s2, excluded
-            )
+                    _drop(_bad_rows(x), excluded, x)
+            yield EulerStep(k, x_left, x, qv, s2, excluded)
 
 
 def simulate_path(spec: IntegrandSpec, grid: TimeGrid, seed) -> Trajectory:
@@ -225,7 +208,7 @@ def supermartingale_series(traj: Trajectory, beta: float) -> np.ndarray:
     m = beta * traj.x - (0.5 * beta * beta) * traj.qv
     eigs = stacked_eigenvalues(m)
     top = float(eigs.max())
-    if top + math.log(traj.dim) > math.log(np.finfo(np.float64).max):
+    if top + math.log(traj.x.shape[-1]) > math.log(np.finfo(np.float64).max):
         raise PathBlowupError("supermartingale statistic overflows float64")
     return np.exp(eigs).sum(axis=-1)
 
@@ -238,8 +221,6 @@ def exact_constant_spectral_norms(matrices, t: float, seed, count: int) -> np.nd
     large n cheap.
     """
     mats = np.asarray(matrices, dtype=np.float64)
-    if mats.ndim == 2:
-        mats = mats[None]
     if count < 1:
         raise InputDomainError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -257,8 +238,7 @@ def exact_constant_spectral_norms(matrices, t: float, seed, count: int) -> np.nd
         c = min(chunk, count - done)
         g = rng.standard_normal((c, mats.shape[0]))
         x = root_t * np.einsum("si,ikl->skl", g, mats)
-        eigs = stacked_eigenvalues(x)
-        out[done : done + c] = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
+        out[done : done + c] = _norm(stacked_eigenvalues(x))
         done += c
     return out
 
@@ -308,24 +288,18 @@ def bridge_exponentials(seeds, steps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CollectorPlan:
-    """What simulate_block should record per path.
+    """What simulate_block records per path: one collector per field.
 
-    sup/terminal spectral statistics are always produced; everything
-    here is opt-in because each item costs eigen work per step.
-    ``sigma2_levels`` requests, per level, the running max of
-    lambda_max over the prefix where ||qv|| stays <= level, both on the
-    grid (``prefix_max_lambda``) and as the Brownian-bridge supremum
-    between grid points (``bridge_prefix_max``), plus the unconditioned
-    bridge supremum ``bridge_sup``.  A continuous-time first-hitting
-    event {some t <= T: lambda_max(X_t) >= u, ||<X>_t|| <= level}
-    reduces to the threshold ``bridge_prefix_max >= u``.  Per step the
-    bridge maximum is sampled exactly given its endpoints, with local
-    variance ||sum_i H_i(t_k)^2||: exact for n = 1, an upper bound on
-    the local variance of lambda_max for n > 1.
-    ``schatten_orders`` are Schatten orders of the terminal x;
-    ``quad_schatten_orders`` are orders p for the left-endpoint
-    quadrature of ||sum_i H_i^2||_p; ``sum_norm_quad`` adds the
-    quadrature of ||sum_i H_i||^2.
+    The sup and terminal spectral norms and the terminal ||qv|| are always
+    recorded.  ``sigma2_levels`` adds the Brownian-bridge tail maxima:
+    ``bridge_sup``, the supremum of lambda_max between grid points, and per
+    level ``bridge_prefix_max``, the same over the steps where ||qv|| stays
+    <= level, so the event {some t <= T: lambda_max(X_t) >= u, ||<X>_t|| <=
+    level} is ``bridge_prefix_max >= u``.  ``supermartingale_betas`` adds
+    Tr exp(beta*X - (beta^2/2)*<X>) at the grid indices ``checkpoints``,
+    ``schatten_orders`` the Schatten norms of X_T, ``quad_schatten_orders``
+    the left-endpoint quadratures of ||sum_i H_i^2||_p and ``sum_norm_quad``
+    that of ||sum_i H_i||^2.
     """
 
     sigma2_levels: tuple[float, ...] = ()
@@ -347,11 +321,214 @@ def _bad_rows(*stacks: np.ndarray) -> np.ndarray | None:
     return ~np.logical_and.reduce([np.isfinite(a).all(axis=(-2, -1)) for a in stacks])
 
 
-def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    y = term - comp
-    t = total + y
-    comp[...] = (t - total) - y
-    total[...] = t
+def _drop(bad: np.ndarray | None, excluded: np.ndarray, *stacks: np.ndarray) -> None:
+    """The one exclusion rule: flag the ``bad`` paths (a :func:`_bad_rows`
+    mask) in ``excluded`` and zero their matrices in ``stacks``, in place."""
+    if bad is not None:
+        excluded |= bad
+        for a in stacks:
+            a[bad] = 0.0
+
+
+def _norm(eigs: np.ndarray) -> np.ndarray:
+    """Spectral norm from ascending eigenvalues on the last axis."""
+    return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
+
+
+class _Spectra:
+    """Eigenvalues of one Euler step's matrices, each solved at most once.
+
+    ``x`` is the state at t_{k+1}, ``qv`` the quadratic variation there,
+    ``s2`` = sum_i H_i(t_k)^2 and ``h`` = sum_i H_i(t_k).  When the
+    integrand depends on time alone qv, s2 and h are path-free:
+    :meth:`path_free` solves each once on the whole grid (qv by grid
+    index, s2 and h by step) and a step is served its row.  On
+    path_feedback, and always for x, they are solved per path.
+    """
+
+    def __init__(self, scheme: EulerScheme):
+        self.scheme = scheme
+        self._grid: dict[str, np.ndarray] = {}
+
+    def at(self, step: EulerStep) -> None:
+        self.step, self._step = step, {}
+
+    def path_free(self, name: str) -> np.ndarray | None:
+        scheme = self.scheme
+        if not scheme.feedback and name != "x" and name not in self._grid:
+            if name == "h":
+                stack = deterministic_sum(scheme.spec, scheme.grid.times()[:-1])
+            else:
+                stack = getattr(scheme, name)
+            self._grid[name] = stacked_eigenvalues(stack)
+        return self._grid.get(name)
+
+    def __call__(self, name: str) -> np.ndarray:
+        if name not in self._step:
+            step, scheme = self.step, self.scheme
+            whole = self.path_free(name)
+            if whole is not None:
+                self._step[name] = whole[step.k + 1 if name == "qv" else step.k]
+            elif name == "h":
+                h = feedback_sum(scheme.spec, step.x_left, scheme.agg)
+                self._step[name] = stacked_eigenvalues(h)
+            else:
+                self._step[name] = stacked_eigenvalues(getattr(step, name))
+        return self._step[name]
+
+
+class _Collector:
+    """One statistic: its output columns, its update and its chunk state.
+
+    ``columns`` maps each output name to its per-path shape.  ``start``
+    hands over a chunk's output rows (views, written in place) and path
+    seeds, ``update`` runs after every Euler step and ``finish`` after
+    the last one, while the spectra still hold that step.
+    """
+
+    def start(self, rows: dict[str, np.ndarray], seeds: np.ndarray) -> None:
+        self.rows = rows
+
+    def update(self, step: EulerStep, spectra: _Spectra) -> None:
+        pass
+
+    def finish(self, spectra: _Spectra) -> None:
+        pass
+
+
+class _Norms(_Collector):
+    """sup_k ||X_k||, ||X_T|| and ||<X>_T||; always on."""
+
+    columns = {"sup_spectral": (), "terminal_spectral": (), "terminal_qv_norm": ()}
+
+    def update(self, step, spectra):
+        np.maximum(self.rows["sup_spectral"], _norm(spectra("x")), out=self.rows["sup_spectral"])
+
+    def finish(self, spectra):
+        self.rows["terminal_spectral"][...] = _norm(spectra("x"))
+        self.rows["terminal_qv_norm"][...] = _norm(spectra("qv"))
+
+
+class _BridgeTail(_Collector):
+    """Brownian-bridge suprema of lambda_max, per sigma^2 level and overall.
+
+    Per step the bridge maximum is sampled exactly given its endpoints, with
+    local variance ||sum_i H_i(t_k)^2||: exact for n = 1, an upper bound on
+    the local variance of lambda_max for n > 1.
+    """
+
+    def __init__(self, levels, grid: TimeGrid):
+        self.levels = np.asarray(levels, dtype=np.float64)
+        self.grid = grid
+        self.columns = {"bridge_prefix_max": (len(levels),), "bridge_sup": ()}
+
+    def start(self, rows, seeds):
+        self.rows, self.seeds = rows, seeds
+        self.lam_prev = np.zeros(len(seeds))
+
+    def update(self, step, spectra):
+        k = step.k
+        if k % _BRIDGE_STEPS == 0:
+            stop = min(k + _BRIDGE_STEPS, self.grid.steps)
+            self.exps = bridge_exponentials(self.seeds, range(k, stop))
+        # exact draw of the max of a Brownian bridge from lam_prev to lam
+        # with variance var over the step
+        lam = spectra("x")[:, -1]
+        var = 2.0 * self.grid.dt * _norm(spectra("s2"))
+        d = lam - self.lam_prev
+        peak = 0.5 * (self.lam_prev + lam + np.sqrt(d * d + var * self.exps[k % _BRIDGE_STEPS]))
+        np.maximum(self.rows["bridge_sup"], peak, out=self.rows["bridge_sup"])
+        self.lam_prev = lam
+        # a level admits step k while ||qv|| at its right end stays inside
+        inside = np.less_equal.outer(_norm(spectra("qv")), self.levels)
+        prefix = self.rows["bridge_prefix_max"]
+        np.maximum(prefix, peak[:, None], out=prefix, where=inside)
+
+
+class _Supermartingale(_Collector):
+    """Tr exp(beta*X - (beta^2/2)*<X>) per beta at each checkpoint."""
+
+    def __init__(self, betas, checkpoints, grid: TimeGrid, n: int):
+        if not checkpoints or min(checkpoints) < 0 or max(checkpoints) > grid.steps:
+            raise InputDomainError(f"supermartingale needs checkpoints in [0, {grid.steps}]")
+        self.betas, self.n = betas, n
+        self.slot = {cp: j for j, cp in enumerate(checkpoints)}
+        self.columns = {"supermart": (len(betas), len(checkpoints))}
+
+    def start(self, rows, seeds):
+        self.rows = rows["supermart"]
+        if 0 in self.slot:
+            self.rows[:, :, self.slot[0]] = float(self.n)
+
+    def update(self, step, spectra):
+        j = self.slot.get(step.k + 1)
+        if j is None:
+            return
+        for b, beta in enumerate(self.betas):
+            m = beta * step.x - (0.5 * beta * beta) * step.qv
+            # an overflowed exponent must never reach LAPACK: drop the path
+            _drop(_bad_rows(m), step.excluded, m)
+            self.rows[:, b, j] = np.exp(stacked_eigenvalues(m)).sum(axis=-1)
+
+
+class _TerminalSchatten(_Collector):
+    """Schatten norms of X_T."""
+
+    def __init__(self, orders):
+        self.orders = orders
+        self.columns = {"schatten_terminal": (len(orders),)}
+
+    def finish(self, spectra):
+        for j, order in enumerate(self.orders):
+            self.rows["schatten_terminal"][:, j] = schatten_from_eigenvalues(spectra("x"), order)
+
+
+class _Quadrature(_Collector):
+    """Left-endpoint quadratures dt * sum_k f(spectrum_k), one per term f.
+
+    On a path-free spectrum each is one math.fsum over the grid; on
+    path_feedback a per-path Kahan sum, step by step.
+    """
+
+    def __init__(self, name, spectrum, terms, shape, spectra: _Spectra):
+        self.name, self.spectrum, self.terms, self.spectra = name, spectrum, terms, spectra
+        self.columns = {name: shape}
+        self.dt = spectra.scheme.grid.dt
+
+    def start(self, rows, seeds):
+        self.total = rows[self.name].reshape(len(seeds), -1)
+        self.comp = np.zeros_like(self.total)
+        whole = self.spectra.path_free(self.spectrum)
+        # a path-free quadrature is summed here, once; no step adds to it
+        self.stepwise = self.terms if whole is None else ()
+        if whole is not None:
+            self.total[...] = [self.dt * math.fsum(f(whole)) for f in self.terms]
+
+    def update(self, step, spectra):
+        for j, f in enumerate(self.stepwise):
+            y = self.dt * f(spectra(self.spectrum)) - self.comp[:, j]
+            t = self.total[:, j] + y
+            self.comp[:, j] = (t - self.total[:, j]) - y
+            self.total[:, j] = t
+
+
+def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
+    """The norms, then one collector per requested CollectorPlan field."""
+    grid, n = spectra.scheme.grid, spectra.scheme.spec.n
+    out: list[_Collector] = [_Norms()]
+    if plan.sigma2_levels:
+        out.append(_BridgeTail(plan.sigma2_levels, grid))
+    if plan.supermartingale_betas:
+        out.append(_Supermartingale(plan.supermartingale_betas, plan.checkpoints, grid, n))
+    if plan.schatten_orders:
+        out.append(_TerminalSchatten(plan.schatten_orders))
+    if plan.quad_schatten_orders:
+        orders = plan.quad_schatten_orders
+        terms = [lambda e, p=p: schatten_from_eigenvalues(e, p, axis=-1) for p in orders]
+        out.append(_Quadrature("quad_schatten", "s2", terms, (len(orders),), spectra))
+    if plan.sum_norm_quad:
+        out.append(_Quadrature("sum_norm_quad", "h", [lambda e: _norm(e) ** 2], (), spectra))
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -370,180 +547,35 @@ def simulate_block(
     plan = plan or CollectorPlan()
     seeds = np.asarray(seeds, dtype=np.uint64)
     total = len(seeds)
-    K, n, dt = grid.steps, spec.n, grid.dt
-    times = grid.times()
-    betas = plan.supermartingale_betas
-    cps = plan.checkpoints
-    if betas and not cps:
-        raise InputDomainError("supermartingale betas require checkpoint indices")
-    if cps and (min(cps) < 0 or max(cps) > K):
-        raise InputDomainError(f"checkpoints must lie in [0, {K}]")
-    levels = np.asarray(plan.sigma2_levels, dtype=np.float64)
     scheme = EulerScheme(spec, grid)
-    feedback = scheme.feedback
-
-    out = {
-        "sup_lambda_max": np.zeros(total),
-        "sup_spectral": np.zeros(total),
-        "terminal_spectral": np.zeros(total),
-        "terminal_qv_norm": np.zeros(total),
-        "excluded": np.zeros(total, dtype=bool),
-    }
-    if len(levels):
-        out["prefix_max_lambda"] = np.zeros((total, len(levels)))
-        out["bridge_prefix_max"] = np.zeros((total, len(levels)))
-        out["bridge_sup"] = np.zeros(total)
-    if betas:
-        out["supermart"] = np.zeros((total, len(betas), len(cps)))
-    if plan.schatten_orders:
-        out["schatten_terminal"] = np.zeros((total, len(plan.schatten_orders)))
-    if plan.quad_schatten_orders:
-        out["quad_schatten"] = np.zeros((total, len(plan.quad_schatten_orders)))
-    if plan.sum_norm_quad:
-        out["sum_norm_quad"] = np.zeros(total)
-
-    # deterministic families: qv and the quadratures are path-free
-    det_qv_norms = det_quads = det_sum_quad = det_bridge_var = None
-    if not feedback:
-        if not np.isfinite(scheme.qv).all():
-            # the shared qv left float64 range: no path has a finite
-            # statistic, and a non-finite matrix must never reach LAPACK
-            out["excluded"][:] = True
-            return out
-        eq = stacked_eigenvalues(scheme.qv)
-        det_qv_norms = np.maximum(np.abs(eq[:, 0]), np.abs(eq[:, -1]))
-        if plan.quad_schatten_orders or len(levels):
-            es2 = stacked_eigenvalues(scheme.s2)
-        if len(levels):
-            # 2 * ||sum_i H_i(t_k)^2|| * dt, the bridge's variance term per step
-            det_bridge_var = 2.0 * dt * np.maximum(np.abs(es2[:, 0]), np.abs(es2[:, -1]))
-        if plan.quad_schatten_orders:
-            det_quads = np.array(
-                [
-                    dt * math.fsum(schatten_from_eigenvalues(es2, order, axis=-1))
-                    for order in plan.quad_schatten_orders
-                ]
-            )
-        if plan.sum_norm_quad:
-            e1 = stacked_eigenvalues(deterministic_sum(spec, times[:-1]))
-            norms1 = np.maximum(np.abs(e1[:, 0]), np.abs(e1[:, -1]))
-            det_sum_quad = dt * math.fsum(norms1**2)
-
-    cp_slot = {cp: j for j, cp in enumerate(cps)}
+    spectra = _Spectra(scheme)
+    collectors = _collectors(plan, spectra)
+    out = {name: np.zeros((total, *shape)) for c in collectors for name, shape in c.columns.items()}
+    excluded = out["excluded"] = np.zeros(total, dtype=bool)
+    if scheme.qv is not None and not np.isfinite(scheme.qv).all():
+        # the shared qv left float64 range: no path has a finite
+        # statistic, and a non-finite matrix must never reach LAPACK
+        excluded[:] = True
+        return out
     for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = slice(start, stop)
-        c = stop - start
+        idx = slice(start, min(start + _CHUNK, total))
         chunk_seeds = seeds[idx]
-        dB = np.empty((c, K, spec.drivers))
-        for b in range(c):
-            dB[b] = brownian_increments(grid, spec.drivers, seeds[start + b])
-        sup_lam = np.zeros(c)
-        sup_spec = np.zeros(c)
-        prefix = bridge_prefix = bridge_sup = None
-        if len(levels):
-            prefix = np.zeros((c, len(levels)))
-            bridge_prefix = np.zeros((c, len(levels)))
-            bridge_sup = np.zeros(c)
-            lam_prev = np.zeros(c)
-        supermart = None
-        if betas:
-            supermart = np.zeros((c, len(betas), len(cps)))
-            if 0 in cp_slot:
-                supermart[:, :, cp_slot[0]] = float(n)
-        quad_tot = quad_comp = None
-        if feedback and plan.quad_schatten_orders:
-            quad_tot = np.zeros((c, len(plan.quad_schatten_orders)))
-            quad_comp = np.zeros_like(quad_tot)
-        snq_tot = snq_comp = None
-        if feedback and plan.sum_norm_quad:
-            snq_tot = np.zeros(c)
-            snq_comp = np.zeros(c)
-
+        dB = np.empty((len(chunk_seeds), grid.steps, spec.drivers))
+        for b, seed in enumerate(chunk_seeds):
+            dB[b] = brownian_increments(grid, spec.drivers, seed)
+        for c in collectors:
+            c.start({name: out[name][idx] for name in c.columns}, chunk_seeds)
         for step in scheme.steps(dB):
-            k, x, qv = step.k, step.x, step.qv
-            if feedback:
-                # left-endpoint reductions of the step's sum of squares
-                if quad_tot is not None or prefix is not None:
-                    es2 = stacked_eigenvalues(step.s2)
-                if prefix is not None:
-                    s2_norm = np.maximum(np.abs(es2[:, 0]), np.abs(es2[:, -1]))
-                    bridge_var = 2.0 * dt * s2_norm
-                if quad_tot is not None:
-                    for j, order in enumerate(plan.quad_schatten_orders):
-                        term = dt * schatten_from_eigenvalues(es2, order, axis=-1)
-                        _kahan_add(quad_tot[:, j], quad_comp[:, j], term)
-                if snq_tot is not None:
-                    e1 = stacked_eigenvalues(feedback_sum(spec, step.x_left, scheme.agg))
-                    term = dt * np.maximum(np.abs(e1[:, 0]), np.abs(e1[:, -1])) ** 2
-                    _kahan_add(snq_tot, snq_comp, term)
-
-            eigs = stacked_eigenvalues(x)
-            lam = eigs[:, -1]
-            spc = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
-            np.maximum(sup_lam, lam, out=sup_lam)
-            np.maximum(sup_spec, spc, out=sup_spec)
-            if prefix is not None:
-                # exact draw of the max of a Brownian bridge from lam_prev
-                # to lam with variance var over the step
-                if k % _BRIDGE_STEPS == 0:
-                    exps = bridge_exponentials(
-                        chunk_seeds, range(k, min(k + _BRIDGE_STEPS, K))
-                    )
-                var = bridge_var if feedback else det_bridge_var[k]
-                d = lam - lam_prev
-                e = exps[k % _BRIDGE_STEPS]
-                peak = 0.5 * (lam_prev + lam + np.sqrt(d * d + var * e))
-                np.maximum(bridge_sup, peak, out=bridge_sup)
-                lam_prev = lam
-                if feedback:
-                    eq = stacked_eigenvalues(qv)
-                    qv_norm = np.maximum(np.abs(eq[:, 0]), np.abs(eq[:, -1]))
-                    for j in range(len(levels)):
-                        mask = qv_norm <= levels[j]
-                        prefix[mask, j] = np.maximum(prefix[mask, j], lam[mask])
-                        bridge_prefix[mask, j] = np.maximum(
-                            bridge_prefix[mask, j], peak[mask]
-                        )
-                else:
-                    for j in range(len(levels)):
-                        if det_qv_norms[k + 1] <= levels[j]:
-                            prefix[:, j] = np.maximum(prefix[:, j], lam)
-                            bridge_prefix[:, j] = np.maximum(bridge_prefix[:, j], peak)
-            if supermart is not None and (k + 1) in cp_slot:
-                for j, beta in enumerate(betas):
-                    m = beta * x - (0.5 * beta * beta) * qv
-                    me = stacked_eigenvalues(m)
-                    supermart[:, j, cp_slot[k + 1]] = np.exp(me).sum(axis=-1)
-
-        excluded = step.excluded
-        out["sup_lambda_max"][idx] = sup_lam
-        out["sup_spectral"][idx] = sup_spec
-        out["terminal_spectral"][idx] = spc
-        if feedback:
-            eq = stacked_eigenvalues(qv)
-            out["terminal_qv_norm"][idx] = np.maximum(np.abs(eq[:, 0]), np.abs(eq[:, -1]))
-        else:
-            out["terminal_qv_norm"][idx] = det_qv_norms[K]
-        if prefix is not None:
-            out["prefix_max_lambda"][idx] = prefix
-            out["bridge_prefix_max"][idx] = bridge_prefix
-            out["bridge_sup"][idx] = bridge_sup
-        if supermart is not None:
-            out["supermart"][idx] = supermart
-        if plan.schatten_orders:
-            for j, order in enumerate(plan.schatten_orders):
-                out["schatten_terminal"][idx, j] = schatten_from_eigenvalues(
-                    eigs, order, axis=-1
-                )
-        if plan.quad_schatten_orders:
-            out["quad_schatten"][idx] = quad_tot if feedback else det_quads
-        if plan.sum_norm_quad:
-            out["sum_norm_quad"][idx] = snq_tot if feedback else det_sum_quad
-        # an overflowed statistic (np.maximum carries a nan or inf peak
-        # through to the end) must not reach an event count or an interval
-        for key, values in out.items():
-            if key != "excluded":
-                excluded |= ~np.isfinite(values[idx].reshape(c, -1)).all(axis=1)
-        out["excluded"][idx] = excluded
+            spectra.at(step)
+            for c in collectors:
+                c.update(step, spectra)
+        for c in collectors:
+            c.finish(spectra)
+        # the one exclusion rule: a state that left float64 range, or a
+        # non-finite statistic (np.maximum carries a nan or inf peak to
+        # the end), must not reach an event count or an interval
+        rows = excluded[idx]
+        rows |= step.excluded
+        for values in out.values():
+            rows |= ~np.isfinite(values[idx].reshape(len(chunk_seeds), -1)).all(axis=1)
     return out

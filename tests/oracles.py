@@ -23,7 +23,7 @@ from mmlab.linalg import (
     sym_eigen,
     symmetrize,
 )
-from mmlab.simulate import TimeGrid, Trajectory, brownian_increments
+from mmlab.simulate import EulerScheme, TimeGrid, Trajectory, brownian_increments
 
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -295,3 +295,26 @@ def euler_with_increments(spec: IntegrandSpec, grid: TimeGrid, increments) -> Tr
 def reference_path(spec: IntegrandSpec, grid: TimeGrid, seed) -> Trajectory:
     """The per-matrix Euler trajectory of one seed's increments."""
     return euler_with_increments(spec, grid, brownian_increments(grid, spec.drivers, seed))
+
+
+def grid_lambda_max(spec: IntegrandSpec, grid: TimeGrid, seeds, levels=()):
+    """Grid maxima of lambda_max for a block of path seeds.
+
+    Returns ``(sup, prefix)``: ``sup[j]`` is max_k lambda_max(X_k) of path
+    j and ``prefix[j, l]`` the same over the grid indices k >= 1 where
+    ||<X>_k|| <= levels[l]; both start from 0, the value at X_0 = 0.
+    These are the grid statistics the tail checks used before they moved
+    to the Brownian-bridge supremum.  The engine's stepper supplies the
+    states and numpy's ``eigvalsh`` the spectra.
+    """
+    dB = np.stack([brownian_increments(grid, spec.drivers, s) for s in seeds])
+    sup = np.zeros(len(dB))
+    prefix = np.zeros((len(dB), len(levels)))
+    for step in EulerScheme(spec, grid).steps(dB):
+        lam = np.linalg.eigvalsh(step.x)[:, -1]
+        qv_norm = np.abs(np.linalg.eigvalsh(np.broadcast_to(step.qv, step.x.shape))).max(axis=-1)
+        np.maximum(sup, lam, out=sup)
+        for j, level in enumerate(levels):
+            inside = qv_norm <= level
+            prefix[inside, j] = np.maximum(prefix[inside, j], lam[inside])
+    return sup, prefix

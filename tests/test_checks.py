@@ -33,10 +33,10 @@ from mmlab.integrands import (
     rect_constant_spec,
     time_poly_spec,
 )
-from mmlab.montecarlo import ExperimentConfig, run_batch, wilson_interval
+from mmlab.montecarlo import ExperimentConfig, derive_path_seeds, run_batch, wilson_interval
 from mmlab.simulate import TimeGrid
 
-from .oracles import reflection_sup_tail
+from .oracles import grid_lambda_max, reflection_sup_tail
 
 
 def make_batch(spec, checks, paths, seed, steps=256):
@@ -295,7 +295,10 @@ class TestFreedman:
         target = reflection_sup_tail(1.0, 1.0, 1.0)
         res = freedman_check(batch, u=1.0, sigma2=1.0)
         assert abs(res.lhs - target) <= res.lhs_ci
-        grid_hits = int((batch.data["prefix_max_lambda"][:, 0] >= 1.0).sum())
+        assert batch.excluded_count == 0
+        seeds = derive_path_seeds(batch.master_seed, 0, batch.path_count)
+        _, prefix = grid_lambda_max(batch.spec, batch.grid, seeds, (1.0,))
+        grid_hits = int((prefix[:, 0] >= 1.0).sum())
         grid = wilson_interval(grid_hits, batch.kept_count, 0.99)
         assert not grid.lo <= target <= grid.hi
         assert res.metadata["events"] >= grid_hits

@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from mmlab.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_HEADER = "name,n,N,family,p,u,sigma2,t,lhs,lhs_ci,rhs,rhs_ci,ratio,holds,paths,seed"
 
@@ -171,6 +177,33 @@ class TestVerify:
         assert result.exit_code == 1, result.output
         assert "run failed: 200 of 200 paths excluded" in result.output
         assert [w.message for w in caught] == []
+        obj = json.loads((out / "report.json").read_text())
+        assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 200
+
+    def test_overflowing_supermartingale_exponent_writes_failed_report(self, tmp_path):
+        # x and qv stay finite, but beta * x - (beta^2 / 2) * qv does not;
+        # n = 3 takes LAPACK, which must never see that matrix
+        cfg = write_cfg(
+            tmp_path,
+            "integrand.family = constant\n"
+            "integrand.matrix.1 = 1 0 0; 0 2 1; 0 1 3\n"
+            "grid.steps = 16\npaths = 200\nmaster_seed = 11\n"
+            "check.1.kind = supermartingale\ncheck.1.beta = 100\n",
+        )
+        out = tmp_path / "out"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MMLAB_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmlab.cli", "verify", "--config", cfg, "--out", str(out)]
+            + ["--set", "integrand.matrix.1=1e153 1e153 0; 1e153 2 1; 0 1 3"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "run failed: 200 of 200 paths excluded" in proc.stdout + proc.stderr
         obj = json.loads((out / "report.json").read_text())
         assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 200
 

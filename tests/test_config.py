@@ -9,7 +9,6 @@ from mmlab.config import (
     DumpSettings,
     SweepSettings,
     env_overrides,
-    parse_config,
     parse_settings,
     sweep_configs,
 )
@@ -49,23 +48,15 @@ class TestBasicParsing:
         assert exp.checks == ()
         assert settings.sweep is None and settings.dump is None
 
-    def test_parse_config_returns_experiment(self):
-        direct = parse_config(MINIMAL)
-        via_settings = parse_settings(MINIMAL).experiment
-        assert direct.paths == via_settings.paths
-        assert direct.master_seed == via_settings.master_seed
-        assert direct.spec.family == via_settings.spec.family
-        assert np.array_equal(direct.spec.matrices, via_settings.spec.matrices)
-
     def test_checks_parsed_in_index_order(self):
-        exp = parse_config(CHECKED)
+        exp = parse_settings(CHECKED).experiment
         assert [c.kind for c in exp.checks] == ["freedman", "bdg"]
         assert exp.checks[0].u == 2.0 and exp.checks[0].sigma2 == 1.0
         assert exp.checks[1].p == 2
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# leading comment\n\n" + CHECKED + "\n# trailing\n"
-        assert parse_config(text) == parse_config(CHECKED)
+        assert parse_settings(text).experiment == parse_settings(CHECKED).experiment
 
     def test_optional_scalars(self):
         text = MINIMAL + (
@@ -73,7 +64,7 @@ class TestBasicParsing:
             "confidence = 0.95\nslack_factor = 2.0\nbootstrap.resamples = 250\n"
             "test_hooks.rhs_multiplier = 0.5\n"
         )
-        exp = parse_config(text)
+        exp = parse_settings(text).experiment
         assert exp.grid.horizon == 2.0 and exp.grid.steps == 64
         assert exp.block_size == 7
         assert exp.confidence == 0.95 and exp.slack_factor == 2.0
@@ -177,14 +168,14 @@ class TestFamilies:
             "integrand.drivers = 3\nintegrand.seed = 7\n"
             "paths = 200\nmaster_seed = 1\n"
         )
-        spec = parse_config(text).spec
+        spec = parse_settings(text).experiment.spec
         assert spec.family == "goe_like"
         assert spec.matrices.shape == (3, 4, 4)
         assert spec.seed == 7
 
     def test_diag_basis(self):
         text = "integrand.family = diag_basis\nintegrand.n = 3\npaths = 200\nmaster_seed = 1\n"
-        spec = parse_config(text).spec
+        spec = parse_settings(text).experiment.spec
         assert spec.family == "diag_basis" and spec.drivers == 3
 
     def test_time_poly_requires_slopes(self):
@@ -195,7 +186,7 @@ class TestFamilies:
         with pytest.raises(ConfigError) as err:
             parse_settings(base)
         assert err.value.key == "integrand.slope.1"
-        spec = parse_config(base + "integrand.slope.1 = 0 1; 1 0\n").spec
+        spec = parse_settings(base + "integrand.slope.1 = 0 1; 1 0\n").experiment.spec
         assert spec.family == "time_poly"
         assert np.array_equal(spec.slopes[0], np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -207,14 +198,14 @@ class TestFamilies:
         with pytest.raises(ConfigError) as err:
             parse_settings(base)
         assert err.value.key == "integrand.gamma"
-        assert parse_config(base + "integrand.gamma = 0.2\n").spec.gamma == 0.2
+        assert parse_settings(base + "integrand.gamma = 0.2\n").experiment.spec.gamma == 0.2
 
     def test_rect_constant(self):
         text = (
             "integrand.family = rect_constant\nintegrand.matrix.1 = 1 0\n"
             "paths = 200\nmaster_seed = 1\n"
         )
-        spec = parse_config(text).spec
+        spec = parse_settings(text).experiment.spec
         assert spec.rect_shape == (1, 2) and spec.n == 3
 
     def test_unknown_family(self):
@@ -237,13 +228,13 @@ class TestOverrides:
         assert env_overrides(env) == {"paths": "2000", "grid.steps": "64"}
 
     def test_precedence_file_env_set(self):
-        exp = parse_config(
+        exp = parse_settings(
             MINIMAL,
             overrides={"paths": "3000"},
             environ={"MMLAB_PATHS": "2000"},
-        )
+        ).experiment
         assert exp.paths == 3000
-        exp = parse_config(MINIMAL, environ={"MMLAB_PATHS": "2000"})
+        exp = parse_settings(MINIMAL, environ={"MMLAB_PATHS": "2000"}).experiment
         assert exp.paths == 2000
 
     def test_env_unknown_key(self):
@@ -257,7 +248,7 @@ class TestOverrides:
             parse_settings(MINIMAL, overrides={"bogus": "1"})
 
     def test_override_can_add_new_key(self):
-        exp = parse_config(MINIMAL, overrides={"grid.steps": "32"})
+        exp = parse_settings(MINIMAL, overrides={"grid.steps": "32"}).experiment
         assert exp.grid.steps == 32
 
 

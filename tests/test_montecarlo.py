@@ -390,7 +390,7 @@ class TestRunBatch:
                 checks=(CheckRequest(kind="freedman", u=1.0, sigma2=1.0),),
             )
             batch = run_batch(cfg)
-            hits = int((batch.data["prefix_max_lambda"][:, 0] >= 1.0).sum())
+            hits = int((batch.data["bridge_prefix_max"][:, 0] >= 1.0).sum())
             widths[paths] = wilson_interval(hits, batch.kept_count, 0.99).half_width
         ratio_sq = (widths[2000] / widths[4000]) ** 2
         assert 1.5 <= ratio_sq <= 2.5

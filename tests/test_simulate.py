@@ -32,6 +32,7 @@ from .oracles import (
     EvalContext,
     evaluate_integrand,
     exact_constant_path,
+    grid_lambda_max,
     loewner_leq,
     reference_path,
     schatten_norm,
@@ -264,7 +265,7 @@ class TestSimulateBlock:
                 s = summarize(reference_path(spec, grid, seed))
                 rel = max(1.0, s.sup_spectral)
                 assert abs(out["sup_spectral"][j] - s.sup_spectral) < 1e-12 * rel
-                assert abs(out["sup_lambda_max"][j] - s.sup_lambda_max) < 1e-12 * rel
+                assert out["bridge_sup"][j] >= s.sup_lambda_max - 1e-12 * rel
                 assert abs(
                     out["terminal_spectral"][j] - spectral_norm(s.terminal_x)
                 ) < 1e-12 * rel
@@ -281,11 +282,15 @@ class TestSimulateBlock:
                     assert np.max(np.abs(got - ref)) < 1e-10 * max(1.0, ref.max())
 
     def test_prefix_max_encodes_joint_event(self):
+        # the grid prefix max (oracles.grid_lambda_max) is the max of
+        # lambda_max over the joint event set; the engine's bridge prefix
+        # max over the same steps is at least that
         grid = TimeGrid(1.0, 64)
         levels = (0.25, 0.75, 10.0)
         for spec in family_zoo(2):
             seeds = np.arange(100, 120, dtype=np.uint64)
             out = simulate_block(spec, grid, seeds, CollectorPlan(sigma2_levels=levels))
+            _, prefix = grid_lambda_max(spec, grid, seeds, levels)
             for j, seed in enumerate(seeds):
                 s = summarize(reference_path(spec, grid, seed))
                 lam = s.lambda_max_series
@@ -294,9 +299,8 @@ class TestSimulateBlock:
                     brute = lam[ok].max() if ok.any() else -math.inf
                     # index 0 is always in the event set (both processes start at 0)
                     assert ok[0]
-                    assert out["prefix_max_lambda"][j, li] == pytest.approx(
-                        max(brute, 0.0), abs=1e-12
-                    )
+                    assert prefix[j, li] == pytest.approx(max(brute, 0.0), abs=1e-12)
+                    assert out["bridge_prefix_max"][j, li] >= max(brute, 0.0) - 1e-12
 
     def test_bridge_max_dominates_grid_max(self):
         grid = TimeGrid(1.0, 64)
@@ -304,16 +308,18 @@ class TestSimulateBlock:
         for spec in family_zoo(2) + [constant_spec(np.eye(1))]:
             seeds = np.arange(200, 240, dtype=np.uint64)
             out = simulate_block(spec, grid, seeds, CollectorPlan(sigma2_levels=levels))
-            assert np.all(out["bridge_prefix_max"] >= out["prefix_max_lambda"])
-            assert np.all(out["bridge_sup"] >= out["sup_lambda_max"])
+            sup, prefix = grid_lambda_max(spec, grid, seeds, levels)
+            assert np.all(out["bridge_prefix_max"] >= prefix)
+            assert np.all(out["bridge_sup"] >= sup)
             assert np.all(out["bridge_sup"] >= out["bridge_prefix_max"].max(axis=1))
             assert np.all(np.isfinite(out["bridge_sup"]))
 
     def test_bridge_max_equals_grid_max_for_zero_integrand(self):
         spec = constant_spec(np.zeros((2, 2)))
         out = simulate_block(spec, GRID, np.arange(8), CollectorPlan(sigma2_levels=(1.0,)))
-        assert np.array_equal(out["bridge_prefix_max"], out["prefix_max_lambda"])
-        assert np.array_equal(out["bridge_sup"], out["sup_lambda_max"])
+        sup, prefix = grid_lambda_max(spec, GRID, np.arange(8), (1.0,))
+        assert np.array_equal(out["bridge_prefix_max"], prefix)
+        assert np.array_equal(out["bridge_sup"], sup)
 
     def test_bridge_max_matches_trajectory_reference(self):
         grid = TimeGrid(1.0, 40)
@@ -427,6 +433,43 @@ class TestSimulateBlock:
         )
         out = simulate_block(spec, GRID, [7], plan)
         assert np.all(out["supermart"][:, :, 0] == 3.0)
+
+    def test_eigen_solve_budget(self, monkeypatch):
+        # every collector on, 10 paths in chunks of 4, 4 and 2, 16 steps
+        # with 7 supermartingale checkpoints after t = 0, two betas:
+        # - time-only families solve qv (17 matrices), s2 and sum_i H_i
+        #   (16 each) once on the whole grid; then per chunk x at each step
+        #   and one solve per beta per checkpoint
+        # - path_feedback solves x, qv, s2 and sum_i H_i per step, plus
+        #   the checkpoints; ||<X>_T|| reuses the last step's qv spectrum
+        grid = TimeGrid(1.0, 16)
+        plan = CollectorPlan(
+            sigma2_levels=(0.5, 2.0),
+            supermartingale_betas=(0.5, 1.0),
+            checkpoints=default_checkpoints(16),
+            schatten_orders=(2.0,),
+            quad_schatten_orders=(1.0, 2.0),
+            sum_norm_quad=True,
+        )
+        zoo = family_zoo(3)
+        budget = {
+            "goe_like": (3 + 3 * (16 + 14), 49 + 10 * (16 + 14)),
+            "time_poly": (3 + 3 * (16 + 14), 49 + 10 * (16 + 14)),
+            "path_feedback": (3 * (4 * 16 + 14), 10 * (4 * 16 + 14)),
+        }
+        solve = simulate_module.stacked_eigenvalues
+        monkeypatch.setattr(simulate_module, "_CHUNK", 4)
+        for spec in (s for s in zoo if s.family in budget):
+            calls, matrices = [0], [0]
+
+            def counted(a):
+                calls[0] += 1
+                matrices[0] += math.prod(a.shape[:-2])
+                return solve(a)
+
+            monkeypatch.setattr(simulate_module, "stacked_eigenvalues", counted)
+            simulate_block(spec, grid, np.arange(10, dtype=np.uint64), plan)
+            assert (calls[0], matrices[0]) == budget[spec.family], spec.family
 
     def test_betas_without_checkpoints_rejected(self):
         with pytest.raises(InputDomainError, match="checkpoint"):
