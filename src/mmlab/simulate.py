@@ -539,9 +539,9 @@ def simulate_block(
 
     Results for path j depend only on (spec, grid, seeds[j], plan), so
     any partition of a batch into blocks reproduces identical numbers.
-    A path whose state leaves float64 range is zeroed out, and a path
-    with a non-finite entry in any output is flagged in the returned
-    ``excluded`` mask, instead of raising.  Overflow in the arithmetic
+    A path whose state or supermartingale exponent leaves float64 range,
+    or with a non-finite entry in any output, is flagged in the returned
+    ``excluded`` mask instead of raising.  Overflow in the arithmetic
     raises no numpy warning: the exclusion mask reports it.
     """
     plan = plan or CollectorPlan()

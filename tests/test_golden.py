@@ -32,11 +32,17 @@ GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize(
-    "config, stem", [("all_kinds.cfg", "report"), ("feedback_kinds.cfg", "feedback_kinds_report")]
+    "config, stem, workers",
+    [
+        # the all_kinds runs keep their ids from before the second config
+        pytest.param("all_kinds.cfg", "report", "1", id="1"),
+        pytest.param("all_kinds.cfg", "report", "2", id="2"),
+        pytest.param("feedback_kinds.cfg", "feedback_kinds_report", "1", id="feedback_kinds-1"),
+        pytest.param("feedback_kinds.cfg", "feedback_kinds_report", "2", id="feedback_kinds-2"),
+    ],
 )
-def test_reports_match_golden_bytes(tmp_path, workers, config, stem):
+def test_reports_match_golden_bytes(tmp_path, config, stem, workers):
     out = tmp_path / "out"
     result = CliRunner().invoke(
         main,
