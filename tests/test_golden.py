@@ -15,6 +15,14 @@ good_lambda, bdg, schatten, biane_speicher and supermartingale checks;
 solves, Kahan quadratures and per-path sigma2 masks.  They were written
 by ``mmlab verify`` before the engine's collectors became objects.
 
+``golden/goe_kinds.cfg`` (a 4x4 ``goe_like`` integrand) and
+``golden/feedback3_kinds.cfg`` (a 3x3 ``path_feedback`` integrand) are the
+n >= 3 cases, where x, and on path_feedback <X>, are solved by LAPACK
+only on the rows whose statistics can still change.  Their reports were
+written by ``mmlab verify`` before the engine began to skip solves, so
+they pin that every skipped solve is one no output could feel.  Unlike
+the 2x2 goldens their bytes rest on the LAPACK build's ``eigvalsh``.
+
 ``golden/trajectory_{0,1,2}.csv`` were written by ``mmlab simulate`` on
 ``configs/simulate_dump.cfg`` (a 2x2 ``path_feedback`` integrand, 256
 steps) when the dump moved onto the block engine's stepper; an edit to
@@ -40,6 +48,10 @@ CONFIGS = Path(__file__).parent.parent / "configs"
         pytest.param("all_kinds.cfg", "report", "2", id="2"),
         pytest.param("feedback_kinds.cfg", "feedback_kinds_report", "1", id="feedback_kinds-1"),
         pytest.param("feedback_kinds.cfg", "feedback_kinds_report", "2", id="feedback_kinds-2"),
+        pytest.param("goe_kinds.cfg", "goe_kinds_report", "1", id="goe_kinds-1"),
+        pytest.param("goe_kinds.cfg", "goe_kinds_report", "2", id="goe_kinds-2"),
+        pytest.param("feedback3_kinds.cfg", "feedback3_kinds_report", "1", id="feedback3_kinds-1"),
+        pytest.param("feedback3_kinds.cfg", "feedback3_kinds_report", "2", id="feedback3_kinds-2"),
     ],
 )
 def test_reports_match_golden_bytes(tmp_path, config, stem, workers):
