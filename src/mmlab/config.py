@@ -416,6 +416,8 @@ def _build_dump(entries, experiment: ExperimentConfig) -> DumpSettings | None:
                 paths_entry,
             )
     beta = _to_float("dump.beta", beta_entry) if beta_entry else None
+    if beta is not None and not np.isfinite(beta):
+        raise _err(f"dump.beta must be finite, got '{beta_entry.value}'", "dump.beta", beta_entry)
     return DumpSettings(paths=indices, beta=beta)
 
 

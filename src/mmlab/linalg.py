@@ -97,12 +97,20 @@ def sym_eigen(a, with_basis: bool = True) -> Spectrum:
         ) from exc
 
 
+def has_closed_form(n: int) -> bool:
+    """Whether :func:`stacked_eigenvalues` solves n x n matrices in closed
+    form (n <= 2) rather than through LAPACK."""
+    return n <= 2
+
+
 def stacked_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a stack of symmetric matrices.
 
     Shape ``(..., n, n) -> (..., n)``.  n = 1 and n = 2 use closed
-    forms; everything else goes through LAPACK.  This is the hot path
-    of the Monte Carlo engine.
+    forms (see :func:`has_closed_form`); everything else goes through
+    LAPACK, one matrix at a time, so a matrix's eigenvalues do not
+    depend on the rest of the stack.  This is the hot path of the Monte
+    Carlo engine.
     """
     n = a.shape[-1]
     if n == 1:

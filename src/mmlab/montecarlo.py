@@ -250,9 +250,15 @@ def bootstrap_ci(
     rng = np.random.default_rng(seed)
     rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // m)
     means = np.empty(resamples)
+    # one gather buffer for every block: a fresh one per block of a large
+    # sample is a fresh mmap, and faults its pages in again each time
+    # ("clip" never clips these indices; it only spares take a temporary)
+    gathered = np.empty((min(rows, resamples), m))
     for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)
-        means[start:stop] = arr[rng.integers(0, m, size=(stop - start, m))].mean(axis=1)
+        block = gathered[: stop - start]
+        np.take(arr, rng.integers(0, m, size=block.shape), out=block, mode="clip")
+        means[start:stop] = block.mean(axis=1)
     stats = np.array([statistic(s) for s in means.tolist()], dtype=np.float64)
     if not np.all(np.isfinite(stats)):
         raise NumericError(f"{label}: a bootstrap resample gave a non-finite statistic")

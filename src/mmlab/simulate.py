@@ -13,6 +13,16 @@ path and keeps the whole :class:`Trajectory` (trajectory dumps).
 step, feeds one collector object per :class:`CollectorPlan` field from a
 cache that solves each spectrum (x, qv, sum_i H_i^2, sum_i H_i) at most
 once per step.
+
+For n >= 3, where every solve is a LAPACK call, the cache solves x (and
+on path_feedback qv) only on the paths where some collector's output
+could still change.  Each
+path keeps the last state it solved exactly, and Weyl's inequality
+bounds every eigenvalue of X_{k+1} by that state's eigenvalues plus
+||X_{k+1} - X_j||_F.  A path is skipped only while these bounds, widened
+by a relative margin far above the rounding of ``eigvalsh``, prove that
+the exact spectrum would leave every output unchanged, so the outputs
+are bit-identical to solving every path at every step.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .integrands import (
     feedback_sum_squares,
     is_path_dependent,
 )
-from .linalg import schatten_from_eigenvalues, stacked_eigenvalues
+from .linalg import has_closed_form, schatten_from_eigenvalues, stacked_eigenvalues
 
 DEFAULT_HORIZON = 1.0
 DEFAULT_STEPS = 256
@@ -43,6 +53,11 @@ DEFAULT_STEPS = 256
 _CHUNK = 1024
 # grid steps per batch of bridge draws; memory and speed only
 _BRIDGE_STEPS = 16
+# relative width added to every eigenvalue bound before it may skip a
+# solve: eigvalsh and the bound arithmetic are accurate to a small multiple
+# of n * eps (about 1e-16) relative to the norms involved, so this leaves
+# room for n far beyond any dimension a LAPACK solve per path can afford
+_MARGIN = 1e-8
 
 MASK64 = (1 << 64) - 1
 # splitmix64 increment (golden-ratio constant); counter streams step by it
@@ -200,12 +215,16 @@ def simulate_path(spec: IntegrandSpec, grid: TimeGrid, seed) -> Trajectory:
 def supermartingale_series(traj: Trajectory, beta: float) -> np.ndarray:
     """Tr exp(beta*x[k] - (beta^2/2)*qv[k]) along the grid.
 
-    Starts at the matrix dimension exactly; overflow raises
-    PathBlowupError rather than returning infinity.
+    Starts at the matrix dimension exactly; an exponent or a trace that
+    overflows raises PathBlowupError rather than returning infinity.
     """
     if not math.isfinite(beta):
         raise InputDomainError(f"beta must be finite, got {beta}")
-    m = beta * traj.x - (0.5 * beta * beta) * traj.qv
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = beta * traj.x - (0.5 * beta * beta) * traj.qv
+    # a non-finite exponent must never reach LAPACK
+    if not np.isfinite(m).all():
+        raise PathBlowupError(f"supermartingale exponent at beta = {beta:g} overflows float64")
     eigs = stacked_eigenvalues(m)
     top = float(eigs.max())
     if top + math.log(traj.x.shape[-1]) > math.log(np.finfo(np.float64).max):
@@ -335,6 +354,13 @@ def _norm(eigs: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
 
 
+def _peak(a, b, ve):
+    """Maximum of a Brownian bridge from ``a`` to ``b`` whose variance over
+    the step times an Exp(1) draw is ``ve``: nondecreasing in a and b."""
+    d = b - a
+    return 0.5 * (a + b + np.sqrt(d * d + ve))
+
+
 class _Spectra:
     """Eigenvalues of one Euler step's matrices, each solved at most once.
 
@@ -344,14 +370,44 @@ class _Spectra:
     :meth:`path_free` solves each once on the whole grid (qv by grid
     index, s2 and h by step) and a step is served its row.  On
     path_feedback, and always for x, they are solved per path.
+
+    A per-path solve may be limited to some paths (``rows``); the others
+    are NaN and :meth:`solved` tells them apart.  Every path counts as
+    needed when the dimension has a closed form, which costs less than a
+    bound, and at the last step.  Otherwise x is solved on the union of
+    the paths the collectors need, and :meth:`x_bounds` certifies the
+    rest: each path keeps an anchor, the last state it solved exactly,
+    and by Weyl's inequality every eigenvalue of x lies within
+    ||x - anchor||_F of the anchor's.
     """
 
     def __init__(self, scheme: EulerScheme):
         self.scheme = scheme
+        self.certify = not has_closed_form(scheme.spec.n)
         self._grid: dict[str, np.ndarray] = {}
 
-    def at(self, step: EulerStep) -> None:
-        self.step, self._step = step, {}
+    def start(self, paths: int) -> None:
+        """A new chunk: every anchor is X_0 = 0, whose eigenvalues are 0.
+
+        ``anchor_norm`` and ``anchor_top`` are the anchor's ||.|| and
+        lambda_max, widened by the margin for the rounding of eigvalsh.
+        """
+        n = self.scheme.spec.n
+        self.everyone = np.ones(paths, dtype=bool)
+        self.anchor = np.zeros((paths, n, n))
+        self.anchor_norm = np.zeros(paths)
+        self.anchor_top = np.zeros(paths)
+
+    def at(self, step: EulerStep, collectors) -> None:
+        """Move to ``step`` and solve x on every path a collector needs."""
+        self.step, self._step, self._solved = step, {}, {}
+        self.last = step.k == self.scheme.grid.steps - 1
+        rows = None
+        if self.certify and not self.last:
+            rows = np.zeros(len(step.x), dtype=bool)
+            for c in collectors:
+                rows |= c.need(step, self)
+        self("x", rows)
 
     def path_free(self, name: str) -> np.ndarray | None:
         scheme = self.scheme
@@ -363,17 +419,51 @@ class _Spectra:
             self._grid[name] = stacked_eigenvalues(stack)
         return self._grid.get(name)
 
-    def __call__(self, name: str) -> np.ndarray:
+    def x_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per path, ceilings on ||x|| and lambda_max(x) as eigvalsh would
+        return them; non-finite where the certificate fails."""
+        if "bounds" not in self._step:
+            diff = self.step.x - self.anchor
+            dist = np.sqrt(np.einsum("cij,cij->c", diff, diff)) * (1.0 + _MARGIN)
+            self._step["bounds"] = (self.anchor_norm + dist, self.anchor_top + dist)
+        return self._step["bounds"]
+
+    def solved(self, name: str) -> np.ndarray:
+        """The mask of paths on which ``name``'s spectrum is solved."""
+        return self._solved[name]
+
+    def __call__(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
+        """Eigenvalues of ``name`` at this step: (paths, n), or (n,) when
+        path-free.  ``rows``, a path mask, limits a per-path solve to those
+        paths; callers pass one only while solves are certified."""
         if name not in self._step:
             step, scheme = self.step, self.scheme
             whole = self.path_free(name)
             if whole is not None:
                 self._step[name] = whole[step.k + 1 if name == "qv" else step.k]
-            elif name == "h":
-                h = feedback_sum(scheme.spec, step.x_left, scheme.agg)
-                self._step[name] = stacked_eigenvalues(h)
+                self._solved[name] = self.everyone
+                return self._step[name]
+            if name == "h":
+                stack = feedback_sum(scheme.spec, step.x_left, scheme.agg)
             else:
-                self._step[name] = stacked_eigenvalues(getattr(step, name))
+                stack = getattr(step, name)
+            if rows is None or rows.all():
+                idx = slice(None)
+                eigs = part = stacked_eigenvalues(stack)
+                rows = self.everyone
+            else:
+                idx = np.flatnonzero(rows)
+                stack = stack[idx]
+                eigs = np.full((len(rows), stack.shape[-1]), np.nan)
+                part = stacked_eigenvalues(stack) if len(idx) else eigs[idx]
+                eigs[idx] = part
+            if name == "x" and self.certify and not self.last:
+                self.anchor[idx] = stack
+                norm = _norm(part)
+                widen = _MARGIN * norm
+                self.anchor_norm[idx] = norm + widen
+                self.anchor_top[idx] = part[:, -1] + widen
+            self._step[name], self._solved[name] = eigs, rows
         return self._step[name]
 
 
@@ -383,11 +473,17 @@ class _Collector:
     ``columns`` maps each output name to its per-path shape.  ``start``
     hands over a chunk's output rows (views, written in place) and path
     seeds, ``update`` runs after every Euler step and ``finish`` after
-    the last one, while the spectra still hold that step.
+    the last one, while the spectra still hold that step.  While x's
+    solves are certified, ``need`` runs before ``update`` and names the
+    paths whose exact x spectrum the update must see: on the others
+    ``spectra("x")`` is NaN, and the update must leave them unchanged.
     """
 
     def start(self, rows: dict[str, np.ndarray], seeds: np.ndarray) -> None:
         self.rows = rows
+
+    def need(self, step: EulerStep, spectra: _Spectra) -> np.ndarray | bool:
+        return False
 
     def update(self, step: EulerStep, spectra: _Spectra) -> None:
         pass
@@ -397,12 +493,20 @@ class _Collector:
 
 
 class _Norms(_Collector):
-    """sup_k ||X_k||, ||X_T|| and ||<X>_T||; always on."""
+    """sup_k ||X_k||, ||X_T|| and ||<X>_T||; always on.
+
+    sup_k ||X_k|| needs x only where the ceiling on ||X_{k+1}|| reaches it.
+    """
 
     columns = {"sup_spectral": (), "terminal_spectral": (), "terminal_qv_norm": ()}
 
+    def need(self, step, spectra):
+        # a nan ceiling fails the comparison, so it asks for the solve
+        return ~(spectra.x_bounds()[0] < self.rows["sup_spectral"])
+
     def update(self, step, spectra):
-        np.maximum(self.rows["sup_spectral"], _norm(spectra("x")), out=self.rows["sup_spectral"])
+        sup = self.rows["sup_spectral"]
+        np.maximum(sup, _norm(spectra("x")), out=sup, where=spectra.solved("x"))
 
     def finish(self, spectra):
         self.rows["terminal_spectral"][...] = _norm(spectra("x"))
@@ -415,6 +519,14 @@ class _BridgeTail(_Collector):
     Per step the bridge maximum is sampled exactly given its endpoints, with
     local variance ||sum_i H_i(t_k)^2||: exact for n = 1, an upper bound on
     the local variance of lambda_max for n > 1.
+
+    The peak is nondecreasing in both endpoints, so ceilings on them bound
+    it: x is needed only where that bound reaches the lowest maximum the
+    step can raise.  Where the left endpoint was skipped, it is solved
+    late, and only where the bound with the exact right endpoint still
+    reaches.  On path_feedback each path's ||<X>|| is bracketed too:
+    Weyl's inequality moves the ends by dt * lambda(sum_i H_i^2) per step,
+    and <X> is solved only where a level falls inside the bracket.
     """
 
     def __init__(self, levels, grid: TimeGrid):
@@ -424,25 +536,89 @@ class _BridgeTail(_Collector):
 
     def start(self, rows, seeds):
         self.rows, self.seeds = rows, seeds
-        self.lam_prev = np.zeros(len(seeds))
+        paths = len(seeds)
+        # lambda_max(X_k) at the step's left end, exact where left_exact and
+        # a ceiling elsewhere, and a ceiling on ||X_k||
+        self.lam_prev = np.zeros(paths)
+        self.left_exact = np.ones(paths, dtype=bool)
+        self.norm_prev = np.zeros(paths)
+        # path_feedback: lambda_max(<X>) from below, ||<X>|| from above
+        self.qv_floor = np.zeros(paths)
+        self.qv_ceil = np.zeros(paths)
+        self.k = -1
 
-    def update(self, step, spectra):
-        k = step.k
+    def _prepare(self, step, spectra):
+        """Once per step: the variance term, the levels that admit the
+        step and the lowest maximum it can raise."""
+        if self.k == step.k:
+            return
+        self.k = k = step.k
         if k % _BRIDGE_STEPS == 0:
             stop = min(k + _BRIDGE_STEPS, self.grid.steps)
             self.exps = bridge_exponentials(self.seeds, range(k, stop))
-        # exact draw of the max of a Brownian bridge from lam_prev to lam
-        # with variance var over the step
+        s2 = spectra("s2")
+        var = 2.0 * self.grid.dt * _norm(s2)
+        self.ve = var * self.exps[k % _BRIDGE_STEPS]
+        self.inside = self._inside(spectra, s2)
+        if spectra.certify:
+            prefix = self.rows["bridge_prefix_max"]
+            lowest = np.where(self.inside, prefix, np.inf).min(axis=-1)
+            self.lowest = np.minimum(self.rows["bridge_sup"], lowest)
+            self.root_ve = np.sqrt(self.ve)
+
+    def _inside(self, spectra, s2):
+        """Whether ||qv|| at the step's right end stays <= each level."""
+        levels = self.levels
+        if spectra.path_free("qv") is not None or not spectra.certify or spectra.last:
+            return np.less_equal.outer(_norm(spectra("qv")), levels)
+        dt = self.grid.dt
+        s2_norm = _norm(s2)
+        slack = _MARGIN * (self.qv_ceil + dt * s2_norm)
+        floor = self.qv_floor + dt * s2[:, 0] - slack
+        ceil = self.qv_ceil + dt * s2_norm + slack
+        settled = (ceil[:, None] < levels) | (floor[:, None] > levels)
+        qv = spectra("qv", ~settled.all(axis=1))
+        solved = spectra.solved("qv")
+        exact = _norm(qv)
+        self.qv_floor = np.where(solved, qv[:, -1], floor)
+        self.qv_ceil = np.where(solved, exact, ceil)
+        return np.where(solved[:, None], exact[:, None] <= levels, ceil[:, None] < levels)
+
+    def _reaches(self, peak, norm):
+        """Where ``peak``, the peak between endpoints at or above the true
+        ones, may reach the lowest maximum; ``norm`` bounds ||X_{k+1}||.
+        The margin scales with every magnitude in the peak's arithmetic,
+        so it covers its rounding; a nan bound reaches."""
+        scale = self.norm_prev + norm + self.root_ve
+        return ~(peak + _MARGIN * scale < self.lowest)
+
+    def need(self, step, spectra):
+        self._prepare(step, spectra)
+        norm, top = spectra.x_bounds()
+        return self._reaches(_peak(self.lam_prev, top, self.ve), norm)
+
+    def update(self, step, spectra):
+        self._prepare(step, spectra)
         lam = spectra("x")[:, -1]
-        var = 2.0 * self.grid.dt * _norm(spectra("s2"))
-        d = lam - self.lam_prev
-        peak = 0.5 * (self.lam_prev + lam + np.sqrt(d * d + var * self.exps[k % _BRIDGE_STEPS]))
-        np.maximum(self.rows["bridge_sup"], peak, out=self.rows["bridge_sup"])
-        self.lam_prev = lam
-        # a level admits step k while ||qv|| at its right end stays inside
-        inside = np.less_equal.outer(_norm(spectra("qv")), self.levels)
+        solved = spectra.solved("x")
+        use = solved & self.left_exact
+        peak = _peak(self.lam_prev, lam, self.ve)
+        if not self.left_exact.all():
+            # a skipped left end: solve it where the bound still reaches
+            late = np.flatnonzero(solved & ~use & self._reaches(peak, spectra.x_bounds()[0]))
+            if len(late):
+                self.lam_prev[late] = stacked_eigenvalues(step.x_left[late])[:, -1]
+                peak[late] = _peak(self.lam_prev[late], lam[late], self.ve[late])
+                use[late] = True
+        np.maximum(self.rows["bridge_sup"], peak, out=self.rows["bridge_sup"], where=use)
         prefix = self.rows["bridge_prefix_max"]
-        np.maximum(prefix, peak[:, None], out=prefix, where=inside)
+        np.maximum(prefix, peak[:, None], out=prefix, where=self.inside & use[:, None])
+        if spectra.certify and not spectra.last:
+            self.norm_prev, top = spectra.x_bounds()
+            self.lam_prev = np.where(solved, lam, top)
+            self.left_exact = solved
+        else:
+            self.lam_prev = lam
 
 
 class _Supermartingale(_Collector):
@@ -563,10 +739,11 @@ def simulate_block(
         dB = np.empty((len(chunk_seeds), grid.steps, spec.drivers))
         for b, seed in enumerate(chunk_seeds):
             dB[b] = brownian_increments(grid, spec.drivers, seed)
+        spectra.start(len(chunk_seeds))
         for c in collectors:
             c.start({name: out[name][idx] for name in c.columns}, chunk_seeds)
         for step in scheme.steps(dB):
-            spectra.at(step)
+            spectra.at(step, collectors)
             for c in collectors:
                 c.update(step, spectra)
         for c in collectors:

@@ -23,7 +23,8 @@ from mmlab.linalg import (
     sym_eigen,
     symmetrize,
 )
-from mmlab.simulate import EulerScheme, TimeGrid, Trajectory, brownian_increments
+import mmlab.simulate as simulate_module
+from mmlab.simulate import EulerScheme, TimeGrid, Trajectory, brownian_increments, simulate_block
 
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -318,3 +319,17 @@ def grid_lambda_max(spec: IntegrandSpec, grid: TimeGrid, seeds, levels=()):
             inside = qv_norm <= level
             prefix[inside, j] = np.maximum(prefix[inside, j], lam[inside])
     return sup, prefix
+
+
+def always_solve_block(spec: IntegrandSpec, grid: TimeGrid, seeds, plan=None):
+    """``simulate_block`` with every spectrum solved on every path at every
+    step: the engine as it runs where the dimension has a closed form,
+    so no eigenvalue bound ever skips a solve.  The certified engine must
+    match it bit for bit on every path it does not exclude.
+    """
+    saved = simulate_module.has_closed_form
+    simulate_module.has_closed_form = lambda n: True
+    try:
+        return simulate_block(spec, grid, seeds, plan)
+    finally:
+        simulate_module.has_closed_form = saved

@@ -228,6 +228,32 @@ class TestSimulate:
         assert (out / "trajectory_1.csv").exists()
 
 
+    def test_overflowing_dump_supermartingale_fails_cleanly(self, tmp_path):
+        # beta^2 / 2 overflows, and inf * qv[0] = inf * 0 is nan: n = 3
+        # takes LAPACK, which must never see that exponent
+        cfg = write_cfg(
+            tmp_path,
+            "integrand.family = constant\n"
+            "integrand.matrix.1 = 1 0 0; 0 2 1; 0 1 3\n"
+            "grid.steps = 16\npaths = 10\nmaster_seed = 1\n"
+            "dump.paths = 0\ndump.beta = 1e160\n",
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MMLAB_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        base = [sys.executable, "-m", "mmlab.cli", "simulate", "--config", cfg]
+        base += ["--out", str(tmp_path / "out")]
+        proc = subprocess.run(base, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "run failed: supermartingale exponent at beta = 1e+160 overflows" in proc.stderr
+        for beta in ("inf", "nan"):
+            proc = subprocess.run(
+                base + ["--set", f"dump.beta={beta}"], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 2, proc.stdout + proc.stderr
+            assert f"config error: dump.beta must be finite, got '{beta}'" in proc.stderr
+
+
 class TestKhintchine:
     def test_ratio_reported(self, runner, tmp_path):
         cfg = write_cfg(

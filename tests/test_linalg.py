@@ -5,6 +5,7 @@ import pytest
 
 from mmlab.errors import InputDomainError, NumericError
 from mmlab.linalg import (
+    has_closed_form,
     hermitian_dilation,
     matrix_abs,
     matrix_exp_sym,
@@ -87,6 +88,18 @@ class TestStackedEigenvalues:
     def test_n1(self):
         a = np.array([[[2.0]], [[-3.0]]])
         assert np.allclose(stacked_eigenvalues(a), [[2.0], [-3.0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
+    def test_rows_do_not_depend_on_the_rest_of_the_stack(self, n):
+        # the engine solves gathered subsets of a stack and relies on every
+        # matrix getting the eigenvalues the whole stack would give it
+        rng = np.random.default_rng(7 * n)
+        stack = symmetrize(rng.standard_normal((300, n, n)) * rng.lognormal(size=(300, 1, 1)))
+        whole = stacked_eigenvalues(stack)
+        for size in (1, 5, 77):
+            rows = np.sort(rng.choice(300, size=size, replace=False))
+            assert np.array_equal(stacked_eigenvalues(stack[rows]), whole[rows])
+        assert has_closed_form(n) == (n <= 2)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_per_matrix_solver(self, n):

@@ -17,6 +17,7 @@ from mmlab.simulate import (
     simulate_path,
 )
 
+from .oracles import always_solve_block
 from .test_simulate import family_zoo
 
 GRID = TimeGrid(1.0, 16)
@@ -149,3 +150,46 @@ def test_qv_symmetric_psd_nondecreasing(family, n, payload_seed, seed):
     assert np.linalg.eigvalsh(qv)[:, 0].min() >= -tol
     # Loewner order: every increment qv[k+1] - qv[k] is PSD
     assert np.linalg.eigvalsh(np.diff(qv, axis=0))[:, 0].min() >= -tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["time_poly", "path_feedback", "goe_like"]),
+    n=st.integers(3, 6),
+    payload_seed=st.integers(0, 2**32 - 1),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+    levels=st.lists(st.floats(0.05, 30.0), min_size=1, max_size=3),
+    betas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2),
+    cuts=st.lists(st.integers(0, 12), max_size=3),
+    chunk=st.integers(1, 8),
+)
+def test_certified_block_matches_always_solve(
+    family, n, payload_seed, seeds, levels, betas, cuts, chunk
+):
+    # skipping the solves that the eigenvalue bounds certify leaves every
+    # statistic of every kept path bit-identical, whatever the split into
+    # blocks and vectorized chunks
+    spec = next(s for s in family_zoo(n, payload_seed) if s.family == family)
+    grid = TimeGrid(1.0, 32)
+    plan = CollectorPlan(
+        sigma2_levels=tuple(levels),
+        supermartingale_betas=tuple(betas),
+        checkpoints=default_checkpoints(grid.steps),
+        schatten_orders=(2.0,),
+        quad_schatten_orders=(1.0,),
+        sum_norm_quad=True,
+    )
+    seeds = np.array(seeds, dtype=np.uint64)
+    oracle = always_solve_block(spec, grid, seeds, plan)
+    bounds = sorted({0, len(seeds), *(c % (len(seeds) + 1) for c in cuts)})
+    saved = simulate_module._CHUNK
+    simulate_module._CHUNK = chunk
+    try:
+        parts = [simulate_block(spec, grid, seeds[a:b], plan) for a, b in zip(bounds, bounds[1:])]
+    finally:
+        simulate_module._CHUNK = saved
+    got = {key: np.concatenate([p[key] for p in parts]) for key in oracle}
+    kept = ~oracle["excluded"]
+    assert np.array_equal(got["excluded"], oracle["excluded"])
+    for key, values in oracle.items():
+        assert np.array_equal(got[key][kept], values[kept]), key

@@ -35,6 +35,7 @@ from .oracles import (
     grid_lambda_max,
     loewner_leq,
     reference_path,
+    always_solve_block,
     schatten_norm,
     summarize,
 )
@@ -436,12 +437,19 @@ class TestSimulateBlock:
 
     def test_eigen_solve_budget(self, monkeypatch):
         # every collector on, 10 paths in chunks of 4, 4 and 2, 16 steps
-        # with 7 supermartingale checkpoints after t = 0, two betas:
-        # - time-only families solve qv (17 matrices), s2 and sum_i H_i
+        # with 7 supermartingale checkpoints after t = 0, two betas.  When
+        # every spectrum was solved on every path at every step:
+        # - time-only families solved qv (17 matrices), s2 and sum_i H_i
         #   (16 each) once on the whole grid; then per chunk x at each step
         #   and one solve per beta per checkpoint
-        # - path_feedback solves x, qv, s2 and sum_i H_i per step, plus
+        # - path_feedback solved x, qv, s2 and sum_i H_i per step, plus
         #   the checkpoints; ||<X>_T|| reuses the last step's qv spectrum
+        # At n = 3 x, and on path_feedback qv, are now solved only on the
+        # paths whose statistics their bounds cannot settle, and a skipped
+        # left endpoint is solved late where the bridge peak needs it: that
+        # late call can add one call per step per chunk, but the matrices
+        # solved must stay within the old budget.  The counts are pinned
+        # for these seeds.
         grid = TimeGrid(1.0, 16)
         plan = CollectorPlan(
             sigma2_levels=(0.5, 2.0),
@@ -452,11 +460,12 @@ class TestSimulateBlock:
             sum_norm_quad=True,
         )
         zoo = family_zoo(3)
-        budget = {
+        every_solve = {
             "goe_like": (3 + 3 * (16 + 14), 49 + 10 * (16 + 14)),
             "time_poly": (3 + 3 * (16 + 14), 49 + 10 * (16 + 14)),
             "path_feedback": (3 * (4 * 16 + 14), 10 * (4 * 16 + 14)),
         }
+        budget = {"goe_like": (95, 323), "time_poly": (99, 336), "path_feedback": (203, 641)}
         solve = simulate_module.stacked_eigenvalues
         monkeypatch.setattr(simulate_module, "_CHUNK", 4)
         for spec in (s for s in zoo if s.family in budget):
@@ -470,6 +479,48 @@ class TestSimulateBlock:
             monkeypatch.setattr(simulate_module, "stacked_eigenvalues", counted)
             simulate_block(spec, grid, np.arange(10, dtype=np.uint64), plan)
             assert (calls[0], matrices[0]) == budget[spec.family], spec.family
+            old_calls, old_matrices = every_solve[spec.family]
+            assert matrices[0] <= old_matrices
+            assert calls[0] <= old_calls + 3 * 16
+
+    def test_nonfinite_bound_forces_a_solve(self, monkeypatch):
+        # a nan or infinite eigenvalue bound certifies nothing: from step 4
+        # on, path 0's norm ceiling is nan and path 1's lambda_max ceiling
+        # infinite, so both are solved at every step, where with finite
+        # bounds each is skipped at some step; the outputs still match the
+        # engine that solves every path
+        spec = goe_like_spec(3, 2, seed=7)
+        grid = TimeGrid(1.0, 32)
+        plan = CollectorPlan(sigma2_levels=(1.0,))
+        seeds = np.arange(4, dtype=np.uint64)
+        spectra = simulate_module._Spectra
+        x_bounds, at = spectra.x_bounds, spectra.at
+
+        def run(poison):
+            solved = []
+
+            def bounds(self):
+                norm, top = x_bounds(self)
+                if poison and self.step.k >= 4:
+                    norm[0], top[1] = np.nan, np.inf
+                return norm, top
+
+            def recording_at(self, step, collectors):
+                at(self, step, collectors)
+                solved.append(self.solved("x")[:2].copy())
+
+            monkeypatch.setattr(spectra, "x_bounds", bounds)
+            monkeypatch.setattr(spectra, "at", recording_at)
+            return simulate_block(spec, grid, seeds, plan), np.array(solved[4:])
+
+        _, clean = run(poison=False)
+        assert not clean.all(axis=0).any()
+        out, poisoned = run(poison=True)
+        assert poisoned.all()
+        monkeypatch.undo()
+        ref = always_solve_block(spec, grid, seeds, plan)
+        for key, values in ref.items():
+            assert np.array_equal(out[key], values), key
 
     def test_betas_without_checkpoints_rejected(self):
         with pytest.raises(InputDomainError, match="checkpoint"):
