@@ -458,11 +458,10 @@ class _Spectra:
                 part = stacked_eigenvalues(stack) if len(idx) else eigs[idx]
                 eigs[idx] = part
             if name == "x" and self.certify and not self.last:
-                self.anchor[idx] = stack
                 norm = _norm(part)
-                widen = _MARGIN * norm
-                self.anchor_norm[idx] = norm + widen
-                self.anchor_top[idx] = part[:, -1] + widen
+                self.anchor[idx] = stack
+                self.anchor_norm[idx] = norm * (1.0 + _MARGIN)
+                self.anchor_top[idx] = part[:, -1] + _MARGIN * norm
             self._step[name], self._solved[name] = eigs, rows
         return self._step[name]
 
@@ -529,13 +528,19 @@ class _BridgeTail(_Collector):
     and <X> is solved only where a level falls inside the bracket.
     """
 
-    def __init__(self, levels, grid: TimeGrid):
+    def __init__(self, levels, spectra: _Spectra):
         self.levels = np.asarray(levels, dtype=np.float64)
-        self.grid = grid
+        self.grid, self.spectra = spectra.scheme.grid, spectra
         self.columns = {"bridge_prefix_max": (len(levels),), "bridge_sup": ()}
 
     def start(self, rows, seeds):
         self.rows, self.seeds = rows, seeds
+        s2, qv = self.spectra.path_free("s2"), self.spectra.path_free("qv")
+        if s2 is not None:
+            # time-only families: every step's variance and admitted levels
+            # are path-free, so they are worked out once on the whole grid
+            self.grid_var = 2.0 * self.grid.dt * _norm(s2)
+            self.grid_inside = np.less_equal.outer(_norm(qv), self.levels)
         paths = len(seeds)
         # lambda_max(X_k) at the step's left end, exact where left_exact and
         # a ceiling elsewhere, and a ceiling on ||X_k||
@@ -556,10 +561,13 @@ class _BridgeTail(_Collector):
         if k % _BRIDGE_STEPS == 0:
             stop = min(k + _BRIDGE_STEPS, self.grid.steps)
             self.exps = bridge_exponentials(self.seeds, range(k, stop))
-        s2 = spectra("s2")
-        var = 2.0 * self.grid.dt * _norm(s2)
+        if spectra.scheme.feedback:
+            s2 = spectra("s2")
+            var = 2.0 * self.grid.dt * _norm(s2)
+            self.inside = self._inside(spectra, s2)
+        else:
+            var, self.inside = self.grid_var[k], self.grid_inside[k + 1]
         self.ve = var * self.exps[k % _BRIDGE_STEPS]
-        self.inside = self._inside(spectra, s2)
         if spectra.certify:
             prefix = self.rows["bridge_prefix_max"]
             lowest = np.where(self.inside, prefix, np.inf).min(axis=-1)
@@ -567,9 +575,10 @@ class _BridgeTail(_Collector):
             self.root_ve = np.sqrt(self.ve)
 
     def _inside(self, spectra, s2):
-        """Whether ||qv|| at the step's right end stays <= each level."""
+        """Whether each path's ||qv|| at the step's right end stays <= each
+        level, on path_feedback."""
         levels = self.levels
-        if spectra.path_free("qv") is not None or not spectra.certify or spectra.last:
+        if not spectra.certify or spectra.last:
             return np.less_equal.outer(_norm(spectra("qv")), levels)
         dt = self.grid.dt
         s2_norm = _norm(s2)
@@ -608,8 +617,8 @@ class _BridgeTail(_Collector):
             late = np.flatnonzero(solved & ~use & self._reaches(peak, spectra.x_bounds()[0]))
             if len(late):
                 self.lam_prev[late] = stacked_eigenvalues(step.x_left[late])[:, -1]
-                peak[late] = _peak(self.lam_prev[late], lam[late], self.ve[late])
                 use[late] = True
+                peak = _peak(self.lam_prev, lam, self.ve)
         np.maximum(self.rows["bridge_sup"], peak, out=self.rows["bridge_sup"], where=use)
         prefix = self.rows["bridge_prefix_max"]
         np.maximum(prefix, peak[:, None], out=prefix, where=self.inside & use[:, None])
@@ -693,7 +702,7 @@ def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
     grid, n = spectra.scheme.grid, spectra.scheme.spec.n
     out: list[_Collector] = [_Norms()]
     if plan.sigma2_levels:
-        out.append(_BridgeTail(plan.sigma2_levels, grid))
+        out.append(_BridgeTail(plan.sigma2_levels, spectra))
     if plan.supermartingale_betas:
         out.append(_Supermartingale(plan.supermartingale_betas, plan.checkpoints, grid, n))
     if plan.schatten_orders:
