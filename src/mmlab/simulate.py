@@ -27,6 +27,7 @@ are bit-identical to solving every path at every step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -404,9 +405,8 @@ class _Spectra:
         self.last = step.k == self.scheme.grid.steps - 1
         rows = None
         if self.certify and not self.last:
-            rows = np.zeros(len(step.x), dtype=bool)
-            for c in collectors:
-                rows |= c.need(step, self)
+            needs = [c.need(step, self) for c in collectors if c.need]
+            rows = functools.reduce(np.logical_or, needs)
         self("x", rows)
 
     def path_free(self, name: str) -> np.ndarray | None:
@@ -478,11 +478,11 @@ class _Collector:
     ``spectra("x")`` is NaN, and the update must leave them unchanged.
     """
 
+    # a collector that reads x only in finish needs no path
+    need = None
+
     def start(self, rows: dict[str, np.ndarray], seeds: np.ndarray) -> None:
         self.rows = rows
-
-    def need(self, step: EulerStep, spectra: _Spectra) -> np.ndarray | bool:
-        return False
 
     def update(self, step: EulerStep, spectra: _Spectra) -> None:
         pass
@@ -568,10 +568,12 @@ class _BridgeTail(_Collector):
         else:
             var, self.inside = self.grid_var[k], self.grid_inside[k + 1]
         self.ve = var * self.exps[k % _BRIDGE_STEPS]
+        self.any_inside = self.inside.any()
         if spectra.certify:
-            prefix = self.rows["bridge_prefix_max"]
-            lowest = np.where(self.inside, prefix, np.inf).min(axis=-1)
-            self.lowest = np.minimum(self.rows["bridge_sup"], lowest)
+            self.lowest = self.rows["bridge_sup"].copy()
+            if self.any_inside:
+                prefix = np.where(self.inside, self.rows["bridge_prefix_max"], np.inf)
+                np.minimum(self.lowest, prefix.min(axis=-1), out=self.lowest)
             self.root_ve = np.sqrt(self.ve)
 
     def _inside(self, spectra, s2):
@@ -620,8 +622,9 @@ class _BridgeTail(_Collector):
                 use[late] = True
                 peak = _peak(self.lam_prev, lam, self.ve)
         np.maximum(self.rows["bridge_sup"], peak, out=self.rows["bridge_sup"], where=use)
-        prefix = self.rows["bridge_prefix_max"]
-        np.maximum(prefix, peak[:, None], out=prefix, where=self.inside & use[:, None])
+        if self.any_inside:
+            prefix = self.rows["bridge_prefix_max"]
+            np.maximum(prefix, peak[:, None], out=prefix, where=self.inside & use[:, None])
         if spectra.certify and not spectra.last:
             self.norm_prev, top = spectra.x_bounds()
             self.lam_prev = np.where(solved, lam, top)
