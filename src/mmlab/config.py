@@ -21,7 +21,7 @@ Documented schema (defaults in parentheses):
     grid.steps (256)            grid steps
     paths                       simulated paths / sample count
     master_seed                 64-bit seed
-    block_size (4096)           paths per scheduling block
+    block_size (4096)           most paths per engine call
     confidence (0.99)           interval confidence level
     slack_factor (3.0)          verdict slack in combined half-widths
     bootstrap.resamples (1000)  bootstrap resample count

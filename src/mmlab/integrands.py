@@ -257,6 +257,17 @@ def aggregates(spec: IntegrandSpec) -> Aggregates:
     )
 
 
+def _scaled(coef, factor):
+    """coef * factor, where an exactly zero factor gives 0 even when coef
+    left float64 range: the expanded term is then absent from the
+    per-matrix sum it stands for, not nan.  A finite coef keeps the plain
+    product."""
+    out = coef * factor
+    if np.isfinite(coef).all():
+        return out
+    return np.where(factor == 0.0, 0.0, out)
+
+
 def deterministic_sum_squares(spec: IntegrandSpec, times: np.ndarray) -> np.ndarray:
     """sum_i H_i(t)^2 for each t, shape (len(times), n, n).
 
@@ -270,8 +281,8 @@ def deterministic_sum_squares(spec: IntegrandSpec, times: np.ndarray) -> np.ndar
     if spec.family == "time_poly":
         return (
             agg.sum_sq_base[None]
-            + t[:, None, None] * agg.cross[None]
-            + (t ** 2)[:, None, None] * agg.sum_sq_slope[None]
+            + _scaled(agg.cross[None], t[:, None, None])
+            + _scaled(agg.sum_sq_slope[None], (t ** 2)[:, None, None])
         )
     return np.broadcast_to(agg.sum_sq_base, (len(t),) + agg.sum_sq_base.shape)
 
@@ -283,7 +294,7 @@ def deterministic_sum(spec: IntegrandSpec, times: np.ndarray) -> np.ndarray:
     agg = aggregates(spec)
     t = np.asarray(times, dtype=np.float64)
     if spec.family == "time_poly":
-        return agg.sum_base[None] + t[:, None, None] * agg.sum_slope[None]
+        return agg.sum_base[None] + _scaled(agg.sum_slope[None], t[:, None, None])
     return np.broadcast_to(agg.sum_base, (len(t),) + agg.sum_base.shape)
 
 
@@ -298,10 +309,10 @@ def feedback_sum_squares(spec: IntegrandSpec, x: np.ndarray, agg: Aggregates) ->
     return (
         agg.sum_sq_base
         + g * (sx + np.swapaxes(sx, -1, -2))
-        + (spec.drivers * g * g) * (x @ x)
+        + _scaled(spec.drivers * g * g, x @ x)
     )
 
 
 def feedback_sum(spec: IntegrandSpec, x: np.ndarray, agg: Aggregates) -> np.ndarray:
     """sum_i (A_i + gamma*X) for a batch of states X."""
-    return agg.sum_base + (spec.drivers * spec.gamma) * x
+    return agg.sum_base + _scaled(spec.drivers * spec.gamma, x)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -339,9 +340,21 @@ class BatchStats:
         return self.path_count - self.excluded_count
 
 
-def _block_task(args):
-    spec, grid, seeds, plan = args
-    return simulate_block(spec, grid, seeds, plan)
+# fork lets pool workers inherit the imported modules instead of
+# importing numpy and mmlab again (mmlab starts no threads of its own,
+# and OpenBLAS restarts its pool in a forked child); spawn where fork is
+# unsafe (macOS) or missing (Windows)
+START_METHOD = "spawn" if sys.platform in ("darwin", "win32") else "fork"
+
+
+def _share_task(args):
+    """simulate_block on consecutive pieces of at most block_size paths
+    of one worker's share; the piece outputs in path order."""
+    spec, grid, seeds, plan, block_size = args
+    return [
+        simulate_block(spec, grid, seeds[s : s + block_size], plan)
+        for s in range(0, len(seeds), block_size)
+    ]
 
 
 def run_batch(
@@ -349,10 +362,13 @@ def run_batch(
 ) -> BatchStats:
     """Simulate config.paths trajectories and gather per-path statistics.
 
-    Blocks of ``config.block_size`` consecutive path indices are farmed
-    out to workers; results are stitched back by index, so the output
-    is identical for every worker count.  Exclusion above 0.1% of paths
-    raises BatchError.
+    The path indices are cut into min(workers, blocks) contiguous,
+    near-equal shares, one per process, where blocks is
+    ceil(paths / block_size).  Each process simulates its share in
+    pieces of at most ``config.block_size`` paths, so at one worker the
+    pieces are the consecutive blocks of ``block_size`` paths.  Results
+    are stitched back in path order, so the output is identical for
+    every worker count.  Exclusion above 0.1% of paths raises BatchError.
     """
     if workers < 1:
         raise InputDomainError(f"workers must be >= 1, got {workers}")
@@ -360,17 +376,18 @@ def run_batch(
         plan = plan_for_config(config)
     paths = config.paths
     seeds = derive_path_seeds(config.master_seed, 0, paths)
-    starts = list(range(0, paths, config.block_size))
+    count = min(workers, -(-paths // config.block_size))
+    bounds = [paths * j // count for j in range(count + 1)]
     tasks = [
-        (config.spec, config.grid, seeds[s : min(s + config.block_size, paths)], plan)
-        for s in starts
+        (config.spec, config.grid, seeds[lo:hi], plan, config.block_size)
+        for lo, hi in zip(bounds, bounds[1:])
     ]
-    if workers == 1 or len(tasks) == 1:
-        blocks = [_block_task(t) for t in tasks]
+    if count == 1:
+        shares = [_share_task(t) for t in tasks]
     else:
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            blocks = pool.map(_block_task, tasks)
+        with multiprocessing.get_context(START_METHOD).Pool(processes=count) as pool:
+            shares = pool.map(_share_task, tasks)
+    blocks = [b for share in shares for b in share]
 
     merged: dict[str, np.ndarray] = {}
     for key in blocks[0]:

@@ -11,8 +11,14 @@ import pytest
 from click.testing import CliRunner
 
 from mmlab.cli import main
+from mmlab.config import parse_settings
+from mmlab.errors import PathBlowupError
+from mmlab.montecarlo import derive_path_seed
+
+from .oracles import reference_path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN_HEADER = "name,n,N,family,p,u,sigma2,t,lhs,lhs_ci,rhs,rhs_ci,ratio,holds,paths,seed"
 
@@ -41,6 +47,9 @@ check.1.sigma2 = 1.0
 check.2.kind = bdg
 check.2.p = 1
 """
+
+# several blocks, so that --workers 2 runs the batch in pool workers
+POOLED = "block_size = 64\n"
 
 
 @pytest.fixture
@@ -140,15 +149,16 @@ class TestVerify:
         assert "--workers" in result.output
         assert not (tmp_path / "o").exists()
 
-    def test_non_finite_statistic_writes_failed_report(self, runner, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_finite_statistic_writes_failed_report(self, runner, tmp_path, workers):
         # no tail check: the engine itself excludes every path whose qv
         # norm overflowed, silently, and the batch fails the exclusion rate
         text = VERIFY_CFG.split("check.1.kind")[0] + "check.1.kind = bdg\ncheck.1.p = 1\n"
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, text + POOLED)
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            args = ["verify", "--config", cfg, "--out", str(out)]
+            args = ["verify", "--config", cfg, "--out", str(out), "--workers", workers]
             result = runner.invoke(main, args + ["--set", "integrand.matrix.1=1e200"])
         assert result.exit_code == 1
         assert "run failed: 300 of 300 paths excluded" in result.output
@@ -160,18 +170,19 @@ class TestVerify:
         assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 300
         assert (out / "report.csv").read_text() == GOLDEN_HEADER + "\n"
 
-    def test_overflowing_deterministic_qv_writes_failed_report(self, runner, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflowing_deterministic_qv_writes_failed_report(self, runner, tmp_path, workers):
         # n = 3 takes LAPACK, which must never see the non-finite shared qv
         text = VERIFY_CFG.replace("paths = 300", "paths = 200").replace(
             "integrand.matrix.1 = 1", "integrand.matrix.1 = 1 0 0; 0 2 1; 0 1 3"
         )
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, text + POOLED)
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = runner.invoke(
                 main,
-                ["verify", "--config", cfg, "--out", str(out)]
+                ["verify", "--config", cfg, "--out", str(out), "--workers", workers]
                 + ["--set", "integrand.matrix.1=1e160 1e160 0; 1e160 2 1; 0 1 3"],
             )
         assert result.exit_code == 1, result.output
@@ -180,7 +191,8 @@ class TestVerify:
         obj = json.loads((out / "report.json").read_text())
         assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 200
 
-    def test_overflowing_supermartingale_exponent_writes_failed_report(self, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflowing_supermartingale_exponent_writes_failed_report(self, tmp_path, workers):
         # x and qv stay finite, but beta * x - (beta^2 / 2) * qv does not;
         # n = 3 takes LAPACK, which must never see that matrix
         cfg = write_cfg(
@@ -188,13 +200,14 @@ class TestVerify:
             "integrand.family = constant\n"
             "integrand.matrix.1 = 1 0 0; 0 2 1; 0 1 3\n"
             "grid.steps = 16\npaths = 200\nmaster_seed = 11\n"
-            "check.1.kind = supermartingale\ncheck.1.beta = 100\n",
+            "check.1.kind = supermartingale\ncheck.1.beta = 100\n" + POOLED,
         )
         out = tmp_path / "out"
         env = {k: v for k, v in os.environ.items() if not k.startswith("MMLAB_")}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mmlab.cli", "verify", "--config", cfg, "--out", str(out)]
+            + ["--workers", workers]
             + ["--set", "integrand.matrix.1=1e153 1e153 0; 1e153 2 1; 0 1 3"],
             capture_output=True,
             text=True,
@@ -227,6 +240,19 @@ class TestSimulate:
         assert header == "step,time,lambda_max,spectral_norm,qv_norm,supermart_beta0.5"
         assert (out / "trajectory_1.csv").exists()
 
+    def test_overflow_names_the_oracle_step(self, runner, tmp_path):
+        # gamma^2 overflows; the blow-up must be reported where the
+        # per-matrix Euler first leaves float64 range, not at X = 0
+        cfg = str(CONFIGS / "simulate_dump.cfg")
+        overrides = {"integrand.gamma": "1e200"}
+        exp = parse_settings(Path(cfg).read_text(), overrides=overrides).experiment
+        with pytest.raises(PathBlowupError) as oracle:
+            reference_path(exp.spec, exp.grid, derive_path_seed(exp.master_seed, 0))
+        args = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args + ["--set", "integrand.gamma=1e200"])
+        assert result.exit_code == 1
+        assert f"run failed: {oracle.value}" in result.output
+        assert str(oracle.value).endswith("at step 2")
 
     def test_overflowing_dump_supermartingale_fails_cleanly(self, tmp_path):
         # beta^2 / 2 overflows, and inf * qv[0] = inf * 0 is nan: n = 3
@@ -285,6 +311,19 @@ class TestSweep:
         assert lines[1].startswith("n,2.0,khintchine")
         obj = json.loads((out / "sweep.json").read_text())
         assert obj["sweep_parameter"] == "n"
+
+    def test_worker_counts_emit_identical_bytes(self, runner, tmp_path):
+        cfg = write_cfg(
+            tmp_path, VERIFY_CFG + POOLED + "sweep.parameter = u\nsweep.values = 1.5 2.5\n"
+        )
+        outs = [tmp_path / "w1", tmp_path / "w3"]
+        for out, workers in zip(outs, ["1", "3"]):
+            args = ["sweep", "--config", cfg, "--out", str(out), "--workers", workers]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        for name in ("sweep.csv", "sweep.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert len((outs[0] / "sweep.csv").read_text().splitlines()) == 5
 
     def test_without_sweep_section_exits_two(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, VERIFY_CFG)

@@ -220,6 +220,32 @@ class TestAggregates:
             assert np.max(np.abs(got_sq[b] - np.einsum("ikl,ilm->km", h, h))) < 1e-12
             assert np.max(np.abs(got_sum[b] - h.sum(axis=0))) < 1e-12
 
+    def test_overflowed_coefficient_times_zero_is_zero(self):
+        # at t = 0 and X = 0 the expanded terms are absent from the
+        # per-matrix sums, even when their coefficient left float64 range
+        a = np.array([[[1.0, 0.5], [0.5, 2.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        at_zero = np.einsum("ikl,ilm->km", a, a)
+        spec = time_poly_spec(a, np.full((2, 2, 2), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = deterministic_sum_squares(spec, np.array([0.0, 0.5]))
+        assert np.array_equal(squares[0], at_zero)
+        assert not np.isfinite(squares[1]).any()
+        spec = time_poly_spec(a, np.full((2, 2, 2), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = deterministic_sum(spec, np.array([0.0]))
+        assert np.array_equal(sums[0], a.sum(axis=0))
+        spec = path_feedback_spec(a, gamma=1e200)
+        agg = aggregates(spec)
+        x = np.zeros((3, 2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = feedback_sum_squares(spec, x, agg)
+        assert np.array_equal(squares, np.broadcast_to(at_zero, x.shape))
+        spec = path_feedback_spec(a, gamma=1e308)
+        agg = aggregates(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = feedback_sum(spec, x, agg)
+        assert np.array_equal(sums, np.broadcast_to(a.sum(axis=0), x.shape))
+
     def test_path_dependent_rejects_deterministic_kernel(self):
         spec = path_feedback_spec(np.eye(2), gamma=0.1)
         with pytest.raises(InputDomainError, match="path-dependent"):

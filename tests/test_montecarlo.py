@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 import mmlab
+import mmlab.montecarlo as montecarlo
 from mmlab.checks import CheckRequest
 from mmlab.errors import BatchError, InputDomainError, NumericError
 from mmlab.integrands import constant_spec, goe_like_spec, path_feedback_spec
@@ -353,14 +355,75 @@ class TestRunBatch:
             spectral_norm(s.terminal_x), rel=1e-12
         )
 
-    def test_worker_count_invariance(self):
-        cfg = small_config(paths=600, block_size=150)
+    @pytest.mark.parametrize(
+        "paths, block_size, workers", [(1280, 256, 2), (700, 100, 3), (300, 150, 8)]
+    )
+    def test_worker_count_invariance(self, paths, block_size, workers):
+        cfg = small_config(paths=paths, block_size=block_size)
         plan = plan_for_config(cfg)
         one = run_batch(cfg, plan, workers=1)
-        two = run_batch(cfg, plan, workers=2)
-        assert one.data.keys() == two.data.keys()
+        many = run_batch(cfg, plan, workers=workers)
+        assert one.data.keys() == many.data.keys()
         for key in one.data:
-            assert np.array_equal(one.data[key], two.data[key]), key
+            assert np.array_equal(one.data[key], many.data[key]), key
+
+    @pytest.mark.parametrize(
+        "paths, block_size, workers",
+        [(1280, 256, 1), (700, 100, 1), (1280, 256, 2), (700, 100, 3), (300, 150, 8)],
+    )
+    def test_schedule(self, monkeypatch, paths, block_size, workers):
+        # a fake context records the pool it is asked for and maps in this
+        # process, so the spy on simulate_block sees every call
+        calls, pools, shares = [], [], []
+        real = montecarlo.simulate_block
+
+        def spy(spec, grid, seeds, plan):
+            calls.append(np.array(seeds))
+            return real(spec, grid, seeds, plan)
+
+        class FakePool:
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                out = []
+                for task in tasks:
+                    first = len(calls)
+                    out.append(fn(task))
+                    shares.append(sum(len(c) for c in calls[first:]))
+                return out
+
+        methods = []
+
+        def get_context(method):
+            methods.append(method)
+            return SimpleNamespace(Pool=FakePool)
+
+        monkeypatch.setattr(montecarlo, "simulate_block", spy)
+        monkeypatch.setattr(montecarlo.multiprocessing, "get_context", get_context)
+        cfg = small_config(paths=paths, block_size=block_size, grid=TimeGrid(1.0, 4), checks=())
+        run_batch(cfg, workers=workers)
+        seeds = derive_path_seeds(cfg.master_seed, 0, paths)
+        assert all(len(c) <= block_size for c in calls)
+        assert np.array_equal(np.concatenate(calls), seeds)
+        if workers == 1:
+            assert methods == [] and pools == []
+            today = [seeds[s : s + block_size] for s in range(0, paths, block_size)]
+            assert len(calls) == len(today)
+            assert all(np.array_equal(c, b) for c, b in zip(calls, today))
+        else:
+            count = min(workers, -(-paths // block_size))
+            assert methods == [montecarlo.START_METHOD] and pools == [count]
+            # one contiguous share per process, sizes within one path
+            assert len(shares) == count and max(shares) - min(shares) <= 1
+        if sys.platform.startswith("linux"):
+            assert montecarlo.START_METHOD == "fork"
 
     def test_block_size_invariance(self):
         a = run_batch(small_config(paths=300, block_size=4096))

@@ -131,8 +131,11 @@ class TestSimulatePath:
 
     def test_blowup_raises(self):
         spec = path_feedback_spec(np.ones((1, 1, 1)), gamma=1e200)
-        with pytest.raises(PathBlowupError, match=r"at step \d+$"):
+        with pytest.raises(PathBlowupError, match=r"at step \d+$") as oracle:
+            reference_path(spec, TimeGrid(1.0, 8), seed=1)
+        with pytest.raises(PathBlowupError) as engine:
             simulate_path(spec, TimeGrid(1.0, 8), seed=1)
+        assert str(engine.value) == str(oracle.value)
 
     def test_deterministic_qv_overflow_raises(self):
         # the shared qv of a time-only integrand overflows at the first step
@@ -426,6 +429,19 @@ class TestSimulateBlock:
         spec = path_feedback_spec(np.ones((1, 1, 1)), gamma=1e200)
         out = simulate_block(spec, TimeGrid(1.0, 8), [1, 2])
         assert out["excluded"].all()
+
+    def test_zero_payload_never_blows_up(self):
+        # A_i = 0 keeps X = 0 whatever gamma, so N * gamma^2 overflowing
+        # must not turn the zero X @ X term into nan
+        spec = path_feedback_spec(np.zeros((2, 3, 3)), gamma=1e200)
+        grid = TimeGrid(1.0, 8)
+        plan = CollectorPlan(sigma2_levels=(1.0,), schatten_orders=(2.0,), sum_norm_quad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = simulate_block(spec, grid, np.arange(200), plan)
+            traj = simulate_path(spec, grid, seed=1)
+        assert not out["excluded"].any()
+        assert not np.any(traj.x) and not np.any(traj.qv)
 
     def test_checkpoint_zero_is_dimension(self):
         spec = constant_spec(np.eye(3))
