@@ -2,14 +2,16 @@
 
 Reproducibility contract: every number produced by a batch depends only
 on (integrand spec, grid, master seed, path index).  Per-path seeds are
-derived by a counter-based 64-bit avalanche, so the partition of paths
-into blocks and the number of workers never changes any output bit.
+derived by a counter-based 64-bit avalanche, and path j's Brownian
+increments are ``default_rng(seed_j).standard_normal((steps, drivers)) *
+sqrt(dt)`` (numpy's PCG64 seeded through SeedSequence), so the partition
+of paths into blocks and the number of workers never changes any output
+bit.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -385,6 +387,9 @@ def run_batch(
     if count == 1:
         shares = [_share_task(t) for t in tasks]
     else:
+        # imported here: a one-worker run never pays for it
+        import multiprocessing
+
         with multiprocessing.get_context(START_METHOD).Pool(processes=count) as pool:
             shares = pool.map(_share_task, tasks)
     blocks = [b for share in shares for b in share]

@@ -6,6 +6,12 @@ uniform grid with left-endpoint (Ito) evaluation:
     x[k+1]  = x[k]  + sum_i H_i(t_k, state_k) * dB_k^i
     qv[k+1] = qv[k] + sum_i H_i(t_k, state_k)^2 * dt
 
+The increments are fixed by one 64-bit seed per path: path j's are
+numpy's PCG64 seeded through SeedSequence from its seed, that is
+``default_rng(seed).standard_normal((steps, drivers)) * sqrt(dt)``, bit
+for bit.  :func:`brownian_increments` draws a whole chunk of paths, with
+the SeedSequence hash run once over all of their seeds.
+
 One stepper, :meth:`EulerScheme.steps`, runs this update on a batch of
 increments (paths, steps, drivers); :func:`simulate_path` runs it on one
 path and keeps the whole :class:`Trajectory` (trajectory dumps).
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +68,11 @@ _BRIDGE_STEPS = 16
 _MARGIN = 1e-8
 
 MASK64 = (1 << 64) - 1
+MASK32 = (1 << 32) - 1
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
 # splitmix64 increment (golden-ratio constant); counter streams step by it
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
@@ -101,12 +113,105 @@ class Trajectory:
         self.qv.flags.writeable = False
 
 
-def brownian_increments(grid: TimeGrid, drivers: int, seed) -> np.ndarray:
-    """(steps, drivers) Gaussian increments of variance dt, fixed by seed."""
+def _path_seeds(seeds) -> np.ndarray:
+    """``seeds`` as a 1-D uint64 array.
+
+    Raises InputDomainError unless every seed is an integer in [0, 2^64).
+    A list is read seed by seed: numpy would turn a list that mixes seeds
+    below 2^63 with seeds above it into float64.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.ndim == 1:
+        if seeds.dtype.kind == "u" or (seeds.dtype.kind == "i" and (seeds >= 0).all()):
+            return seeds.astype(np.uint64, copy=False)
+    try:
+        values = [operator.index(s) for s in seeds]
+    except TypeError:
+        raise InputDomainError("path seeds must form a 1-D sequence of integers") from None
+    if not all(0 <= v <= MASK64 for v in values):
+        raise InputDomainError("path seeds must lie in [0, 2^64)")
+    return np.array(values, dtype=np.uint64)
+
+
+def _hashmix(value: np.ndarray, key: int, mult: int) -> tuple[np.ndarray, int]:
+    """One step of numpy's SeedSequence hash on uint32 words; returns the
+    hashed words and the next key.  The keys never depend on the data."""
+    following = key * mult & MASK32
+    value = (value ^ np.uint32(key)) * np.uint32(following)
+    return value ^ (value >> 16), following
+
+
+def seed_words(seeds: np.ndarray) -> np.ndarray:
+    """(len(seeds), 4) uint64: ``SeedSequence(seed).generate_state(4, np.uint64)``
+    for every uint64 seed, as uint32 array arithmetic over all seeds at once.
+
+    A seed is the entropy words (low, high) mixed into a pool of four.  A
+    seed below 2^32 has one word, and SeedSequence hashes the pool slot it
+    leaves empty from 0, exactly as it hashes a zero high word.
+    """
+    low = (seeds & MASK32).astype(np.uint32)
+    high = (seeds >> 32).astype(np.uint32)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    key = _SEED_INIT_A
+    pool = []
+    for word in (low, high, zero, zero):
+        hashed, key = _hashmix(word, key, _SEED_MULT_A)
+        pool.append(hashed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, key = _hashmix(pool[src], key, _SEED_MULT_A)
+                mixed = pool[dst] * np.uint32(_SEED_MIX_L) - hashed * np.uint32(_SEED_MIX_R)
+                pool[dst] = mixed ^ (mixed >> 16)
+    key = _SEED_INIT_B
+    state = np.empty((len(seeds), 8), dtype=np.uint64)
+    for i in range(8):
+        state[:, i], key = _hashmix(pool[i % 4], key, _SEED_MULT_B)
+    # each 64-bit word is two consecutive 32-bit words, low word first;
+    # C order, since PCG64 reads a path's four words from memory
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+@functools.cache
+def _fixed_seed_sequence() -> type:
+    """An ISeedSequence whose state is words worked out beforehand.
+
+    Built on first use, so that importing mmlab leaves numpy.random
+    unimported.  PCG64 asks its seed sequence only for
+    ``generate_state(4, np.uint64)``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeedSequence(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return FixedSeedSequence
+
+
+def brownian_increments(grid: TimeGrid, drivers: int, seeds) -> np.ndarray:
+    """(len(seeds), steps, drivers) Gaussian increments of variance dt.
+
+    Path j's increments are, bit for bit,
+    ``default_rng(seeds[j]).standard_normal((steps, drivers)) * sqrt(dt)``:
+    numpy's PCG64 seeded through SeedSequence from the path's 64-bit seed.
+    The SeedSequence hash runs once over all seeds (:func:`seed_words`);
+    numpy then seeds each path's PCG64 from the words as it would itself.
+    """
     if drivers < 1:
         raise InputDomainError(f"drivers must be >= 1, got {drivers}")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((grid.steps, drivers)) * math.sqrt(grid.dt)
+    words = seed_words(_path_seeds(seeds))
+    fixed = _fixed_seed_sequence()
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
+    dB = np.empty((len(words), grid.steps, drivers))
+    for path, w in zip(dB, words):
+        Generator(PCG64(fixed(w))).standard_normal(out=path)
+    dB *= math.sqrt(grid.dt)
+    return dB
 
 
 class EulerStep(NamedTuple):
@@ -204,7 +309,7 @@ def simulate_path(spec: IntegrandSpec, grid: TimeGrid, seed) -> Trajectory:
     n = spec.n
     x = np.zeros((grid.steps + 1, n, n))
     qv = np.zeros((grid.steps + 1, n, n))
-    dB = brownian_increments(grid, spec.drivers, seed)[None]
+    dB = brownian_increments(grid, spec.drivers, [seed])
     for step in EulerScheme(spec, grid).steps(dB):
         x[step.k + 1] = step.x
         qv[step.k + 1] = step.qv
@@ -733,7 +838,7 @@ def simulate_block(
     raises no numpy warning: the exclusion mask reports it.
     """
     plan = plan or CollectorPlan()
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = _path_seeds(seeds)
     total = len(seeds)
     scheme = EulerScheme(spec, grid)
     spectra = _Spectra(scheme)
@@ -748,9 +853,7 @@ def simulate_block(
     for start in range(0, total, _CHUNK):
         idx = slice(start, min(start + _CHUNK, total))
         chunk_seeds = seeds[idx]
-        dB = np.empty((len(chunk_seeds), grid.steps, spec.drivers))
-        for b, seed in enumerate(chunk_seeds):
-            dB[b] = brownian_increments(grid, spec.drivers, seed)
+        dB = brownian_increments(grid, spec.drivers, chunk_seeds)
         spectra.start(len(chunk_seeds))
         for c in collectors:
             c.start({name: out[name][idx] for name in c.columns}, chunk_seeds)

@@ -24,7 +24,7 @@ from mmlab.linalg import (
     symmetrize,
 )
 import mmlab.simulate as simulate_module
-from mmlab.simulate import EulerScheme, TimeGrid, Trajectory, brownian_increments, simulate_block
+from mmlab.simulate import EulerScheme, TimeGrid, Trajectory, simulate_block
 
 
 def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -293,9 +293,21 @@ def euler_with_increments(spec: IntegrandSpec, grid: TimeGrid, increments) -> Tr
     return Trajectory(times=times, x=x, qv=qv)
 
 
+def reference_increments(grid: TimeGrid, drivers: int, seed) -> np.ndarray:
+    """(steps, drivers) increments of one path, from its own ``default_rng``.
+
+    The stream contract that ``simulate.brownian_increments`` serves a
+    chunk at a time; here numpy seeds the generator itself.
+    """
+    if drivers < 1:
+        raise InputDomainError(f"drivers must be >= 1, got {drivers}")
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((grid.steps, drivers)) * math.sqrt(grid.dt)
+
+
 def reference_path(spec: IntegrandSpec, grid: TimeGrid, seed) -> Trajectory:
     """The per-matrix Euler trajectory of one seed's increments."""
-    return euler_with_increments(spec, grid, brownian_increments(grid, spec.drivers, seed))
+    return euler_with_increments(spec, grid, reference_increments(grid, spec.drivers, seed))
 
 
 def grid_lambda_max(spec: IntegrandSpec, grid: TimeGrid, seeds, levels=()):
@@ -308,7 +320,7 @@ def grid_lambda_max(spec: IntegrandSpec, grid: TimeGrid, seeds, levels=()):
     to the Brownian-bridge supremum.  The engine's stepper supplies the
     states and numpy's ``eigvalsh`` the spectra.
     """
-    dB = np.stack([brownian_increments(grid, spec.drivers, s) for s in seeds])
+    dB = np.stack([reference_increments(grid, spec.drivers, s) for s in seeds])
     sup = np.zeros(len(dB))
     prefix = np.zeros((len(dB), len(levels)))
     for step in EulerScheme(spec, grid).steps(dB):

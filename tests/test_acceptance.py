@@ -35,7 +35,7 @@ from mmlab.integrands import (
 from mmlab.linalg import hermitian_dilation, spectral_norm
 from mmlab.montecarlo import (
     ExperimentConfig,
-    derive_path_seed,
+    derive_path_seeds,
     run_batch,
 )
 from mmlab.simulate import (
@@ -323,9 +323,7 @@ def test_10_discretization_fidelity():
     ks_levels = [2**j for j in range(4, 11)]
     errs = np.zeros(len(ks_levels))
     paths = 64
-    inc = np.stack(
-        [brownian_increments(ref_grid, tp.drivers, derive_path_seed(777, j)) for j in range(paths)]
-    )
+    inc = brownian_increments(ref_grid, tp.drivers, derive_path_seeds(777, 0, paths))
     ref = _terminal_states(tp, ref_grid, inc)
     for i, k in enumerate(ks_levels):
         # the same Brownian paths, summed onto the coarser grid

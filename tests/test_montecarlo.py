@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -406,7 +407,7 @@ class TestRunBatch:
             return SimpleNamespace(Pool=FakePool)
 
         monkeypatch.setattr(montecarlo, "simulate_block", spy)
-        monkeypatch.setattr(montecarlo.multiprocessing, "get_context", get_context)
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
         cfg = small_config(paths=paths, block_size=block_size, grid=TimeGrid(1.0, 4), checks=())
         run_batch(cfg, workers=workers)
         seeds = derive_path_seeds(cfg.master_seed, 0, paths)

@@ -2,22 +2,25 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmlab.simulate as simulate_module
 from mmlab.checks import CHECK_REGISTRY, CheckRequest, evaluate_checks, recompute_holds
+from mmlab.errors import InputDomainError
 from mmlab.integrands import rect_constant_spec
 from mmlab.montecarlo import ExperimentConfig, derive_path_seed, derive_path_seeds, run_batch
 from mmlab.simulate import (
     CollectorPlan,
     TimeGrid,
+    brownian_increments,
     default_checkpoints,
+    seed_words,
     simulate_block,
     simulate_path,
 )
 
-from .oracles import always_solve_block
+from .oracles import always_solve_block, reference_increments
 from .test_simulate import family_zoo
 
 GRID = TimeGrid(1.0, 16)
@@ -79,7 +82,9 @@ def test_recompute_holds_agrees_with_holds(kind, batch):
         # multiplier, so this one puts the verdict on the edge at scale 1
         first = evaluate(batch, request, slack, 1.0)
         bound = first.metadata.get("bound_rhs", first.rhs)
-        critical = (first.lhs - slack * first.lhs_ci) / (bound + slack * first.rhs_ci)
+        edge = bound + slack * first.rhs_ci
+        # a zero rhs with a zero half-width stays zero under any multiplier
+        critical = (first.lhs - slack * first.lhs_ci) / edge if edge else 1.0
         result = evaluate(batch, request, slack, max(critical, 0.0) * scale)
         assert result.name == kind
         assert recompute_holds(result) == result.holds
@@ -97,6 +102,65 @@ def test_derive_path_seeds_matches_scalar(master, start, count):
     got = derive_path_seeds(master, start, start + count)
     assert got.dtype == np.uint64
     assert got.tolist() == [derive_path_seed(master, i) for i in range(start, start + count)]
+
+
+UINT64 = st.integers(0, 2**64 - 1)
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds=st.lists(st.one_of(UINT64, st.sampled_from(EDGE_SEEDS)), max_size=20))
+@example(seeds=EDGE_SEEDS)
+def test_seed_words_match_seed_sequence(seeds):
+    got = seed_words(np.array(seeds, dtype=np.uint64))
+    want = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, np.reshape(want, (len(seeds), 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drivers=st.integers(1, 4),
+    steps=st.integers(1, 300),
+    seeds=st.lists(st.one_of(UINT64, st.sampled_from(EDGE_SEEDS)), max_size=10),
+    cuts=st.lists(st.integers(0, 10), max_size=4),
+)
+def test_brownian_increments_match_default_rng(drivers, steps, seeds, cuts):
+    # every path's stream is its own default_rng's, bit for bit, however
+    # the seed array is split into chunks
+    grid = TimeGrid(1.0, steps)
+    seeds = np.array(seeds, dtype=np.uint64)
+    bounds = sorted({0, len(seeds), *(c % (len(seeds) + 1) for c in cuts)})
+    got = np.concatenate(
+        [brownian_increments(grid, drivers, seeds[a:b]) for a, b in zip(bounds, bounds[1:])]
+        or [brownian_increments(grid, drivers, seeds)]
+    )
+    want = [reference_increments(grid, drivers, int(s)) for s in seeds]
+    assert np.array_equal(got, np.reshape(want, (len(seeds), steps, drivers)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bad=st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
+    good=st.lists(UINT64, max_size=5),
+    at=st.integers(0, 5),
+)
+def test_seed_outside_uint64_is_rejected(bad, good, at):
+    seeds = good[:at] + [bad] + good[at:]
+    for form in (seeds, np.array(seeds, dtype=object)):
+        with pytest.raises(InputDomainError):
+            brownian_increments(GRID, 1, form)
+        with pytest.raises(InputDomainError):
+            simulate_block(rect_constant_spec(np.array([[[0.8]]])), GRID, form)
+    if -(2**63) <= bad < 0:
+        with pytest.raises(InputDomainError):
+            brownian_increments(GRID, 1, np.array([bad], dtype=np.int64))
+
+
+@given(drivers=st.integers(-3, 0), seeds=st.lists(UINT64, max_size=3))
+def test_drivers_below_one_rejected(drivers, seeds):
+    with pytest.raises(InputDomainError, match="drivers"):
+        brownian_increments(GRID, drivers, seeds)
 
 
 # every collector simulate_block has

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 import mmlab.simulate as simulate_module
 from mmlab.errors import InputDomainError, PathBlowupError
@@ -34,6 +41,7 @@ from .oracles import (
     exact_constant_path,
     grid_lambda_max,
     loewner_leq,
+    reference_increments,
     reference_path,
     always_solve_block,
     schatten_norm,
@@ -75,23 +83,29 @@ class TestTimeGrid:
 
 class TestBrownianIncrements:
     def test_deterministic(self):
-        a = brownian_increments(GRID, 3, 12345)
-        b = brownian_increments(GRID, 3, 12345)
+        a = brownian_increments(GRID, 3, [12345, 7])
+        b = brownian_increments(GRID, 3, [12345, 7])
         assert np.array_equal(a, b)
 
     def test_shape(self):
-        assert brownian_increments(GRID, 5, 1).shape == (256, 5)
+        assert brownian_increments(GRID, 5, [1, 2]).shape == (2, 256, 5)
+        assert brownian_increments(GRID, 5, []).shape == (0, 256, 5)
 
     def test_moments(self):
         g = TimeGrid(horizon=1.0, steps=10**6)
-        inc = brownian_increments(g, 1, 2024)
+        inc = brownian_increments(g, 1, [2024])[0]
         assert abs(inc.mean()) < 4.0 * math.sqrt(g.dt / 10**6)
         assert inc.var() == pytest.approx(g.dt, rel=0.01)
 
     def test_distinct_seeds_differ(self):
-        assert not np.array_equal(
-            brownian_increments(GRID, 1, 0), brownian_increments(GRID, 1, 1)
-        )
+        inc = brownian_increments(GRID, 1, [0, 1])
+        assert not np.array_equal(inc[0], inc[1])
+
+    def test_matches_default_rng_stream(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        inc = brownian_increments(GRID, 2, seeds)
+        for j, seed in enumerate(seeds):
+            assert np.array_equal(inc[j], reference_increments(GRID, 2, seed))
 
 
 class TestSimulatePath:
@@ -102,7 +116,7 @@ class TestSimulatePath:
 
     def test_scalar_unit_integrand_partial_sums(self):
         spec = constant_spec(np.ones((1, 1, 1)))
-        inc = brownian_increments(GRID, 1, seed=11)
+        inc = brownian_increments(GRID, 1, [11])[0]
         traj = simulate_path(spec, GRID, seed=11)
         sums = np.concatenate([[0.0], np.cumsum(inc[:, 0])])
         assert np.array_equal(traj.x[:, 0, 0], sums)
@@ -546,3 +560,54 @@ class TestSimulateBlock:
                 [0],
                 CollectorPlan(supermartingale_betas=(1.0,)),
             )
+
+
+class TestEngineSeeding:
+    def test_one_stream_call_per_chunk(self, monkeypatch):
+        # the Brownian streams of a chunk come from one call, and no path
+        # is seeded through default_rng or a SeedSequence of its own
+        calls = []
+        real = simulate_module.brownian_increments
+        real_pcg64 = np.random.PCG64
+
+        def spy(grid, drivers, seeds):
+            calls.append(len(seeds))
+            return real(grid, drivers, seeds)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the engine seeded a path on its own")
+
+        def pcg64(seed):
+            assert isinstance(seed, ISeedSequence) and not isinstance(seed, SeedSequence)
+            return real_pcg64(seed)
+
+        monkeypatch.setattr(simulate_module, "brownian_increments", spy)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+        monkeypatch.setattr(np.random, "PCG64", pcg64)
+        chunk = simulate_module._CHUNK
+        seeds = np.arange(2 * chunk + 7, dtype=np.uint64)
+        simulate_block(constant_spec(np.ones((1, 1, 1))), TimeGrid(1.0, 4), seeds)
+        assert calls == [chunk, chunk, 7]
+
+    def test_import_and_one_worker_verify_leave_modules_unloaded(self, tmp_path):
+        # importing the CLI must not import numpy.random, and a one-worker
+        # verify must not import multiprocessing
+        root = Path(simulate_module.__file__).resolve().parents[2]
+        code = textwrap.dedent(
+            f"""
+            import sys
+            from mmlab.cli import main
+            assert "numpy.random" not in sys.modules
+            try:
+                main(["verify", "--config", {str(root / "configs" / "verify_scalar.cfg")!r},
+                      "--out", {str(tmp_path)!r}, "--set", "paths=200"])
+            except SystemExit as done:
+                assert done.code == 0, done.code
+            assert "numpy.random" in sys.modules
+            assert "multiprocessing" not in sys.modules
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MMLAB_")}
+        env["PYTHONPATH"] = str(root / "src")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
