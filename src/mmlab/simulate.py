@@ -20,15 +20,21 @@ step, feeds one collector object per :class:`CollectorPlan` field from a
 cache that solves each spectrum (x, qv, sum_i H_i^2, sum_i H_i) at most
 once per step.
 
-For n >= 3, where every solve is a LAPACK call, the cache solves x (and
-on path_feedback qv) only on the paths where some collector's output
-could still change.  Each
-path keeps the last state it solved exactly, and Weyl's inequality
-bounds every eigenvalue of X_{k+1} by that state's eigenvalues plus
-||X_{k+1} - X_j||_F.  A path is skipped only while these bounds, widened
-by a relative margin far above the rounding of ``eigvalsh``, prove that
-the exact spectrum would leave every output unchanged, so the outputs
-are bit-identical to solving every path at every step.
+For n >= 3, where every solve is a LAPACK call, the statistics that read
+x at every step, sup_k ||X_k|| and the bridge suprema of lambda_max, are
+maxima over the steps, and a maximum does not depend on the order of its
+terms.  So each chunk takes two passes through the same stepper.  The
+bound pass runs every collector but solves x only at the last step; it
+bounds ||X_k|| and lambda_max(X_k) from above by the Wolkowicz-Styan
+ceilings (from tr X and ||X - (tr X / n) I||_F alone) and keeps, per path,
+the states whose ceilings are the largest.  Solved in one call, those
+give lower bounds that the maxima actually attain somewhere on the path.
+The solve pass replays the stepper and solves a state only where a
+ceiling still reaches such a bound.  The ceilings are widened by a
+relative margin far above the rounding of ``eigvalsh``, so the outputs are
+bit-identical to solving every path at every step.  On path_feedback qv
+is bracketed step by step, by Weyl's inequality, and solved only where a
+sigma^2 level falls inside the bracket.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ceilings import MARGIN, Best, Window, record, reaches
 from .errors import InputDomainError, PathBlowupError
 from .integrands import (
     IntegrandSpec,
@@ -61,11 +68,6 @@ DEFAULT_STEPS = 256
 _CHUNK = 1024
 # grid steps per batch of bridge draws; memory and speed only
 _BRIDGE_STEPS = 16
-# relative width added to every eigenvalue bound before it may skip a
-# solve: eigvalsh and the bound arithmetic are accurate to a small multiple
-# of n * eps (about 1e-16) relative to the norms involved, so this leaves
-# room for n far beyond any dimension a LAPACK solve per path can afford
-_MARGIN = 1e-8
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -473,18 +475,16 @@ class _Spectra:
     ``x`` is the state at t_{k+1}, ``qv`` the quadratic variation there,
     ``s2`` = sum_i H_i(t_k)^2 and ``h`` = sum_i H_i(t_k).  When the
     integrand depends on time alone qv, s2 and h are path-free:
-    :meth:`path_free` solves each once on the whole grid (qv by grid
-    index, s2 and h by step) and a step is served its row.  On
-    path_feedback, and always for x, they are solved per path.
+    :meth:`path_free` solves each once on the whole grid (qv by grid index,
+    s2 and h by step) and a step is served its row.  On path_feedback, and
+    always for x, they are solved per path.  A per-path solve may be
+    limited to some paths (``rows``); the others are NaN and :meth:`solved`
+    tells them apart.
 
-    A per-path solve may be limited to some paths (``rows``); the others
-    are NaN and :meth:`solved` tells them apart.  Every path counts as
-    needed when the dimension has a closed form, which costs less than a
-    bound, and at the last step.  Otherwise x is solved on the union of
-    the paths the collectors need, and :meth:`x_bounds` certifies the
-    rest: each path keeps an anchor, the last state it solved exactly,
-    and by Weyl's inequality every eigenvalue of x lies within
-    ||x - anchor||_F of the anchor's.
+    Where the dimension has a closed form, which costs less than any bound,
+    x is solved on every path at every step.  Otherwise (``certify``) this
+    serves the bound pass of :func:`_solve_pass`, and x is solved only at
+    the last step.
     """
 
     def __init__(self, scheme: EulerScheme):
@@ -493,26 +493,15 @@ class _Spectra:
         self._grid: dict[str, np.ndarray] = {}
 
     def start(self, paths: int) -> None:
-        """A new chunk: every anchor is X_0 = 0, whose eigenvalues are 0.
-
-        ``anchor_norm`` and ``anchor_top`` are the anchor's ||.|| and
-        lambda_max, widened by the margin for the rounding of eigvalsh.
-        """
-        n = self.scheme.spec.n
         self.everyone = np.ones(paths, dtype=bool)
-        self.anchor = np.zeros((paths, n, n))
-        self.anchor_norm = np.zeros(paths)
-        self.anchor_top = np.zeros(paths)
 
-    def at(self, step: EulerStep, collectors) -> None:
-        """Move to ``step`` and solve x on every path a collector needs."""
+    def at(self, step: EulerStep) -> None:
+        """Move to ``step``.  Solve x on every path, unless solves are
+        certified and this is not the last step."""
         self.step, self._step, self._solved = step, {}, {}
         self.last = step.k == self.scheme.grid.steps - 1
-        rows = None
-        if self.certify and not self.last:
-            needs = [c.need(step, self) for c in collectors if c.need]
-            rows = functools.reduce(np.logical_or, needs)
-        self("x", rows)
+        if self.last or not self.certify:
+            self("x")
 
     def path_free(self, name: str) -> np.ndarray | None:
         scheme = self.scheme
@@ -524,15 +513,6 @@ class _Spectra:
             self._grid[name] = stacked_eigenvalues(stack)
         return self._grid.get(name)
 
-    def x_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per path, ceilings on ||x|| and lambda_max(x) as eigvalsh would
-        return them; non-finite where the certificate fails."""
-        if "bounds" not in self._step:
-            diff = self.step.x - self.anchor
-            dist = np.sqrt(np.einsum("cij,cij->c", diff, diff)) * (1.0 + _MARGIN)
-            self._step["bounds"] = (self.anchor_norm + dist, self.anchor_top + dist)
-        return self._step["bounds"]
-
     def solved(self, name: str) -> np.ndarray:
         """The mask of paths on which ``name``'s spectrum is solved."""
         return self._solved[name]
@@ -540,7 +520,7 @@ class _Spectra:
     def __call__(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
         """Eigenvalues of ``name`` at this step: (paths, n), or (n,) when
         path-free.  ``rows``, a path mask, limits a per-path solve to those
-        paths; callers pass one only while solves are certified."""
+        paths."""
         if name not in self._step:
             step, scheme = self.step, self.scheme
             whole = self.path_free(name)
@@ -553,20 +533,13 @@ class _Spectra:
             else:
                 stack = getattr(step, name)
             if rows is None or rows.all():
-                idx = slice(None)
-                eigs = part = stacked_eigenvalues(stack)
+                eigs = stacked_eigenvalues(stack)
                 rows = self.everyone
             else:
                 idx = np.flatnonzero(rows)
-                stack = stack[idx]
                 eigs = np.full((len(rows), stack.shape[-1]), np.nan)
-                part = stacked_eigenvalues(stack) if len(idx) else eigs[idx]
-                eigs[idx] = part
-            if name == "x" and self.certify and not self.last:
-                norm = _norm(part)
-                self.anchor[idx] = stack
-                self.anchor_norm[idx] = norm * (1.0 + _MARGIN)
-                self.anchor_top[idx] = part[:, -1] + _MARGIN * norm
+                if len(idx):
+                    eigs[idx] = stacked_eigenvalues(stack[idx])
             self._step[name], self._solved[name] = eigs, rows
         return self._step[name]
 
@@ -577,14 +550,22 @@ class _Collector:
     ``columns`` maps each output name to its per-path shape.  ``start``
     hands over a chunk's output rows (views, written in place) and path
     seeds, ``update`` runs after every Euler step and ``finish`` after
-    the last one, while the spectra still hold that step.  While x's
-    solves are certified, ``need`` runs before ``update`` and names the
-    paths whose exact x spectrum the update must see: on the others
-    ``spectra("x")`` is NaN, and the update must leave them unchanged.
+    the last one, while the spectra still hold that step.
+
+    A collector whose output is a maximum over the steps of a function of
+    x's spectrum lists its :class:`~mmlab.ceilings.Best` trackers in
+    ``bests`` while solves are certified.  Then ``update`` reads no x
+    before the last step, and ``bound`` takes each full
+    :class:`~mmlab.ceilings.Window` of the bound pass: it offers the
+    window's ceilings to the trackers and records them.  After the bound
+    pass ``lower`` turns the exact spectra of the kept states into lower
+    bounds on the maxima and sets ``need``, per step and path, whether x
+    after the step may still move a maximum.  In the solve pass
+    ``settle(k, idx, eigs)`` takes the maxima from x after step k, solved
+    on the paths ``idx``.
     """
 
-    # a collector that reads x only in finish needs no path
-    need = None
+    bests: tuple[Best, ...] = ()
 
     def start(self, rows: dict[str, np.ndarray], seeds: np.ndarray) -> None:
         self.rows = rows
@@ -599,22 +580,50 @@ class _Collector:
 class _Norms(_Collector):
     """sup_k ||X_k||, ||X_T|| and ||<X>_T||; always on.
 
-    sup_k ||X_k|| needs x only where the ceiling on ||X_{k+1}|| reaches it.
+    Certified, the bound pass keeps each path's state with the largest norm
+    ceiling.  Its exact norm, or ||X_T|| if larger, bounds sup_k ||X_k||
+    from below, and the solve pass solves a state only where its ceiling
+    reaches that bound.
     """
 
     columns = {"sup_spectral": (), "terminal_spectral": (), "terminal_qv_norm": ()}
 
-    def need(self, step, spectra):
-        # a nan ceiling fails the comparison, so it asks for the solve
-        return ~(spectra.x_bounds()[0] < self.rows["sup_spectral"])
+    def __init__(self, spectra: _Spectra):
+        self.spectra = spectra
+
+    def start(self, rows, seeds):
+        self.rows = rows
+        if self.spectra.certify:
+            paths, scheme = len(seeds), self.spectra.scheme
+            self.best = Best(paths, scheme.spec.n, 1)
+            self.bests = (self.best,)
+            self.ceilings = np.empty((scheme.grid.steps, paths), dtype=np.float32)
 
     def update(self, step, spectra):
-        sup = self.rows["sup_spectral"]
-        np.maximum(sup, _norm(spectra("x")), out=sup, where=spectra.solved("x"))
+        if not spectra.certify:
+            sup = self.rows["sup_spectral"]
+            np.maximum(sup, _norm(spectra("x")), out=sup)
+
+    def bound(self, window):
+        norm = window.norm[1:]
+        self.best.offer(norm, window, (1,))
+        record(self.ceilings[window.k0 : window.k0 + window.count], norm)
 
     def finish(self, spectra):
         self.rows["terminal_spectral"][...] = _norm(spectra("x"))
         self.rows["terminal_qv_norm"][...] = _norm(spectra("qv"))
+
+    def lower(self):
+        floor = np.maximum(self.rows["terminal_spectral"], _norm(self.best.eigs[0]))
+        self.need = reaches(self.ceilings, floor)
+        self.ceilings = None
+
+    def settle(self, k, idx, eigs):
+        sup = self.rows["sup_spectral"]
+        if k == self.spectra.scheme.grid.steps - 1:
+            np.maximum(sup, self.rows["terminal_spectral"], out=sup)
+        elif len(idx):
+            sup[idx] = np.maximum(sup[idx], _norm(eigs))
 
 
 class _BridgeTail(_Collector):
@@ -624,13 +633,20 @@ class _BridgeTail(_Collector):
     local variance ||sum_i H_i(t_k)^2||: exact for n = 1, an upper bound on
     the local variance of lambda_max for n > 1.
 
-    The peak is nondecreasing in both endpoints, so ceilings on them bound
-    it: x is needed only where that bound reaches the lowest maximum the
-    step can raise.  Where the left endpoint was skipped, it is solved
-    late, and only where the bound with the exact right endpoint still
-    reaches.  On path_feedback each path's ||<X>|| is bracketed too:
-    Weyl's inequality moves the ends by dt * lambda(sum_i H_i^2) per step,
-    and <X> is solved only where a level falls inside the bracket.
+    The peak is nondecreasing in both endpoints, so the lambda_max ceilings
+    of a step's endpoints bound it.  Certified, the bound pass keeps each
+    path's endpoint pair with the largest peak ceiling, overall and per
+    level over the steps the level admits (a level shares the overall pair
+    until a step it does not admit); their exact peaks bound the maxima
+    from below.  A step is a candidate where its peak ceiling reaches the
+    overall bound or that of a level admitting it, and x is needed after
+    a step where it or the next step is one.  The solve pass takes the
+    exact peaks of the candidates once per batch of steps.
+
+    On path_feedback each path's ||<X>|| is bracketed too: Weyl's
+    inequality moves the ends by dt * lambda(sum_i H_i^2) per step, and <X>
+    is solved only where a level falls inside the bracket.  The bound pass
+    records each step's variance and admitted levels for the solve pass.
     """
 
     def __init__(self, levels, spectra: _Spectra):
@@ -640,46 +656,31 @@ class _BridgeTail(_Collector):
 
     def start(self, rows, seeds):
         self.rows, self.seeds = rows, seeds
-        s2, qv = self.spectra.path_free("s2"), self.spectra.path_free("qv")
+        spectra, paths, steps = self.spectra, len(seeds), self.grid.steps
+        s2, qv = spectra.path_free("s2"), spectra.path_free("qv")
+        # path_feedback works out each step's variance and admitted levels
+        # per path, in the bound pass; per step, var is (paths,) or (1,)
+        # and the admitted levels (paths, levels) or (1, levels)
+        self.record = s2 is None
         if s2 is not None:
-            # time-only families: every step's variance and admitted levels
-            # are path-free, so they are worked out once on the whole grid
-            self.grid_var = 2.0 * self.grid.dt * _norm(s2)
-            self.grid_inside = np.less_equal.outer(_norm(qv), self.levels)
-        paths = len(seeds)
-        # lambda_max(X_k) at the step's left end, exact where left_exact and
-        # a ceiling elsewhere, and a ceiling on ||X_k||
+            # time-only families: they are path-free, worked out once on
+            # the whole grid
+            self.var = 2.0 * self.grid.dt * _norm(s2)[:, None]
+            self.admits = np.less_equal.outer(_norm(qv)[1:], self.levels)[:, None]
+        elif spectra.certify:
+            self.var = np.empty((steps, paths))
+            self.admits = np.empty((steps, paths, len(self.levels)), dtype=bool)
         self.lam_prev = np.zeros(paths)
-        self.left_exact = np.ones(paths, dtype=bool)
-        self.norm_prev = np.zeros(paths)
         # path_feedback: lambda_max(<X>) from below, ||<X>|| from above
         self.qv_floor = np.zeros(paths)
         self.qv_ceil = np.zeros(paths)
-        self.k = -1
-
-    def _prepare(self, step, spectra):
-        """Once per step: the variance term, the levels that admit the
-        step and the lowest maximum it can raise."""
-        if self.k == step.k:
-            return
-        self.k = k = step.k
-        if k % _BRIDGE_STEPS == 0:
-            stop = min(k + _BRIDGE_STEPS, self.grid.steps)
-            self.exps = bridge_exponentials(self.seeds, range(k, stop))
-        if spectra.scheme.feedback:
-            s2 = spectra("s2")
-            var = 2.0 * self.grid.dt * _norm(s2)
-            self.inside = self._inside(spectra, s2)
-        else:
-            var, self.inside = self.grid_var[k], self.grid_inside[k + 1]
-        self.ve = var * self.exps[k % _BRIDGE_STEPS]
-        self.any_inside = self.inside.any()
         if spectra.certify:
-            self.lowest = self.rows["bridge_sup"].copy()
-            if self.any_inside:
-                prefix = np.where(self.inside, self.rows["bridge_prefix_max"], np.inf)
-                np.minimum(self.lowest, prefix.min(axis=-1), out=self.lowest)
-            self.root_ve = np.sqrt(self.ve)
+            n = spectra.scheme.spec.n
+            self.best = Best(paths, n, 2)
+            self.bests = (self.best,)
+            self.level_bests = [self.best] * len(self.levels)
+            self.ceilings = np.empty((steps, paths), dtype=np.float32)
+
 
     def _inside(self, spectra, s2):
         """Whether each path's ||qv|| at the step's right end stays <= each
@@ -689,7 +690,7 @@ class _BridgeTail(_Collector):
             return np.less_equal.outer(_norm(spectra("qv")), levels)
         dt = self.grid.dt
         s2_norm = _norm(s2)
-        slack = _MARGIN * (self.qv_ceil + dt * s2_norm)
+        slack = MARGIN * (self.qv_ceil + dt * s2_norm)
         floor = self.qv_floor + dt * s2[:, 0] - slack
         ceil = self.qv_ceil + dt * s2_norm + slack
         settled = (ceil[:, None] < levels) | (floor[:, None] > levels)
@@ -700,42 +701,97 @@ class _BridgeTail(_Collector):
         self.qv_ceil = np.where(solved, exact, ceil)
         return np.where(solved[:, None], exact[:, None] <= levels, ceil[:, None] < levels)
 
-    def _reaches(self, peak, norm):
-        """Where ``peak``, the peak between endpoints at or above the true
-        ones, may reach the lowest maximum; ``norm`` bounds ||X_{k+1}||.
-        The margin scales with every magnitude in the peak's arithmetic,
-        so it covers its rounding; a nan bound reaches."""
-        scale = self.norm_prev + norm + self.root_ve
-        return ~(peak + _MARGIN * scale < self.lowest)
-
-    def need(self, step, spectra):
-        self._prepare(step, spectra)
-        norm, top = spectra.x_bounds()
-        return self._reaches(_peak(self.lam_prev, top, self.ve), norm)
-
     def update(self, step, spectra):
-        self._prepare(step, spectra)
-        lam = spectra("x")[:, -1]
-        solved = spectra.solved("x")
-        use = solved & self.left_exact
-        peak = _peak(self.lam_prev, lam, self.ve)
-        if not self.left_exact.all():
-            # a skipped left end: solve it where the bound still reaches
-            late = np.flatnonzero(solved & ~use & self._reaches(peak, spectra.x_bounds()[0]))
-            if len(late):
-                self.lam_prev[late] = stacked_eigenvalues(step.x_left[late])[:, -1]
-                use[late] = True
-                peak = _peak(self.lam_prev, lam, self.ve)
-        np.maximum(self.rows["bridge_sup"], peak, out=self.rows["bridge_sup"], where=use)
-        if self.any_inside:
-            prefix = self.rows["bridge_prefix_max"]
-            np.maximum(prefix, peak[:, None], out=prefix, where=self.inside & use[:, None])
-        if spectra.certify and not spectra.last:
-            self.norm_prev, top = spectra.x_bounds()
-            self.lam_prev = np.where(solved, lam, top)
-            self.left_exact = solved
+        k = step.k
+        if k % _BRIDGE_STEPS == 0:
+            stop = min(k + _BRIDGE_STEPS, self.grid.steps)
+            self.exps = bridge_exponentials(self.seeds, range(k, stop))
+        if self.record:
+            s2 = spectra("s2")
+            var, inside = 2.0 * self.grid.dt * _norm(s2), self._inside(spectra, s2)
+            if spectra.certify:
+                self.var[k], self.admits[k] = var, inside
         else:
-            self.lam_prev = lam
+            var, inside = self.var[k], self.admits[k]
+        if spectra.certify:
+            return
+        lam = spectra("x")[:, -1]
+        peak = _peak(self.lam_prev, lam, var * self.exps[k % _BRIDGE_STEPS])
+        sup = self.rows["bridge_sup"]
+        np.maximum(sup, peak, out=sup)
+        if inside.any():
+            prefix = self.rows["bridge_prefix_max"]
+            np.maximum(prefix, peak[:, None], out=prefix, where=inside)
+        self.lam_prev = lam
+
+    def bound(self, window):
+        ks = slice(window.k0, window.k0 + window.count)
+        first = window.k0 % _BRIDGE_STEPS
+        ve = self.var[ks] * self.exps[first : first + window.count]
+        # ceilings on the steps' peaks; the margin scales with every
+        # magnitude in the peak's arithmetic, so it covers the rounding
+        norm, top = window.norm, window.top
+        ceiling = _peak(top[:-1], top[1:], ve) + MARGIN * (norm[:-1] + norm[1:] + np.sqrt(ve))
+        for j, admitted in enumerate(np.moveaxis(self.admits[ks], -1, 0)):
+            if self.level_bests[j] is self.best:
+                if admitted.all():
+                    continue
+                self.level_bests[j] = self.best.copy()
+                self.bests += (self.level_bests[j],)
+            if admitted.any():
+                level = np.where(admitted, ceiling, -np.inf)
+                self.level_bests[j].offer(level, window, (0, 1), ve)
+        self.best.offer(ceiling, window, (0, 1), ve)
+        record(self.ceilings[ks], ceiling)
+
+    def finish(self, spectra):
+        self.lam_last = spectra("x")[:, -1]
+
+    def lower(self):
+        def exact(best):
+            return _peak(best.eigs[0][:, -1], best.eigs[1][:, -1], best.ve)
+
+        overall = exact(self.best)
+        levels = [overall if b is self.best else exact(b) for b in self.level_bests]
+        steps, paths = self.ceilings.shape
+        self.cand = np.empty((steps, paths), dtype=bool)
+        for k0 in range(0, steps, _BRIDGE_STEPS):
+            ks = slice(k0, k0 + _BRIDGE_STEPS)
+            floor = overall
+            for j, level in enumerate(levels):
+                floor = np.where(self.admits[ks, :, j], np.minimum(floor, level), floor)
+            self.cand[ks] = reaches(self.ceilings[ks], floor)
+        self.need = self.cand.copy()
+        self.need[:-1] |= self.cand[1:]
+        self.ceilings = None
+        # lambda_max after the steps of one batch; row 0 is the batch's
+        # left end, X_0 = 0 for the first
+        self.lam = np.full((_BRIDGE_STEPS + 1, paths), np.nan)
+        self.lam[0] = 0.0
+
+    def settle(self, k, idx, eigs):
+        steps, j = len(self.cand), k % _BRIDGE_STEPS
+        if k == steps - 1:
+            self.lam[j + 1] = self.lam_last
+        elif len(idx):
+            self.lam[j + 1, idx] = eigs[:, -1]
+        if j < _BRIDGE_STEPS - 1 and k < steps - 1:
+            return
+        # the batch is complete: its exact peaks where a step is a candidate
+        ks = slice(k - j, k + 1)
+        lam = self.lam[: j + 2]
+        ve = self.var[ks] * bridge_exponentials(self.seeds, range(k - j, k + 1))
+        peak = np.where(self.cand[ks], _peak(lam[:-1], lam[1:], ve), -np.inf)
+        sup = self.rows["bridge_sup"]
+        np.maximum(sup, peak.max(axis=0), out=sup)
+        prefix = self.rows["bridge_prefix_max"]
+        for level in range(len(self.levels)):
+            admitted = self.admits[ks, :, level]
+            if admitted.any():
+                top = np.where(admitted, peak, -np.inf).max(axis=0)
+                np.maximum(prefix[:, level], top, out=prefix[:, level])
+        self.lam[0] = lam[-1]
+        self.lam[1:] = np.nan
 
 
 class _Supermartingale(_Collector):
@@ -808,7 +864,7 @@ class _Quadrature(_Collector):
 def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
     """The norms, then one collector per requested CollectorPlan field."""
     grid, n = spectra.scheme.grid, spectra.scheme.spec.n
-    out: list[_Collector] = [_Norms()]
+    out: list[_Collector] = [_Norms(spectra)]
     if plan.sigma2_levels:
         out.append(_BridgeTail(plan.sigma2_levels, spectra))
     if plan.supermartingale_betas:
@@ -822,6 +878,56 @@ def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
     if plan.sum_norm_quad:
         out.append(_Quadrature("sum_norm_quad", "h", [lambda e: _norm(e) ** 2], (), spectra))
     return out
+
+
+def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB) -> None:
+    """The certified route's second pass over a chunk.
+
+    The first, the bound pass, ran every collector as usual but solved x
+    only at the last step; the collectors that take maxima over x kept
+    states and recorded ceilings instead (see :class:`_Collector`).  Here
+    the kept states are solved in one call, for the lower bounds.  Then the
+    stepper replays the chunk, so the states are the bound pass's bit for
+    bit, and x is solved in one call per step on the paths some collector
+    needs.  X_T needs none: the bound pass solved it on every path.  Each
+    kept state is solved once: the replay takes its spectrum from the
+    first call.
+    """
+    n, steps = scheme.spec.n, scheme.grid.steps
+    bests = [b for c in maxima for b in c.bests]
+    paths = len(dB)
+    # each kept state is solved once, keyed by (grid index, path), and not
+    # again in the replay; X_0 = 0 needs no solve
+    index = np.concatenate([b.index for b in bests]).reshape(-1)
+    key = index * paths + np.tile(np.arange(paths), len(index) // paths)
+    unique, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    states = np.concatenate([b.states for b in bests]).reshape(-1, n, n)
+    eigs = np.zeros((len(unique), n))
+    solve = unique >= paths
+    eigs[solve] = stacked_eigenvalues(states[first[solve]])
+    kept = eigs[inverse.reshape(-1)].reshape(-1, paths, n)
+    at = 0
+    for b in bests:
+        b.eigs, at = kept[at : at + len(b.states)], at + len(b.states)
+    for c in maxima:
+        c.lower()
+    need = maxima[0].need
+    for c in maxima[1:]:
+        need |= c.need
+    grid_index, path = np.divmod(unique, paths)
+    inner = (grid_index > 0) & (grid_index < steps)
+    need[grid_index[inner] - 1, path[inner]] = False
+    need[-1] = False
+    edges = np.searchsorted(grid_index, np.arange(steps + 1))
+    for step in scheme.steps(dB):
+        idx = need[step.k].nonzero()[0]
+        solved = stacked_eigenvalues(step.x[idx]) if len(idx) else eigs[:0]
+        if step.k < steps - 1:
+            known = slice(edges[step.k + 1], edges[step.k + 2])
+            idx = np.concatenate([idx, path[known]])
+            solved = np.concatenate([solved, eigs[known]])
+        for c in maxima:
+            c.settle(step.k, idx, solved)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -857,17 +963,27 @@ def simulate_block(
         spectra.start(len(chunk_seeds))
         for c in collectors:
             c.start({name: out[name][idx] for name in c.columns}, chunk_seeds)
+        # the collectors that take maxima over x, while solves are certified
+        maxima = [c for c in collectors if c.bests]
+        window = Window(len(chunk_seeds), spec.n, grid.steps, _BRIDGE_STEPS) if maxima else None
         for step in scheme.steps(dB):
-            spectra.at(step, collectors)
+            spectra.at(step)
             for c in collectors:
                 c.update(step, spectra)
+            if window and window.add(step):
+                for c in maxima:
+                    c.bound(window)
         for c in collectors:
             c.finish(spectra)
+        dropped = step.excluded
+        if maxima:
+            window = None  # free it: the solve pass keeps no states
+            _solve_pass(scheme, maxima, dB)
         # the one exclusion rule: a state that left float64 range, or a
         # non-finite statistic (np.maximum carries a nan or inf peak to
         # the end), must not reach an event count or an interval
         rows = excluded[idx]
-        rows |= step.excluded
+        rows |= dropped
         for values in out.values():
             rows |= ~np.isfinite(values[idx].reshape(len(chunk_seeds), -1)).all(axis=1)
     return out

@@ -1,17 +1,23 @@
 """Property tests (hypothesis) of invariants the engine and checks rely on."""
 
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mmlab.ceilings as ceilings_module
 import mmlab.simulate as simulate_module
 from mmlab.checks import CHECK_REGISTRY, CheckRequest, evaluate_checks, recompute_holds
 from mmlab.errors import InputDomainError
-from mmlab.integrands import rect_constant_spec
+from mmlab.integrands import path_feedback_spec, rect_constant_spec
+from mmlab.linalg import stacked_eigenvalues, symmetrize
 from mmlab.montecarlo import ExperimentConfig, derive_path_seed, derive_path_seeds, run_batch
 from mmlab.simulate import (
     CollectorPlan,
+    EulerScheme,
     TimeGrid,
     brownian_increments,
     default_checkpoints,
@@ -216,24 +222,82 @@ def test_qv_symmetric_psd_nondecreasing(family, n, payload_seed, seed):
     assert np.linalg.eigvalsh(np.diff(qv, axis=0))[:, 0].min() >= -tol
 
 
+def payload_spec(spec, payload):
+    """``spec`` as drawn ("drawn"); with every matrix zero, so that every
+    state, ceiling and lower bound is 0 ("zero"); or as a path_feedback
+    integrand that leaves float64 range within 32 steps on some paths and
+    not on others ("overflow")."""
+    if payload == "zero":
+        slopes = None if spec.slopes is None else np.zeros_like(spec.slopes)
+        return dataclasses.replace(spec, matrices=np.zeros_like(spec.matrices), slopes=slopes)
+    if payload == "overflow":
+        return path_feedback_spec(spec.matrices * 1e134, gamma=40.0)
+    return spec
+
+
+@contextlib.contextmanager
+def engine_spies(passes):
+    """Fail on a non-finite matrix handed to LAPACK, and append to
+    ``passes`` one list per run of the stepper: each step's state and
+    exclusion mask as the collectors first see them."""
+    solve, steps = simulate_module.stacked_eigenvalues, EulerScheme.steps
+
+    def finite_solve(a):
+        assert np.isfinite(a).all(), "a non-finite matrix reached LAPACK"
+        return solve(a)
+
+    def recording_steps(self, dB):
+        seen = []
+        passes.append(seen)
+        for step in steps(self, dB):
+            seen.append((step.x.copy(), step.excluded.copy()))
+            yield step
+
+    simulate_module.stacked_eigenvalues = finite_solve
+    EulerScheme.steps = recording_steps
+    try:
+        yield
+    finally:
+        simulate_module.stacked_eigenvalues = solve
+        EulerScheme.steps = steps
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(["time_poly", "path_feedback", "goe_like"]),
     n=st.integers(3, 6),
     payload_seed=st.integers(0, 2**32 - 1),
+    payload=st.sampled_from(["drawn", "zero", "overflow"]),
     seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
-    levels=st.lists(st.floats(0.05, 30.0), min_size=1, max_size=3),
+    # 1e-9 is crossed by every path at the first step, 1e9 by none
+    levels=st.lists(
+        st.one_of(st.floats(0.05, 30.0), st.sampled_from([1e-9, 1e9])), min_size=1, max_size=3
+    ),
     betas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2),
     cuts=st.lists(st.integers(0, 12), max_size=3),
     chunk=st.integers(1, 8),
 )
+@example(
+    family="goe_like", n=3, payload_seed=1, payload="zero", seeds=[1, 2, 3],
+    levels=[1.0], betas=[0.5], cuts=[], chunk=2,
+)
+@example(
+    family="path_feedback", n=3, payload_seed=5, payload="overflow",
+    seeds=[7919 * j for j in range(12)], levels=[1.0], betas=[0.0], cuts=[], chunk=12,
+)
+@example(
+    family="time_poly", n=4, payload_seed=3, payload="drawn", seeds=list(range(8)),
+    levels=[1e-9, 1e9], betas=[1.0], cuts=[3], chunk=8,
+)
 def test_certified_block_matches_always_solve(
-    family, n, payload_seed, seeds, levels, betas, cuts, chunk
+    family, n, payload_seed, payload, seeds, levels, betas, cuts, chunk
 ):
-    # skipping the solves that the eigenvalue bounds certify leaves every
-    # statistic of every kept path bit-identical, whatever the split into
-    # blocks and vectorized chunks
-    spec = next(s for s in family_zoo(n, payload_seed) if s.family == family)
+    # skipping the solves that the ceilings and lower bounds certify leaves
+    # every statistic of every kept path bit-identical, whatever the split
+    # into blocks and vectorized chunks.  LAPACK never sees a non-finite
+    # matrix, and the solve pass replays the bound pass's states bit for
+    # bit and drops no path the bound pass kept.
+    spec = payload_spec(next(s for s in family_zoo(n, payload_seed) if s.family == family), payload)
     grid = TimeGrid(1.0, 32)
     plan = CollectorPlan(
         sigma2_levels=tuple(levels),
@@ -244,16 +308,61 @@ def test_certified_block_matches_always_solve(
         sum_norm_quad=True,
     )
     seeds = np.array(seeds, dtype=np.uint64)
-    oracle = always_solve_block(spec, grid, seeds, plan)
+    passes = []
     bounds = sorted({0, len(seeds), *(c % (len(seeds) + 1) for c in cuts)})
     saved = simulate_module._CHUNK
     simulate_module._CHUNK = chunk
     try:
-        parts = [simulate_block(spec, grid, seeds[a:b], plan) for a, b in zip(bounds, bounds[1:])]
+        with engine_spies(passes):
+            oracle = always_solve_block(spec, grid, seeds, plan)
+            del passes[:]
+            parts = [simulate_block(spec, grid, seeds[a:b], plan) for a, b in zip(bounds, bounds[1:])]
     finally:
         simulate_module._CHUNK = saved
+    assert len(passes) % 2 == 0
+    for bound_pass, replay in zip(passes[::2], passes[1::2]):
+        assert len(bound_pass) == len(replay) == grid.steps
+        for (x, dropped), (x_again, dropped_again) in zip(bound_pass, replay):
+            assert np.array_equal(x, x_again)
+            assert not (dropped_again & ~dropped).any()
     got = {key: np.concatenate([p[key] for p in parts]) for key in oracle}
     kept = ~oracle["excluded"]
     assert np.array_equal(got["excluded"], oracle["excluded"])
     for key, values in oracle.items():
         assert np.array_equal(got[key][kept], values[kept]), key
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["near_scalar", "diagonal", "rank_one"]),
+    n=st.integers(3, 8),
+    exponent=st.integers(-200, 200),
+    noise=st.sampled_from([1e-12, 1e-9, 1e-8, 1e-7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="diagonal", n=3, exponent=-170, noise=1e-12, seed=0)
+def test_ceilings_bound_eigvalsh(kind, n, exponent, noise, seed):
+    # the Wolkowicz-Styan ceilings bound what eigvalsh returns, where the
+    # bound is tight (a rank-one stack, a diagonal with a repeated entry),
+    # where x - m I is tiny against m I, and at magnitudes whose squares
+    # underflow or overflow float64
+    rng = np.random.default_rng(seed)
+    count = 64
+    if kind == "near_scalar":
+        c = rng.standard_normal(count)[:, None, None]
+        x = c * np.eye(n) + noise * np.abs(c) * symmetrize(rng.standard_normal((count, n, n)))
+    elif kind == "diagonal":
+        d = rng.standard_normal((count, n))
+        d[::2, 1:] = d[::2, :1]
+        d[1::4, 1:] = 0.0
+        x = d[:, :, None] * np.eye(n)
+    else:
+        v = rng.standard_normal((count, n))
+        x = np.sign(rng.standard_normal(count))[:, None, None] * v[:, :, None] * v[:, None, :]
+    x = x * 10.0**exponent
+    assert np.isfinite(x).all()
+    eigs = stacked_eigenvalues(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm, top = ceilings_module.ceilings(x)
+    assert (top >= eigs[:, -1]).all()
+    assert (norm >= np.abs(eigs).max(axis=-1)).all()

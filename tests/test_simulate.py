@@ -11,7 +11,9 @@ import pytest
 from numpy.random import SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
+import mmlab.ceilings as ceilings_module
 import mmlab.simulate as simulate_module
+from mmlab.config import parse_settings
 from mmlab.errors import InputDomainError, PathBlowupError
 from mmlab.integrands import (
     constant_spec,
@@ -21,6 +23,7 @@ from mmlab.integrands import (
     time_poly_spec,
 )
 from mmlab.linalg import spectral_norm, symmetrize
+from mmlab.montecarlo import derive_path_seeds, plan_for_config
 from mmlab.simulate import (
     CollectorPlan,
     EulerScheme,
@@ -474,12 +477,14 @@ class TestSimulateBlock:
         #   and one solve per beta per checkpoint
         # - path_feedback solved x, qv, s2 and sum_i H_i per step, plus
         #   the checkpoints; ||<X>_T|| reuses the last step's qv spectrum
-        # At n = 3 x, and on path_feedback qv, are now solved only on the
-        # paths whose statistics their bounds cannot settle, and a skipped
-        # left endpoint is solved late where the bridge peak needs it: that
-        # late call can add one call per step per chunk, but the matrices
-        # solved must stay within the old budget.  The counts are pinned
-        # for these seeds.
+        # At n = 3 x is solved in two passes: the bound pass solves X_T, one
+        # call per chunk solves the states kept for the lower bounds, and
+        # the solve pass makes at most one call per step; on path_feedback
+        # qv is solved only where its bracket straddles a level.  So the
+        # calls may exceed the old count by one per chunk and no more, and
+        # the matrices must stay below the budget of the per-path Weyl
+        # bounds of the engine before (323, 336 and 641).  The counts are
+        # pinned for these seeds.
         grid = TimeGrid(1.0, 16)
         plan = CollectorPlan(
             sigma2_levels=(0.5, 2.0),
@@ -495,7 +500,8 @@ class TestSimulateBlock:
             "time_poly": (3 + 3 * (16 + 14), 49 + 10 * (16 + 14)),
             "path_feedback": (3 * (4 * 16 + 14), 10 * (4 * 16 + 14)),
         }
-        budget = {"goe_like": (95, 323), "time_poly": (99, 336), "path_feedback": (203, 641)}
+        certificates = {"goe_like": 323, "time_poly": 336, "path_feedback": 641}
+        budget = {"goe_like": (78, 284), "time_poly": (68, 276), "path_feedback": (177, 577)}
         solve = simulate_module.stacked_eigenvalues
         monkeypatch.setattr(simulate_module, "_CHUNK", 4)
         for spec in (s for s in zoo if s.family in budget):
@@ -509,39 +515,84 @@ class TestSimulateBlock:
             monkeypatch.setattr(simulate_module, "stacked_eigenvalues", counted)
             simulate_block(spec, grid, np.arange(10, dtype=np.uint64), plan)
             assert (calls[0], matrices[0]) == budget[spec.family], spec.family
-            old_calls, old_matrices = every_solve[spec.family]
-            assert matrices[0] <= old_matrices
-            assert calls[0] <= old_calls + 3 * 16
+            assert matrices[0] < certificates[spec.family]
+            assert calls[0] <= every_solve[spec.family][0] + 3
+
+    def test_x_solves_per_path_step_at_benchmark_shape(self, monkeypatch):
+        # one 256-path block of the shipped GOE config: the x rows solved,
+        # lower bounds and X_T included, stay at most 0.40 per path-step
+        # (0.517 with the per-path Weyl bounds before, 1 when every path is
+        # solved)
+        root = Path(simulate_module.__file__).resolve().parents[2]
+        text = (root / "configs" / "verify_goe.cfg").read_text()
+        exp = parse_settings(text, overrides={"paths": "256"}).experiment
+        seeds = derive_path_seeds(exp.master_seed, 0, 256)
+        solve, rows, other = simulate_module.stacked_eigenvalues, [0], [False]
+
+        def counted(a):
+            if not other[0]:
+                rows[0] += math.prod(a.shape[:-2])
+            return solve(a)
+
+        def not_x(method):
+            def wrapped(*args):
+                other[0] = True
+                try:
+                    return method(*args)
+                finally:
+                    other[0] = False
+
+            return wrapped
+
+        # the supermartingale exponents and the path-free grid spectra
+        # are the only other solves of a time-only family
+        monkeypatch.setattr(simulate_module, "stacked_eigenvalues", counted)
+        for cls, name in ((simulate_module._Supermartingale, "update"), (simulate_module._Spectra, "path_free")):
+            monkeypatch.setattr(cls, name, not_x(getattr(cls, name)))
+        simulate_block(exp.spec, exp.grid, seeds, plan_for_config(exp))
+        assert rows[0] <= 0.40 * 256 * exp.grid.steps
+
+    def test_ties_and_nans_reach(self):
+        # a ceiling equal to the lower bound may be the step that attains
+        # it, and a nan on either side certifies nothing
+        reaches = ceilings_module.reaches
+        ceiling = np.array([1.0, 0.0, np.nan, 1.0, 0.5])
+        floor = np.array([1.0, 0.0, 1.0, np.nan, 1.0])
+        assert reaches(ceiling, floor).tolist() == [True, True, True, True, False]
 
     def test_nonfinite_bound_forces_a_solve(self, monkeypatch):
-        # a nan or infinite eigenvalue bound certifies nothing: from step 4
-        # on, path 0's norm ceiling is nan and path 1's lambda_max ceiling
-        # infinite, so both are solved at every step, where with finite
-        # bounds each is skipped at some step; the outputs still match the
-        # engine that solves every path
+        # a nan or infinite ceiling certifies nothing: from step 4 on, path
+        # 0's norm ceiling is nan and path 1's lambda_max ceiling infinite,
+        # so the solve pass solves both after every step, where with finite
+        # ceilings each is skipped after some step; the outputs still match
+        # the engine that solves every path
         spec = goe_like_spec(3, 2, seed=7)
         grid = TimeGrid(1.0, 32)
         plan = CollectorPlan(sigma2_levels=(1.0,))
         seeds = np.arange(4, dtype=np.uint64)
-        spectra = simulate_module._Spectra
-        x_bounds, at = spectra.x_bounds, spectra.at
+        window, norms = ceilings_module.Window, simulate_module._Norms
+        add, settle = window.add, norms.settle
 
         def run(poison):
-            solved = []
+            solved = np.zeros((grid.steps, 2), dtype=bool)
 
-            def bounds(self):
-                norm, top = x_bounds(self)
-                if poison and self.step.k >= 4:
-                    norm[0], top[1] = np.nan, np.inf
-                return norm, top
+            def poisoned_add(self, step):
+                full = add(self, step)
+                if full and poison:
+                    # row r holds X_{k0 + r}, the state after step k0 + r - 1
+                    late = self.k0 + np.arange(self.count + 1) - 1 >= 4
+                    self.norm[late, 0] = np.nan
+                    self.top[late, 1] = np.inf
+                return full
 
-            def recording_at(self, step, collectors):
-                at(self, step, collectors)
-                solved.append(self.solved("x")[:2].copy())
+            def recording_settle(self, k, idx, eigs):
+                solved[k] = np.isin([0, 1], idx)
+                settle(self, k, idx, eigs)
 
-            monkeypatch.setattr(spectra, "x_bounds", bounds)
-            monkeypatch.setattr(spectra, "at", recording_at)
-            return simulate_block(spec, grid, seeds, plan), np.array(solved[4:])
+            monkeypatch.setattr(window, "add", poisoned_add)
+            monkeypatch.setattr(norms, "settle", recording_settle)
+            # X_T is solved by the bound pass on every path
+            return simulate_block(spec, grid, seeds, plan), solved[4:-1]
 
         _, clean = run(poison=False)
         assert not clean.all(axis=0).any()
