@@ -20,21 +20,25 @@ step, feeds one collector object per :class:`CollectorPlan` field from a
 cache that solves each spectrum (x, qv, sum_i H_i^2, sum_i H_i) at most
 once per step.
 
-For n >= 3, where every solve is a LAPACK call, the statistics that read
-x at every step, sup_k ||X_k|| and the bridge suprema of lambda_max, are
-maxima over the steps, and a maximum does not depend on the order of its
-terms.  So each chunk takes two passes through the same stepper.  The
+The statistics that read x at every step, sup_k ||X_k|| and the bridge
+suprema of lambda_max, are maxima over the steps, and a maximum does not
+depend on the order of its terms.  Each is taken by one method,
+``settle(k, idx, eigs)``, from x after step k solved on the paths ``idx``.
+Where the dimension has a closed form (n <= 2) each chunk takes one pass
+through the stepper, and ``settle`` sees every path after every step.  For
+n >= 3, where every solve is a LAPACK call, each chunk takes two.  The
 bound pass runs every collector but solves x only at the last step; it
 bounds ||X_k|| and lambda_max(X_k) from above by the Wolkowicz-Styan
 ceilings (from tr X and ||X - (tr X / n) I||_F alone) and keeps, per path,
 the states whose ceilings are the largest.  Solved in one call, those
 give lower bounds that the maxima actually attain somewhere on the path.
-The solve pass replays the stepper and solves a state only where a
-ceiling still reaches such a bound.  The ceilings are widened by a
-relative margin far above the rounding of ``eigvalsh``, so the outputs are
-bit-identical to solving every path at every step.  On path_feedback qv
-is bracketed step by step, by Weyl's inequality, and solved only where a
-sigma^2 level falls inside the bracket.
+The solve pass replays the stepper and feeds ``settle`` the states whose
+ceilings still reach such a bound, and every path at the last step.  The
+ceilings are widened by a relative margin far above the rounding of
+``eigvalsh``, so the outputs are bit-identical to solving every path at
+every step.  On path_feedback qv is bracketed step by step, by Weyl's
+inequality, and solved only where a sigma^2 level falls inside the
+bracket.
 """
 
 from __future__ import annotations
@@ -482,7 +486,8 @@ class _Spectra:
     tells them apart.
 
     Where the dimension has a closed form, which costs less than any bound,
-    x is solved on every path at every step.  Otherwise (``certify``) this
+    x is solved on every path at every step, and :func:`simulate_block`
+    hands it to the collectors' ``settle``.  Otherwise (``certify``) this
     serves the bound pass of :func:`_solve_pass`, and x is solved only at
     the last step.
     """
@@ -553,19 +558,23 @@ class _Collector:
     the last one, while the spectra still hold that step.
 
     A collector whose output is a maximum over the steps of a function of
-    x's spectrum lists its :class:`~mmlab.ceilings.Best` trackers in
-    ``bests`` while solves are certified.  Then ``update`` reads no x
-    before the last step, and ``bound`` takes each full
+    x's spectrum defines ``settle(k, idx, eigs)``, the only code that
+    writes that output: it takes the maxima from x after step k, solved on
+    the paths ``idx`` (an index array, or ``slice(None)`` for every path).
+    Its ``update`` reads no x.  Where x has a closed form, ``settle`` sees
+    every path right after every step's ``update``.  Otherwise (solves are
+    certified) the collector lists its :class:`~mmlab.ceilings.Best`
+    trackers in ``bests``, and ``bound`` takes each full
     :class:`~mmlab.ceilings.Window` of the bound pass: it offers the
     window's ceilings to the trackers and records them.  After the bound
     pass ``lower`` turns the exact spectra of the kept states into lower
     bounds on the maxima and sets ``need``, per step and path, whether x
-    after the step may still move a maximum.  In the solve pass
-    ``settle(k, idx, eigs)`` takes the maxima from x after step k, solved
-    on the paths ``idx``.
+    after the step may still move a maximum; the solve pass then calls
+    ``settle`` where it may, and on every path at the last step.
     """
 
     bests: tuple[Best, ...] = ()
+    settle = None
 
     def start(self, rows: dict[str, np.ndarray], seeds: np.ndarray) -> None:
         self.rows = rows
@@ -599,11 +608,6 @@ class _Norms(_Collector):
             self.bests = (self.best,)
             self.ceilings = np.empty((scheme.grid.steps, paths), dtype=np.float32)
 
-    def update(self, step, spectra):
-        if not spectra.certify:
-            sup = self.rows["sup_spectral"]
-            np.maximum(sup, _norm(spectra("x")), out=sup)
-
     def bound(self, window):
         norm = window.norm[1:]
         self.best.offer(norm, window, (1,))
@@ -620,10 +624,7 @@ class _Norms(_Collector):
 
     def settle(self, k, idx, eigs):
         sup = self.rows["sup_spectral"]
-        if k == self.spectra.scheme.grid.steps - 1:
-            np.maximum(sup, self.rows["terminal_spectral"], out=sup)
-        elif len(idx):
-            sup[idx] = np.maximum(sup[idx], _norm(eigs))
+        sup[idx] = np.maximum(sup[idx], _norm(eigs))
 
 
 class _BridgeTail(_Collector):
@@ -633,6 +634,10 @@ class _BridgeTail(_Collector):
     local variance ||sum_i H_i(t_k)^2||: exact for n = 1, an upper bound on
     the local variance of lambda_max for n > 1.
 
+    ``settle`` keeps lambda_max after each step of a batch of steps and,
+    once the batch is complete, takes the exact peaks of its candidate
+    steps; every step is a candidate until ``lower`` says otherwise.
+
     The peak is nondecreasing in both endpoints, so the lambda_max ceilings
     of a step's endpoints bound it.  Certified, the bound pass keeps each
     path's endpoint pair with the largest peak ceiling, overall and per
@@ -640,13 +645,13 @@ class _BridgeTail(_Collector):
     until a step it does not admit); their exact peaks bound the maxima
     from below.  A step is a candidate where its peak ceiling reaches the
     overall bound or that of a level admitting it, and x is needed after
-    a step where it or the next step is one.  The solve pass takes the
-    exact peaks of the candidates once per batch of steps.
+    a step where it or the next step is one.
 
-    On path_feedback each path's ||<X>|| is bracketed too: Weyl's
-    inequality moves the ends by dt * lambda(sum_i H_i^2) per step, and <X>
-    is solved only where a level falls inside the bracket.  The bound pass
-    records each step's variance and admitted levels for the solve pass.
+    On path_feedback ``update`` records each step's variance and admitted
+    levels per path, for ``settle`` and ``bound``.  Each path's ||<X>|| is
+    bracketed: Weyl's inequality moves the ends by dt * lambda(sum_i H_i^2)
+    per step, and <X> is solved only where a level falls inside the
+    bracket, and on every path at the last step.
     """
 
     def __init__(self, levels, spectra: _Spectra):
@@ -659,21 +664,25 @@ class _BridgeTail(_Collector):
         spectra, paths, steps = self.spectra, len(seeds), self.grid.steps
         s2, qv = spectra.path_free("s2"), spectra.path_free("qv")
         # path_feedback works out each step's variance and admitted levels
-        # per path, in the bound pass; per step, var is (paths,) or (1,)
-        # and the admitted levels (paths, levels) or (1, levels)
+        # per path, step by step; per step, var is (paths,) or (1,) and the
+        # admitted levels (paths, levels) or (1, levels)
         self.record = s2 is None
         if s2 is not None:
             # time-only families: they are path-free, worked out once on
             # the whole grid
             self.var = 2.0 * self.grid.dt * _norm(s2)[:, None]
             self.admits = np.less_equal.outer(_norm(qv)[1:], self.levels)[:, None]
-        elif spectra.certify:
+        else:
             self.var = np.empty((steps, paths))
             self.admits = np.empty((steps, paths, len(self.levels)), dtype=bool)
-        self.lam_prev = np.zeros(paths)
         # path_feedback: lambda_max(<X>) from below, ||<X>|| from above
         self.qv_floor = np.zeros(paths)
         self.qv_ceil = np.zeros(paths)
+        # lambda_max after the steps of one batch; row 0 is the batch's
+        # left end, X_0 = 0 for the first
+        self.lam = np.full((_BRIDGE_STEPS + 1, paths), np.nan)
+        self.lam[0] = 0.0
+        self.cand = None
         if spectra.certify:
             n = spectra.scheme.spec.n
             self.best = Best(paths, n, 2)
@@ -681,12 +690,11 @@ class _BridgeTail(_Collector):
             self.level_bests = [self.best] * len(self.levels)
             self.ceilings = np.empty((steps, paths), dtype=np.float32)
 
-
     def _inside(self, spectra, s2):
         """Whether each path's ||qv|| at the step's right end stays <= each
         level, on path_feedback."""
         levels = self.levels
-        if not spectra.certify or spectra.last:
+        if spectra.last:
             return np.less_equal.outer(_norm(spectra("qv")), levels)
         dt = self.grid.dt
         s2_norm = _norm(s2)
@@ -702,31 +710,18 @@ class _BridgeTail(_Collector):
         return np.where(solved[:, None], exact[:, None] <= levels, ceil[:, None] < levels)
 
     def update(self, step, spectra):
-        k = step.k
-        if k % _BRIDGE_STEPS == 0:
-            stop = min(k + _BRIDGE_STEPS, self.grid.steps)
-            self.exps = bridge_exponentials(self.seeds, range(k, stop))
         if self.record:
             s2 = spectra("s2")
-            var, inside = 2.0 * self.grid.dt * _norm(s2), self._inside(spectra, s2)
-            if spectra.certify:
-                self.var[k], self.admits[k] = var, inside
-        else:
-            var, inside = self.var[k], self.admits[k]
-        if spectra.certify:
-            return
-        lam = spectra("x")[:, -1]
-        peak = _peak(self.lam_prev, lam, var * self.exps[k % _BRIDGE_STEPS])
-        sup = self.rows["bridge_sup"]
-        np.maximum(sup, peak, out=sup)
-        if inside.any():
-            prefix = self.rows["bridge_prefix_max"]
-            np.maximum(prefix, peak[:, None], out=prefix, where=inside)
-        self.lam_prev = lam
+            self.var[step.k] = 2.0 * self.grid.dt * _norm(s2)
+            self.admits[step.k] = self._inside(spectra, s2)
 
     def bound(self, window):
         ks = slice(window.k0, window.k0 + window.count)
         first = window.k0 % _BRIDGE_STEPS
+        if first == 0:
+            # the bound pass's own draws, once per batch of steps
+            stop = min(window.k0 + _BRIDGE_STEPS, self.grid.steps)
+            self.exps = bridge_exponentials(self.seeds, range(window.k0, stop))
         ve = self.var[ks] * self.exps[first : first + window.count]
         # ceilings on the steps' peaks; the margin scales with every
         # magnitude in the peak's arithmetic, so it covers the rounding
@@ -743,9 +738,6 @@ class _BridgeTail(_Collector):
                 self.level_bests[j].offer(level, window, (0, 1), ve)
         self.best.offer(ceiling, window, (0, 1), ve)
         record(self.ceilings[ks], ceiling)
-
-    def finish(self, spectra):
-        self.lam_last = spectra("x")[:, -1]
 
     def lower(self):
         def exact(best):
@@ -764,24 +756,19 @@ class _BridgeTail(_Collector):
         self.need = self.cand.copy()
         self.need[:-1] |= self.cand[1:]
         self.ceilings = None
-        # lambda_max after the steps of one batch; row 0 is the batch's
-        # left end, X_0 = 0 for the first
-        self.lam = np.full((_BRIDGE_STEPS + 1, paths), np.nan)
-        self.lam[0] = 0.0
 
     def settle(self, k, idx, eigs):
-        steps, j = len(self.cand), k % _BRIDGE_STEPS
-        if k == steps - 1:
-            self.lam[j + 1] = self.lam_last
-        elif len(idx):
-            self.lam[j + 1, idx] = eigs[:, -1]
-        if j < _BRIDGE_STEPS - 1 and k < steps - 1:
+        j = k % _BRIDGE_STEPS
+        self.lam[j + 1, idx] = eigs[:, -1]
+        if j < _BRIDGE_STEPS - 1 and k < self.grid.steps - 1:
             return
         # the batch is complete: its exact peaks where a step is a candidate
         ks = slice(k - j, k + 1)
         lam = self.lam[: j + 2]
         ve = self.var[ks] * bridge_exponentials(self.seeds, range(k - j, k + 1))
-        peak = np.where(self.cand[ks], _peak(lam[:-1], lam[1:], ve), -np.inf)
+        peak = _peak(lam[:-1], lam[1:], ve)
+        if self.cand is not None:
+            peak = np.where(self.cand[ks], peak, -np.inf)
         sup = self.rows["bridge_sup"]
         np.maximum(sup, peak.max(axis=0), out=sup)
         prefix = self.rows["bridge_prefix_max"]
@@ -880,7 +867,7 @@ def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
     return out
 
 
-def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB) -> None:
+def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal) -> None:
     """The certified route's second pass over a chunk.
 
     The first, the bound pass, ran every collector as usual but solved x
@@ -888,10 +875,11 @@ def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB) -> None:
     states and recorded ceilings instead (see :class:`_Collector`).  Here
     the kept states are solved in one call, for the lower bounds.  Then the
     stepper replays the chunk, so the states are the bound pass's bit for
-    bit, and x is solved in one call per step on the paths some collector
-    needs.  X_T needs none: the bound pass solved it on every path.  Each
-    kept state is solved once: the replay takes its spectrum from the
-    first call.
+    bit, and each maximum's ``settle`` takes x after each step, solved in
+    one call per step on the paths some collector needs.  At the last step
+    it takes ``terminal``, the spectrum of X_T that the bound pass solved
+    on every path.  Each kept state is solved once: the replay takes its
+    spectrum from the first call.
     """
     n, steps = scheme.spec.n, scheme.grid.steps
     bests = [b for c in maxima for b in c.bests]
@@ -917,17 +905,19 @@ def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB) -> None:
     grid_index, path = np.divmod(unique, paths)
     inner = (grid_index > 0) & (grid_index < steps)
     need[grid_index[inner] - 1, path[inner]] = False
-    need[-1] = False
     edges = np.searchsorted(grid_index, np.arange(steps + 1))
     for step in scheme.steps(dB):
-        idx = need[step.k].nonzero()[0]
-        solved = stacked_eigenvalues(step.x[idx]) if len(idx) else eigs[:0]
-        if step.k < steps - 1:
-            known = slice(edges[step.k + 1], edges[step.k + 2])
+        k = step.k
+        if k == steps - 1:
+            idx, solved = slice(None), terminal
+        else:
+            idx = need[k].nonzero()[0]
+            solved = stacked_eigenvalues(step.x[idx]) if len(idx) else eigs[:0]
+            known = slice(edges[k + 1], edges[k + 2])
             idx = np.concatenate([idx, path[known]])
             solved = np.concatenate([solved, eigs[known]])
         for c in maxima:
-            c.settle(step.k, idx, solved)
+            c.settle(k, idx, solved)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -956,6 +946,8 @@ def simulate_block(
         # statistic, and a non-finite matrix must never reach LAPACK
         excluded[:] = True
         return out
+    # the collectors that take maxima over x
+    maxima = [c for c in collectors if c.settle]
     for start in range(0, total, _CHUNK):
         idx = slice(start, min(start + _CHUNK, total))
         chunk_seeds = seeds[idx]
@@ -963,22 +955,25 @@ def simulate_block(
         spectra.start(len(chunk_seeds))
         for c in collectors:
             c.start({name: out[name][idx] for name in c.columns}, chunk_seeds)
-        # the collectors that take maxima over x, while solves are certified
-        maxima = [c for c in collectors if c.bests]
-        window = Window(len(chunk_seeds), spec.n, grid.steps, _BRIDGE_STEPS) if maxima else None
+        window = None
+        if spectra.certify:
+            window = Window(len(chunk_seeds), spec.n, grid.steps, _BRIDGE_STEPS)
         for step in scheme.steps(dB):
             spectra.at(step)
             for c in collectors:
                 c.update(step, spectra)
-            if window and window.add(step):
+            if window is None:
+                for c in maxima:
+                    c.settle(step.k, slice(None), spectra("x"))
+            elif window.add(step):
                 for c in maxima:
                     c.bound(window)
         for c in collectors:
             c.finish(spectra)
         dropped = step.excluded
-        if maxima:
+        if window is not None:
             window = None  # free it: the solve pass keeps no states
-            _solve_pass(scheme, maxima, dB)
+            _solve_pass(scheme, maxima, dB, spectra("x"))
         # the one exclusion rule: a state that left float64 range, or a
         # non-finite statistic (np.maximum carries a nan or inf peak to
         # the end), must not reach an event count or an interval

@@ -335,9 +335,13 @@ def grid_lambda_max(spec: IntegrandSpec, grid: TimeGrid, seeds, levels=()):
 
 def always_solve_block(spec: IntegrandSpec, grid: TimeGrid, seeds, plan=None):
     """``simulate_block`` with every spectrum solved on every path at every
-    step: the engine as it runs where the dimension has a closed form,
-    so no eigenvalue bound ever skips a solve.  The certified engine must
-    match it bit for bit on every path it does not exclude.
+    step: the one-pass route the engine takes where the dimension has a
+    closed form, so no eigenvalue bound ever skips a solve.  It shares
+    every collector, ``settle`` included, with the certified engine and
+    differs from it only in the solve schedule, which the certified engine
+    must leave invisible: the two must match bit for bit on every path it
+    does not exclude.  An independent check of the arithmetic is
+    ``test_bridge_max_matches_trajectory_reference``.
     """
     saved = simulate_module.has_closed_form
     simulate_module.has_closed_form = lambda n: True

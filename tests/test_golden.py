@@ -15,6 +15,11 @@ good_lambda, bdg, schatten, biane_speicher and supermartingale checks;
 solves, Kahan quadratures and per-path sigma2 masks.  They were written
 by ``mmlab verify`` before the engine's collectors became objects.
 
+Both 2x2 configs take the engine's one-pass route: each maximum's
+``settle`` sees every path after every step.  They were written while
+those maxima were still updated step by step, so they pin that the
+one-pass ``settle`` route moves no byte.
+
 ``golden/goe_kinds.cfg`` (a 4x4 ``goe_like`` integrand) and
 ``golden/feedback3_kinds.cfg`` (a 3x3 ``path_feedback`` integrand) are the
 n >= 3 cases, where x, and on path_feedback <X>, are solved by LAPACK
@@ -22,6 +27,12 @@ only on the rows whose statistics can still change.  Their reports were
 written by ``mmlab verify`` before the engine began to skip solves, so
 they pin that every skipped solve is one no output could feel.  Unlike
 the 2x2 goldens their bytes rest on the LAPACK build's ``eigvalsh``.
+
+``golden/diag3_kinds.cfg`` puts every check kind a ``diag_basis`` batch
+takes on n = 3 (H_i = e_i e_i^T), where X stays diagonal: the commutative
+case of the paper's dimension factor.  Its reports were written by
+``mmlab verify`` before every route to a maximum went through ``settle``,
+and any later route for diagonal states has these bytes to match.
 
 ``golden/trajectory_{0,1,2}.csv`` were written by ``mmlab simulate`` on
 ``configs/simulate_dump.cfg`` (a 2x2 ``path_feedback`` integrand, 256
@@ -52,6 +63,8 @@ CONFIGS = Path(__file__).parent.parent / "configs"
         pytest.param("goe_kinds.cfg", "goe_kinds_report", "2", id="goe_kinds-2"),
         pytest.param("feedback3_kinds.cfg", "feedback3_kinds_report", "1", id="feedback3_kinds-1"),
         pytest.param("feedback3_kinds.cfg", "feedback3_kinds_report", "2", id="feedback3_kinds-2"),
+        pytest.param("diag3_kinds.cfg", "diag3_kinds_report", "1", id="diag3_kinds-1"),
+        pytest.param("diag3_kinds.cfg", "diag3_kinds_report", "2", id="diag3_kinds-2"),
     ],
 )
 def test_reports_match_golden_bytes(tmp_path, config, stem, workers):

@@ -332,6 +332,44 @@ def test_certified_block_matches_always_solve(
         assert np.array_equal(got[key][kept], values[kept]), key
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stepper_passes_per_chunk(monkeypatch, n):
+    # where x has a closed form each chunk takes one pass of the stepper,
+    # and every maximum's settle sees every path after every step; for
+    # n >= 3 each chunk takes a bound pass and a solve pass, and settle
+    # sees every path at the last step only
+    grid = TimeGrid(1.0, 20)
+    plan = CollectorPlan(sigma2_levels=(0.5, 2.0))
+    chunks, maxima = 3, (simulate_module._Norms, simulate_module._BridgeTail)
+    monkeypatch.setattr(simulate_module, "_CHUNK", 4)
+    seen = []
+
+    def spy(cls, settle):
+        def recording(self, k, idx, eigs):
+            seen.append((cls, k, idx, len(eigs)))
+            settle(self, k, idx, eigs)
+
+        return recording
+
+    for cls in maxima:
+        monkeypatch.setattr(cls, "settle", spy(cls, cls.settle))
+    for spec in family_zoo(n):
+        passes, seen[:] = [], []
+        with engine_spies(passes):
+            simulate_block(spec, grid, np.arange(10, dtype=np.uint64), plan)
+        one_pass = simulate_module.has_closed_form(n)
+        assert len(passes) == chunks * (1 if one_pass else 2), spec.family
+        for cls in maxima:
+            calls = [c for c in seen if c[0] is cls]
+            assert [k for _, k, _, _ in calls] == list(range(grid.steps)) * chunks
+            for _, k, idx, rows in calls:
+                every = isinstance(idx, slice)
+                assert every == (one_pass or k == grid.steps - 1), (spec.family, k)
+                if every:
+                    # chunks of 4, 4 and 2 paths
+                    assert idx == slice(None) and rows in (4, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(["near_scalar", "diagonal", "rank_one"]),

@@ -347,7 +347,10 @@ class TestSimulateBlock:
         levels = (0.25, 0.75, 10.0)
         seeds = np.arange(300, 308, dtype=np.uint64)
         draws = bridge_exponentials(seeds, range(grid.steps))
-        for spec in family_zoo(2):
+        # at n = 3 the engine takes the peaks on the certified route, and
+        # the reference is the only check of its arithmetic that does not
+        # share settle with it
+        for spec in family_zoo(2) + family_zoo(3):
             out = simulate_block(spec, grid, seeds, CollectorPlan(sigma2_levels=levels))
             for j, seed in enumerate(seeds):
                 traj = reference_path(spec, grid, seed)
