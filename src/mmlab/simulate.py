@@ -36,9 +36,8 @@ The solve pass replays the stepper and feeds ``settle`` the states whose
 ceilings still reach such a bound, and every path at the last step.  The
 ceilings are widened by a relative margin far above the rounding of
 ``eigvalsh``, so the outputs are bit-identical to solving every path at
-every step.  On path_feedback qv is bracketed step by step, by Weyl's
-inequality, and solved only where a sigma^2 level falls inside the
-bracket.
+every step.  On path_feedback the bound pass brackets qv by Weyl's
+inequality and solves it only where a sigma^2 level falls inside.
 """
 
 from __future__ import annotations
@@ -648,10 +647,11 @@ class _BridgeTail(_Collector):
     a step where it or the next step is one.
 
     On path_feedback ``update`` records each step's variance and admitted
-    levels per path, for ``settle`` and ``bound``.  Each path's ||<X>|| is
-    bracketed: Weyl's inequality moves the ends by dt * lambda(sum_i H_i^2)
-    per step, and <X> is solved only where a level falls inside the
-    bracket, and on every path at the last step.
+    levels per path for ``settle`` and ``bound``; the one-pass route keeps
+    one batch of steps.  Where <X> has no closed form each path's ||<X>||
+    is bracketed: Weyl's inequality moves the ends by
+    dt * lambda(sum_i H_i^2) per step, and <X> is solved only where a level
+    falls inside the bracket, and on every path at the last step.
     """
 
     def __init__(self, levels, spectra: _Spectra):
@@ -673,8 +673,10 @@ class _BridgeTail(_Collector):
             self.var = 2.0 * self.grid.dt * _norm(s2)[:, None]
             self.admits = np.less_equal.outer(_norm(qv)[1:], self.levels)[:, None]
         else:
-            self.var = np.empty((steps, paths))
-            self.admits = np.empty((steps, paths, len(self.levels)), dtype=bool)
+            self.bracket = spectra.certify
+            span = steps if self.bracket else min(steps, _BRIDGE_STEPS)
+            self.var = np.empty((span, paths))
+            self.admits = np.empty((span, paths, len(self.levels)), dtype=bool)
         # path_feedback: lambda_max(<X>) from below, ||<X>|| from above
         self.qv_floor = np.zeros(paths)
         self.qv_ceil = np.zeros(paths)
@@ -694,7 +696,7 @@ class _BridgeTail(_Collector):
         """Whether each path's ||qv|| at the step's right end stays <= each
         level, on path_feedback."""
         levels = self.levels
-        if spectra.last:
+        if spectra.last or not self.bracket:
             return np.less_equal.outer(_norm(spectra("qv")), levels)
         dt = self.grid.dt
         s2_norm = _norm(s2)
@@ -711,9 +713,9 @@ class _BridgeTail(_Collector):
 
     def update(self, step, spectra):
         if self.record:
-            s2 = spectra("s2")
-            self.var[step.k] = 2.0 * self.grid.dt * _norm(s2)
-            self.admits[step.k] = self._inside(spectra, s2)
+            s2, k = spectra("s2"), step.k % len(self.var)
+            self.var[k] = 2.0 * self.grid.dt * _norm(s2)
+            self.admits[k] = self._inside(spectra, s2)
 
     def bound(self, window):
         ks = slice(window.k0, window.k0 + window.count)
@@ -763,7 +765,8 @@ class _BridgeTail(_Collector):
         if j < _BRIDGE_STEPS - 1 and k < self.grid.steps - 1:
             return
         # the batch is complete: its exact peaks where a step is a candidate
-        ks = slice(k - j, k + 1)
+        first = (k - j) % len(self.var)
+        ks = slice(first, first + j + 1)
         lam = self.lam[: j + 2]
         ve = self.var[ks] * bridge_exponentials(self.seeds, range(k - j, k + 1))
         peak = _peak(lam[:-1], lam[1:], ve)

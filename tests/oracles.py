@@ -336,16 +336,22 @@ def grid_lambda_max(spec: IntegrandSpec, grid: TimeGrid, seeds, levels=()):
 def always_solve_block(spec: IntegrandSpec, grid: TimeGrid, seeds, plan=None):
     """``simulate_block`` with every spectrum solved on every path at every
     step: the one-pass route the engine takes where the dimension has a
-    closed form, so no eigenvalue bound ever skips a solve.  It shares
-    every collector, ``settle`` included, with the certified engine and
-    differs from it only in the solve schedule, which the certified engine
-    must leave invisible: the two must match bit for bit on every path it
-    does not exclude.  An independent check of the arithmetic is
+    closed form, so no eigenvalue bound ever skips a solve, and ||<X>|| is
+    solved exactly instead of bracketed.  It shares every other collector
+    method, ``settle`` included, with the certified engine and differs from
+    it only in the solve schedule, which the certified engine must leave
+    invisible: the two must match bit for bit on every path it does not
+    exclude.  An independent check of the bridge arithmetic is
     ``test_bridge_max_matches_trajectory_reference``.
     """
-    saved = simulate_module.has_closed_form
+
+    def exact_inside(self, spectra, s2):
+        return np.less_equal.outer(simulate_module._norm(spectra("qv")), self.levels)
+
+    saved = simulate_module.has_closed_form, simulate_module._BridgeTail._inside
     simulate_module.has_closed_form = lambda n: True
+    simulate_module._BridgeTail._inside = exact_inside
     try:
         return simulate_block(spec, grid, seeds, plan)
     finally:
-        simulate_module.has_closed_form = saved
+        simulate_module.has_closed_form, simulate_module._BridgeTail._inside = saved

@@ -606,6 +606,45 @@ class TestSimulateBlock:
         for key, values in ref.items():
             assert np.array_equal(out[key], values), key
 
+    @pytest.mark.parametrize("payload", ["one_driver", "reflection", "two_drivers"])
+    def test_qv_bracket_holds_the_solved_spectrum(self, monkeypatch, payload):
+        # on path_feedback the Weyl bracket must hold lambda_max(<X>) from
+        # below and ||<X>|| from above after every step, on every path, to
+        # the last bit, and a level it settles must be admitted as a solve
+        # would admit it.  With one driver every H commutes with <X>; a
+        # reflection with gamma = 0 (A^2 = I up to rounding) makes both ends
+        # tight; two drivers that do not commute turn <X> away from
+        # sum_i H_i^2
+        a = np.array([[0.8, 0.2, 0.1], [0.2, 0.5, -0.3], [0.1, -0.3, 0.4]])
+        gamma = 0.3
+        if payload == "reflection":
+            q = np.linalg.qr(a)[0]
+            a, gamma = q @ np.diag([1.0, -1.0, 1.0]) @ q.T, 0.0
+        if payload == "two_drivers":
+            a = np.stack([a, np.diag([0.6, -0.1, 0.3])])
+        spec = path_feedback_spec(a, gamma=gamma)
+        norm, solve = simulate_module._norm, simulate_module.stacked_eigenvalues
+        held = []
+        inside = simulate_module._BridgeTail._inside
+
+        def checked_inside(self, spectra, s2):
+            admits = inside(self, spectra, s2)
+            if not spectra.last:
+                eigs = solve(spectra.step.qv)
+                exact = np.less_equal.outer(norm(eigs), self.levels)
+                held.append(
+                    (self.qv_floor <= eigs[:, -1])
+                    & (self.qv_ceil >= norm(eigs))
+                    & (admits == exact).all(axis=1)
+                )
+            return admits
+
+        monkeypatch.setattr(simulate_module._BridgeTail, "_inside", checked_inside)
+        plan = CollectorPlan(sigma2_levels=(0.3,))
+        simulate_block(spec, TimeGrid(1.0, 32), np.arange(16, dtype=np.uint64), plan)
+        assert len(held) == 31
+        assert np.all(held)
+
     def test_betas_without_checkpoints_rejected(self):
         with pytest.raises(InputDomainError, match="checkpoint"):
             simulate_block(
