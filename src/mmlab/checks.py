@@ -618,7 +618,7 @@ U_POSITIVE = Param("u", "u > 0", lambda v: v > 0.0)
 U_NONNEGATIVE = Param("u", "u >= 0", lambda v: v >= 0.0)
 SIGMA2 = Param("sigma2", "sigma2 > 0", lambda v: v > 0.0)
 ORDER = Param("p", "integer p >= 1", lambda v: v >= 1 and int(v) == v, integer=True)
-BETA = Param("beta")
+BETA = Param("beta", "finite beta", math.isfinite)
 HORIZON = Param("t", optional=True)
 
 

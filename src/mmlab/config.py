@@ -9,8 +9,8 @@ typed validation runs; in environment names ``__`` stands for a dot.
 
 Documented schema (defaults in parentheses):
 
-    integrand.family            constant | time_poly | path_feedback |
-                                diag_basis | goe_like | rect_constant
+    integrand.family            a family in CONFIG_FAMILIES; its row there
+                                declares the integrand keys it takes
     integrand.matrix.<j>        payload matrices, 1-based contiguous
     integrand.slope.<j>         time_poly slopes, same count as matrices
     integrand.gamma             path_feedback coupling
@@ -23,7 +23,8 @@ Documented schema (defaults in parentheses):
     master_seed                 64-bit seed
     block_size (4096)           most paths per engine call
     confidence (0.99)           interval confidence level
-    slack_factor (3.0)          verdict slack in combined half-widths
+    slack_factor (3.0)          verdict slack in combined half-widths,
+                                finite
     bootstrap.resamples (1000)  bootstrap resample count
     check.<i>.kind              a kind in checks.CHECK_REGISTRY
     check.<i>.<param>           the parameters that kind takes, and no
@@ -32,26 +33,29 @@ Documented schema (defaults in parentheses):
                                 bdg, schatten,
                                 schatten_rect            p (integer), t
                                 biane_speicher           t
-                                supermartingale          beta
+                                supermartingale          beta (finite)
                                 khintchine               none
     sweep.parameter             n | p | u | steps (p and u: the checks
                                 that take them)
-    sweep.values                whitespace-separated numbers
+    sweep.values                whitespace-separated finite numbers
     dump.paths (0)              path indices to dump as trajectories
     dump.beta                   adds a supermartingale dump column
-    test_hooks.rhs_multiplier (1.0)    rhs falsification hook
+    test_hooks.rhs_multiplier (1.0)    rhs falsification hook, finite
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, InputDomainError
 from .integrands import (
+    IntegrandSpec,
     constant_spec,
     diag_basis_spec,
     goe_like_spec,
@@ -65,29 +69,79 @@ from .simulate import TimeGrid
 
 ENV_PREFIX = "MMLAB_"
 
-CONFIG_FAMILIES = (
-    "constant",
-    "time_poly",
-    "path_feedback",
-    "diag_basis",
-    "goe_like",
-    "rect_constant",
-)
+
+@dataclass(frozen=True)
+class Family:
+    """An integrand family as a config names it.
+
+    ``keys`` are the ``integrand.*`` values the family requires, in the
+    order ``build`` takes them; ``optional`` those it may also take,
+    passed after them when given.  ``matrix`` and ``slope`` stand for the
+    indexed stacks ``integrand.matrix.<j>`` and ``integrand.slope.<j>``.
+    ``resize(spec, n)`` rebuilds a spec of the family at dimension n; it
+    is set on the families a sweep over n may vary.
+    """
+
+    build: Callable[..., IntegrandSpec]
+    keys: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    resize: Callable[[IntegrandSpec, int], IntegrandSpec] | None = None
+
+
+# every family a config can name: adding one takes its factory in
+# integrands.py and one row here
+CONFIG_FAMILIES: dict[str, Family] = {
+    "constant": Family(constant_spec, ("matrix",)),
+    "time_poly": Family(time_poly_spec, ("matrix", "slope")),
+    "path_feedback": Family(path_feedback_spec, ("matrix", "gamma")),
+    "diag_basis": Family(diag_basis_spec, ("n",), resize=lambda spec, n: diag_basis_spec(n)),
+    "goe_like": Family(
+        goe_like_spec,
+        ("n", "drivers"),
+        ("seed",),
+        resize=lambda spec, n: goe_like_spec(n, spec.drivers, spec.seed),
+    ),
+    "rect_constant": Family(rect_constant_spec, ("matrix",)),
+}
 SWEEP_PARAMETERS = ("n", "p", "u", "steps")
+
+# the integrand values a family may take: indexed matrix stacks, and
+# scalars by whether they are integers
+_STACKS = ("matrix", "slope")
+_INTEGRAND_SCALARS = {"gamma": False, "n": True, "drivers": True, "seed": True}
+
+# top-level scalar keys: key -> (TimeGrid or ExperimentConfig field,
+# integer?); an absent key takes the field's default
+_SCALARS = {
+    "grid.horizon": ("horizon", False),
+    "grid.steps": ("steps", True),
+    "paths": ("paths", True),
+    "master_seed": ("master_seed", True),
+    "block_size": ("block_size", True),
+    "confidence": ("confidence", False),
+    "slack_factor": ("slack_factor", False),
+    "bootstrap.resamples": ("bootstrap_resamples", True),
+    "test_hooks.rhs_multiplier": ("rhs_multiplier", False),
+}
+_GRID_FIELDS = tuple(f.name for f in dataclasses.fields(TimeGrid))
+_REQUIRED = {
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.default is dataclasses.MISSING
+}
 
 # every parameter some check kind takes, by name
 _CHECK_PARAMS = {p.name: p for kind in CHECK_REGISTRY.values() for p in kind.params}
 
 _INDEXED = r"[1-9][0-9]*"
+_INTEGRAND_KEYS = "|".join(
+    f"{stem}\\.{_INDEXED}" if stem in _STACKS else stem
+    for stem in dict.fromkeys(s for f in CONFIG_FAMILIES.values() for s in f.keys + f.optional)
+)
 _KNOWN_KEYS = (
-    re.compile(rf"integrand\.(family|gamma|n|drivers|seed|(matrix|slope)\.{_INDEXED})\Z"),
-    re.compile(r"grid\.(horizon|steps)\Z"),
-    re.compile(r"(paths|master_seed|block_size|confidence|slack_factor)\Z"),
-    re.compile(r"bootstrap\.resamples\Z"),
+    re.compile(rf"integrand\.(family|{_INTEGRAND_KEYS})\Z"),
+    re.compile(rf"({'|'.join(map(re.escape, _SCALARS))})\Z"),
     re.compile(rf"check\.{_INDEXED}\.(kind|{'|'.join(_CHECK_PARAMS)})\Z"),
     re.compile(r"sweep\.(parameter|values)\Z"),
     re.compile(r"dump\.(paths|beta)\Z"),
-    re.compile(r"test_hooks\.rhs_multiplier\Z"),
 )
 
 
@@ -172,18 +226,12 @@ def _apply_overrides(entries, pairs: dict[str, str], source_prefix: str):
         entries[key] = entry
 
 
-def _to_int(key: str, entry: _Entry) -> int:
+def _to_number(key: str, entry: _Entry, integer: bool = False) -> float | int:
+    convert, expected = (int, "an integer") if integer else (float, "a number")
     try:
-        return int(entry.value)
+        return convert(entry.value)
     except ValueError:
-        raise _err(f"expected an integer, got '{entry.value}'", key, entry) from None
-
-
-def _to_float(key: str, entry: _Entry) -> float:
-    try:
-        return float(entry.value)
-    except ValueError:
-        raise _err(f"expected a number, got '{entry.value}'", key, entry) from None
+        raise _err(f"expected {expected}, got '{entry.value}'", key, entry) from None
 
 
 def _to_matrix(key: str, entry: _Entry) -> np.ndarray:
@@ -219,120 +267,49 @@ def _to_ints(key: str, entry: _Entry) -> tuple[int, ...]:
         raise _err(f"expected whitespace-separated integers, got '{entry.value}'", key, entry) from None
 
 
-def _take_indexed(entries, prefix: str) -> list[tuple[int, str, _Entry]]:
-    found = []
-    for key in list(entries):
-        if key.startswith(prefix):
-            found.append((int(key[len(prefix):]), key, entries.pop(key)))
-    found.sort()
-    return found
-
-
 def _indexed_matrices(entries, prefix: str, label: str) -> np.ndarray | None:
-    found = _take_indexed(entries, prefix)
+    found = sorted((int(key[len(prefix):]), key) for key in entries if key.startswith(prefix))
     if not found:
         return None
-    expected = list(range(1, len(found) + 1))
-    if [i for i, _, _ in found] != expected:
-        raise ConfigError(
-            f"{label} indices must be 1..{len(found)} without gaps",
-            key=found[0][1],
-        )
-    return np.stack([_to_matrix(key, entry) for _, key, entry in found])
+    if [i for i, _ in found] != list(range(1, len(found) + 1)):
+        raise ConfigError(f"{label} indices must be 1..{len(found)} without gaps", key=found[0][1])
+    return np.stack([_to_matrix(key, entries.pop(key)) for _, key in found])
+
+
+def _first_key(stem: str) -> str:
+    return f"integrand.{stem}.1" if stem in _STACKS else f"integrand.{stem}"
 
 
 def _build_spec(entries):
     fam_entry = entries.pop("integrand.family", None)
     if fam_entry is None:
         raise ConfigError("missing required key", key="integrand.family")
-    family = fam_entry.value
-    if family not in CONFIG_FAMILIES:
+    name = fam_entry.value
+    family = CONFIG_FAMILIES.get(name)
+    if family is None:
         raise _err(
-            f"unknown family '{family}'; expected one of {CONFIG_FAMILIES}",
+            f"unknown family '{name}'; expected one of {tuple(CONFIG_FAMILIES)}",
             "integrand.family",
             fam_entry,
         )
-    matrices = _indexed_matrices(entries, "integrand.matrix.", "matrix")
-    slopes = _indexed_matrices(entries, "integrand.slope.", "slope")
-    scalars = {}
-    for name in ("gamma", "n", "drivers", "seed"):
-        key = f"integrand.{name}"
+    given = {}
+    for stack in _STACKS:
+        matrices = _indexed_matrices(entries, f"integrand.{stack}.", stack)
+        if matrices is not None:
+            given[stack] = matrices
+    for scalar, integer in _INTEGRAND_SCALARS.items():
+        key = f"integrand.{scalar}"
         if key in entries:
-            entry = entries.pop(key)
-            scalars[name] = (
-                _to_float(key, entry) if name == "gamma" else _to_int(key, entry)
-            )
-
-    def require_matrices():
-        if matrices is None:
-            raise ConfigError("missing required key", key="integrand.matrix.1")
-        return matrices
-
-    def reject(kind, value, label):
-        if value is not None:
-            raise ConfigError(f"{label} is not valid for family '{family}'", key=kind)
-
+            given[scalar] = _to_number(key, entries.pop(key), integer)
+    for stem in given:
+        if stem not in family.keys + family.optional:
+            label = stem if stem in _STACKS else f"integrand.{stem}"
+            raise ConfigError(f"{label} is not valid for family '{name}'", key=_first_key(stem))
+    for stem in family.keys:
+        if stem not in given:
+            raise ConfigError("missing required key", key=_first_key(stem))
     try:
-        if family == "constant":
-            reject("integrand.slope.1", slopes, "slope")
-            for name in scalars:
-                raise ConfigError(
-                    f"integrand.{name} is not valid for family 'constant'",
-                    key=f"integrand.{name}",
-                )
-            return constant_spec(require_matrices())
-        if family == "rect_constant":
-            reject("integrand.slope.1", slopes, "slope")
-            for name in scalars:
-                raise ConfigError(
-                    f"integrand.{name} is not valid for family 'rect_constant'",
-                    key=f"integrand.{name}",
-                )
-            return rect_constant_spec(require_matrices())
-        if family == "time_poly":
-            for name in scalars:
-                raise ConfigError(
-                    f"integrand.{name} is not valid for family 'time_poly'",
-                    key=f"integrand.{name}",
-                )
-            if slopes is None:
-                raise ConfigError("missing required key", key="integrand.slope.1")
-            return time_poly_spec(require_matrices(), slopes)
-        if family == "path_feedback":
-            reject("integrand.slope.1", slopes, "slope")
-            for name in scalars:
-                if name != "gamma":
-                    raise ConfigError(
-                        f"integrand.{name} is not valid for family 'path_feedback'",
-                        key=f"integrand.{name}",
-                    )
-            if "gamma" not in scalars:
-                raise ConfigError("missing required key", key="integrand.gamma")
-            return path_feedback_spec(require_matrices(), scalars["gamma"])
-        if family == "diag_basis":
-            reject("integrand.matrix.1", matrices, "matrix")
-            reject("integrand.slope.1", slopes, "slope")
-            for name in scalars:
-                if name != "n":
-                    raise ConfigError(
-                        f"integrand.{name} is not valid for family 'diag_basis'",
-                        key=f"integrand.{name}",
-                    )
-            if "n" not in scalars:
-                raise ConfigError("missing required key", key="integrand.n")
-            return diag_basis_spec(scalars["n"])
-        # goe_like
-        reject("integrand.matrix.1", matrices, "matrix")
-        reject("integrand.slope.1", slopes, "slope")
-        if "gamma" in scalars:
-            raise ConfigError(
-                "integrand.gamma is not valid for family 'goe_like'",
-                key="integrand.gamma",
-            )
-        for name in ("n", "drivers"):
-            if name not in scalars:
-                raise ConfigError("missing required key", key=f"integrand.{name}")
-        return goe_like_spec(scalars["n"], scalars["drivers"], scalars.get("seed", 0))
+        return family.build(*(given[s] for s in family.keys + family.optional if s in given))
     except InputDomainError as exc:
         raise ConfigError(str(exc), key="integrand") from exc
 
@@ -354,8 +331,7 @@ def _build_checks(entries) -> tuple[CheckRequest, ...]:
             key = f"check.{index}.{name}"
             if kind in CHECK_REGISTRY and not CHECK_REGISTRY[kind].takes(name):
                 raise _err(f"{key} is not valid for check kind '{kind}'", key, entry)
-            convert = _to_int if _CHECK_PARAMS[name].integer else _to_float
-            kwargs[name] = convert(key, entry)
+            kwargs[name] = _to_number(key, entry, _CHECK_PARAMS[name].integer)
         try:
             checks.append(CheckRequest(**kwargs))
         except InputDomainError as exc:
@@ -380,14 +356,19 @@ def _build_sweep(entries, experiment: ExperimentConfig) -> SweepSettings | None:
             param,
         )
     nums = _to_numbers("sweep.values", values)
+    if not all(map(math.isfinite, nums)):
+        raise _err(f"sweep over {name} needs finite values", "sweep.values", values)
     if name in ("n", "p", "steps"):
         if any(v != int(v) or v < 1 for v in nums):
             raise _err(f"sweep over {name} needs integers >= 1", "sweep.values", values)
     elif any(v <= 0.0 for v in nums):
         raise _err("sweep over u needs values > 0", "sweep.values", values)
-    if name == "n" and experiment.spec.family not in ("diag_basis", "goe_like"):
+    # a spec's family is the config family of the same name, except that
+    # rect_constant builds a constant spec; neither resizes
+    resizable = [fam for fam, family in CONFIG_FAMILIES.items() if family.resize]
+    if name == "n" and experiment.spec.family not in resizable:
         raise _err(
-            "sweep over n requires integrand.family diag_basis or goe_like",
+            f"sweep over n requires integrand.family {' or '.join(resizable)}",
             "sweep.parameter",
             param,
         )
@@ -415,7 +396,7 @@ def _build_dump(entries, experiment: ExperimentConfig) -> DumpSettings | None:
                 "dump.paths",
                 paths_entry,
             )
-    beta = _to_float("dump.beta", beta_entry) if beta_entry else None
+    beta = _to_number("dump.beta", beta_entry) if beta_entry else None
     if beta is not None and not np.isfinite(beta):
         raise _err(f"dump.beta must be finite, got '{beta_entry.value}'", "dump.beta", beta_entry)
     return DumpSettings(paths=indices, beta=beta)
@@ -434,38 +415,19 @@ def parse_settings(
         _apply_overrides(entries, dict(overrides), "--set")
 
     spec = _build_spec(entries)
-    horizon = _to_float("grid.horizon", entries.pop("grid.horizon")) if "grid.horizon" in entries else 1.0
-    steps = _to_int("grid.steps", entries.pop("grid.steps")) if "grid.steps" in entries else 256
-    required = {}
-    for key in ("paths", "master_seed"):
-        if key not in entries:
-            raise ConfigError("missing required key", key=key)
-        required[key] = _to_int(key, entries.pop(key))
-    optional = {
-        "block_size": ("block_size", _to_int),
-        "confidence": ("confidence", _to_float),
-        "slack_factor": ("slack_factor", _to_float),
-        "bootstrap.resamples": ("bootstrap_resamples", _to_int),
-        "test_hooks.rhs_multiplier": ("rhs_multiplier", _to_float),
-    }
-    extra = {}
-    for key, (field_name, convert) in optional.items():
+    values = {}
+    for key, (name, integer) in _SCALARS.items():
         if key in entries:
-            extra[field_name] = convert(key, entries.pop(key))
+            values[name] = _to_number(key, entries.pop(key), integer)
+        elif name in _REQUIRED:
+            raise ConfigError("missing required key", key=key)
     checks = _build_checks(entries)
     try:
-        grid = TimeGrid(horizon, steps)
+        grid = TimeGrid(**{f: values.pop(f) for f in _GRID_FIELDS if f in values})
     except InputDomainError as exc:
         raise ConfigError(str(exc), key="grid") from exc
     try:
-        experiment = ExperimentConfig(
-            spec=spec,
-            grid=grid,
-            paths=required["paths"],
-            master_seed=required["master_seed"],
-            checks=checks,
-            **extra,
-        )
+        experiment = ExperimentConfig(spec=spec, grid=grid, checks=checks, **values)
     except InputDomainError as exc:
         raise ConfigError(str(exc)) from exc
     sweep = _build_sweep(entries, experiment)
@@ -488,11 +450,7 @@ def sweep_configs(settings: RunSettings) -> list[tuple[float, ExperimentConfig]]
     for v in settings.sweep.values:
         param = settings.sweep.parameter
         if param == "n":
-            n = int(v)
-            if base.spec.family == "diag_basis":
-                spec = diag_basis_spec(n)
-            else:
-                spec = goe_like_spec(n, base.spec.drivers, base.spec.seed or 0)
+            spec = CONFIG_FAMILIES[base.spec.family].resize(base.spec, int(v))
             cfg = dataclasses.replace(base, spec=spec)
         elif param == "steps":
             cfg = dataclasses.replace(base, grid=TimeGrid(base.grid.horizon, int(v)))

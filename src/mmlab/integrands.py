@@ -164,7 +164,7 @@ def diag_basis_spec(n: int) -> IntegrandSpec:
     )
 
 
-def goe_like_spec(n: int, drivers: int, seed: int) -> IntegrandSpec:
+def goe_like_spec(n: int, drivers: int, seed: int = 0) -> IntegrandSpec:
     """N symmetric Gaussian-ensemble draws frozen from `seed`.
 
     Entry variances 1/n off-diagonal and 2/n on the diagonal, so the
@@ -172,6 +172,8 @@ def goe_like_spec(n: int, drivers: int, seed: int) -> IntegrandSpec:
     """
     if n < 1 or drivers < 1:
         raise SpecValidationError("goe_like requires n >= 1 and N >= 1")
+    if seed < 0:
+        raise SpecValidationError(f"goe_like requires seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     mats = np.empty((drivers, n, n))
     for i in range(drivers):

@@ -298,8 +298,10 @@ class ExperimentConfig:
             raise InputDomainError("bootstrap_resamples must be >= 100")
         if not 0.0 < self.confidence < 1.0:
             raise InputDomainError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.slack_factor < 0.0:
-            raise InputDomainError("slack_factor must be >= 0")
+        if not (math.isfinite(self.slack_factor) and self.slack_factor >= 0.0):
+            raise InputDomainError(f"slack_factor must be finite and >= 0, got {self.slack_factor}")
+        if not math.isfinite(self.rhs_multiplier):
+            raise InputDomainError(f"rhs_multiplier must be finite, got {self.rhs_multiplier}")
         if self.block_size < 1:
             raise InputDomainError("block_size must be >= 1")
         for c in self.checks:

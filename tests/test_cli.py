@@ -280,6 +280,30 @@ class TestSimulate:
             assert f"config error: dump.beta must be finite, got '{beta}'" in proc.stderr
 
 
+NON_FINITE = [
+    *(("verify", [f"slack_factor={v}"], "slack_factor") for v in ("inf", "nan")),
+    *(("verify", [f"test_hooks.rhs_multiplier={v}"], "rhs_multiplier") for v in ("inf", "nan")),
+    *(("verify", [f"check.3.beta={v}"], "'check.3'") for v in ("inf", "nan")),
+    *(
+        ("sweep", [f"sweep.parameter={p}", f"sweep.values=2 {v}"], "'sweep.values'")
+        for p in ("n", "p", "u", "steps")
+        for v in ("inf", "nan")
+    ),
+]
+
+
+@pytest.mark.parametrize("command, sets, named", NON_FINITE)
+def test_non_finite_value_is_a_config_error(runner, tmp_path, command, sets, named):
+    cfg = write_cfg(tmp_path, VERIFY_CFG + "check.3.kind = supermartingale\ncheck.3.beta = 0.5\n")
+    args = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    for pair in sets:
+        args += ["--set", pair]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "config error:" in result.output and named in result.output
+    assert not (tmp_path / "o").exists()
+
+
 class TestKhintchine:
     def test_ratio_reported(self, runner, tmp_path):
         cfg = write_cfg(

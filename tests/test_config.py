@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mmlab.config import (
+    CONFIG_FAMILIES,
     DumpSettings,
     SweepSettings,
     env_overrides,
@@ -173,6 +174,16 @@ class TestFamilies:
         assert spec.matrices.shape == (3, 4, 4)
         assert spec.seed == 7
 
+    def test_goe_like_negative_seed(self):
+        text = (
+            "integrand.family = goe_like\nintegrand.n = 4\n"
+            "integrand.drivers = 3\nintegrand.seed = -1\n"
+            "paths = 200\nmaster_seed = 1\n"
+        )
+        with pytest.raises(ConfigError, match="goe_like requires seed >= 0, got -1") as err:
+            parse_settings(text)
+        assert err.value.key == "integrand"
+
     def test_diag_basis(self):
         text = "integrand.family = diag_basis\nintegrand.n = 3\npaths = 200\nmaster_seed = 1\n"
         spec = parse_settings(text).experiment.spec
@@ -220,6 +231,83 @@ class TestFamilies:
         text = "integrand.family = diag_basis\nintegrand.n = 2\nintegrand.matrix.1 = 1\npaths = 200\nmaster_seed = 1\n"
         with pytest.raises(ConfigError, match="matrix is not valid"):
             parse_settings(text)
+
+
+# one line per integrand key stem, valid for every family that takes it
+INTEGRAND_LINES = {
+    "matrix": "integrand.matrix.1 = 1 0; 0 1\n",
+    "slope": "integrand.slope.1 = 0 1; 1 0\n",
+    "gamma": "integrand.gamma = 0.2\n",
+    "n": "integrand.n = 3\n",
+    "drivers": "integrand.drivers = 2\n",
+    "seed": "integrand.seed = 5\n",
+}
+SWEEP_N = "check.1.kind = khintchine\nsweep.parameter = n\nsweep.values = 2 5\n"
+
+
+@pytest.mark.parametrize("name", list(CONFIG_FAMILIES))
+def test_family_registry_drives_parsing(name):
+    family = CONFIG_FAMILIES[name]
+    takes = family.keys + family.optional
+
+    def text(stems, extra=""):
+        lines = "".join(INTEGRAND_LINES[s] for s in stems)
+        return f"integrand.family = {name}\n{lines}paths = 200\nmaster_seed = 1\n{extra}"
+
+    def key(stem):
+        return f"integrand.{stem}.1" if stem in ("matrix", "slope") else f"integrand.{stem}"
+
+    # rect_constant builds a constant spec
+    assert parse_settings(text(takes)).experiment.spec.family in (name, "constant")
+    for stem in INTEGRAND_LINES.keys() - set(takes):
+        with pytest.raises(ConfigError) as err:
+            parse_settings(text(takes + (stem,)))
+        label = stem if stem in ("matrix", "slope") else key(stem)
+        assert str(err.value) == f"{label} is not valid for family '{name}' (key '{key(stem)}')"
+        assert err.value.key == key(stem)
+    for stem in family.keys:
+        with pytest.raises(ConfigError) as err:
+            parse_settings(text(tuple(s for s in takes if s != stem)))
+        assert str(err.value) == f"missing required key (key '{key(stem)}')"
+        assert err.value.key == key(stem)
+    if family.resize is None:
+        with pytest.raises(ConfigError, match="requires integrand.family diag_basis or goe_like"):
+            parse_settings(text(takes, SWEEP_N))
+        return
+    # each swept spec is the one the config gives at that n: goe_like keeps
+    # its drivers and seed
+    for n, (value, cfg) in zip((2, 5), sweep_configs(parse_settings(text(takes, SWEEP_N)))):
+        direct = parse_settings(text(takes), overrides={"integrand.n": str(n)}).experiment.spec
+        assert value == n and (cfg.spec.family, cfg.spec.n) == (name, n)
+        assert (cfg.spec.drivers, cfg.spec.seed) == (direct.drivers, direct.seed)
+        assert np.array_equal(cfg.spec.matrices, direct.matrices)
+        if name == "goe_like":
+            assert (cfg.spec.drivers, cfg.spec.seed) == (2, 5)
+
+
+class TestNonFiniteValues:
+    def test_check_beta(self):
+        text = MINIMAL + "check.1.kind = supermartingale\n"
+        for beta in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match="requires finite beta") as err:
+                parse_settings(text + f"check.1.beta = {beta}\n")
+            assert err.value.key == "check.1"
+
+    @pytest.mark.parametrize("parameter", ["n", "p", "u", "steps"])
+    def test_sweep_values(self, parameter):
+        text = "integrand.family = diag_basis\nintegrand.n = 2\n" + CHECKED.split("\n", 2)[2]
+        for value in ("nan", "inf"):
+            sweep = f"sweep.parameter = {parameter}\nsweep.values = 2 {value}\n"
+            with pytest.raises(ConfigError, match=f"sweep over {parameter} needs finite") as err:
+                parse_settings(text + sweep)
+            assert err.value.key == "sweep.values"
+
+    @pytest.mark.parametrize("key", ["slack_factor", "test_hooks.rhs_multiplier"])
+    def test_scalars(self, key):
+        field = key.rpartition(".")[2]
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                parse_settings(CHECKED, overrides={key: value})
 
 
 class TestOverrides:

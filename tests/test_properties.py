@@ -262,6 +262,19 @@ def engine_spies(passes):
         EulerScheme.steps = steps
 
 
+def qv_norms(spec, grid, seeds):
+    """Each ||<X>_k|| on a path the stepper keeps, before the last step,
+    sorted.  A level equal to one of them lies inside that path's qv
+    bracket at that step."""
+    dB = np.stack([reference_increments(grid, spec.drivers, s) for s in seeds])
+    norms = [
+        np.abs(stacked_eigenvalues(np.broadcast_to(step.qv, step.x.shape)[~step.excluded]))
+        .max(axis=-1)
+        for step in EulerScheme(spec, grid).steps(dB)
+    ]
+    return np.sort(np.concatenate(norms[:-1]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(["time_poly", "path_feedback", "goe_like"]),
@@ -269,9 +282,11 @@ def engine_spies(passes):
     payload_seed=st.integers(0, 2**32 - 1),
     payload=st.sampled_from(["drawn", "zero", "overflow"]),
     seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
-    # 1e-9 is crossed by every path at the first step, 1e9 by none
+    # a drawn share v picks the level at quantile v of the block's own
+    # ||<X>_k|| (see qv_norms), which on path_feedback lies inside a qv
+    # bracket; 1e-9 is crossed by every path at the first step, 1e9 by none
     levels=st.lists(
-        st.one_of(st.floats(0.05, 30.0), st.sampled_from([1e-9, 1e9])), min_size=1, max_size=3
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-9, 1e9])), min_size=1, max_size=3
     ),
     betas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2),
     cuts=st.lists(st.integers(0, 12), max_size=3),
@@ -289,6 +304,10 @@ def engine_spies(passes):
     family="time_poly", n=4, payload_seed=3, payload="drawn", seeds=list(range(8)),
     levels=[1e-9, 1e9], betas=[1.0], cuts=[3], chunk=8,
 )
+@example(
+    family="path_feedback", n=3, payload_seed=0, payload="drawn", seeds=list(range(12)),
+    levels=[0.25, 0.5, 0.75], betas=[0.5], cuts=[5], chunk=4,
+)
 def test_certified_block_matches_always_solve(
     family, n, payload_seed, payload, seeds, levels, betas, cuts, chunk
 ):
@@ -299,6 +318,9 @@ def test_certified_block_matches_always_solve(
     # bit and drops no path the bound pass kept.
     spec = payload_spec(next(s for s in family_zoo(n, payload_seed) if s.family == family), payload)
     grid = TimeGrid(1.0, 32)
+    norms = qv_norms(spec, grid, seeds)
+    if len(norms):
+        levels = [v if v in (1e-9, 1e9) else norms[int(v * (len(norms) - 1))] for v in levels]
     plan = CollectorPlan(
         sigma2_levels=tuple(levels),
         supermartingale_betas=tuple(betas),
