@@ -4,7 +4,15 @@ Each operation produces a :class:`CheckResult` whose ``holds`` field is
 recomputable from the numbers it carries: lhs <= bound + slack*(lhs_ci
 + rhs_ci) + tol, where bound is the rhs unless the metadata carries an
 explicit ``bound_rhs`` (used when the displayed rhs is a constant-free
-shape rather than an enforceable bound).
+shape rather than an enforceable bound).  Every result is built by one
+constructor that reads its verdict from its metadata.
+
+A check kind is one :data:`CHECK_REGISTRY` row: its parameters, the
+collectors it needs, the integrands it applies to and its evaluator.
+An evaluator takes the batch (or the integrand spec), its parameters
+and a :class:`Judge`, which holds everything else a check depends on
+(confidence, slack, rhs multiplier, resamples, seeds, sample size) and
+forms every interval and every result.
 """
 
 from __future__ import annotations
@@ -86,20 +94,94 @@ def verdict(
     return bool(lhs <= target + slack_factor * (lhs_ci + rhs_ci) + tolerance)
 
 
-def recompute_holds(result: CheckResult) -> bool:
-    """Re-derive the verdict from the result's own fields."""
-    md = result.metadata
+def _holds(lhs: float, rhs: float, lhs_ci: float, rhs_ci: float, md: dict) -> bool:
+    """The verdict that metadata ``md`` records for these numbers."""
     if md.get("verdict") == "skipped":
         return True
-    return verdict(
-        result.lhs,
-        result.rhs,
-        result.lhs_ci,
-        result.rhs_ci,
-        md.get("slack_factor", 0.0),
-        md.get("tolerance", 0.0),
-        md.get("bound_rhs"),
-    )
+    slack, tolerance = md.get("slack_factor", 0.0), md.get("tolerance", 0.0)
+    return verdict(lhs, rhs, lhs_ci, rhs_ci, slack, tolerance, md.get("bound_rhs"))
+
+
+def recompute_holds(result: CheckResult) -> bool:
+    """Re-derive the verdict from the result's own fields."""
+    return _holds(result.lhs, result.rhs, result.lhs_ci, result.rhs_ci, result.metadata)
+
+
+def _result(name: str, lhs: float, rhs: float, lhs_ci: float, rhs_ci: float, md: dict):
+    """The one constructor of results: ``holds`` is the verdict ``md`` records."""
+    return CheckResult(name, lhs, rhs, lhs_ci, rhs_ci, _holds(lhs, rhs, lhs_ci, rhs_ci, md), md)
+
+
+@dataclass(frozen=True)
+class Judge:
+    """How a check forms its intervals and its verdict.
+
+    Every interval is taken at level ``confidence``.  A bootstrap mean
+    draws ``resamples`` resamples from stream ``seed + j`` for its
+    stream j; a kind that draws its own sample takes ``samples`` values
+    from stream ``sample_seed``.  ``rhs_multiplier`` scales every rhs (0
+    shows that a check can fail), and a result holds when lhs <= rhs +
+    slack_factor * (lhs_ci + rhs_ci).  :func:`evaluate_checks` builds
+    one per check from the config.
+    """
+
+    confidence: float = 0.99
+    slack_factor: float = 3.0
+    rhs_multiplier: float = 1.0
+    resamples: int = 1000
+    seed: int = 0
+    samples: int = 100_000
+    sample_seed: int = 0
+
+    def mean(self, values, statistic=float, *, label: str, stream: int = 0) -> EstimateCI:
+        """Bootstrap interval for statistic(mean(values)) on stream ``seed + stream``."""
+        return bootstrap_ci(
+            values, statistic, self.resamples, self.confidence, self.seed + stream, label=label
+        )
+
+    def pair(
+        self, name: str, lhs, lhs_statistic, rhs, rhs_statistic
+    ) -> tuple[EstimateCI, EstimateCI]:
+        """The lhs and rhs means of check ``name``, on streams 0 and 1."""
+        return (
+            self.mean(lhs, lhs_statistic, label=f"{name} lhs"),
+            self.mean(rhs, rhs_statistic, label=f"{name} rhs", stream=1),
+        )
+
+    def frequency(self, hits: int, trials: int) -> EstimateCI:
+        """Wilson interval for an event seen on ``hits`` of ``trials`` paths."""
+        return wilson_interval(hits, trials, self.confidence)
+
+    def result(
+        self, name: str, subject, lhs: EstimateCI, rhs, rhs_ci: float = 0.0, *, t=None, **extra
+    ) -> CheckResult:
+        """Result and verdict of check ``name`` on ``subject``.
+
+        ``subject`` is the batch, or the spec of a kind that draws its
+        own sample (of the series at t = 1).  ``rhs`` is an interval, or
+        a point with half-width ``rhs_ci``.  The metadata describes the
+        subject, with ``t`` defaulting to the grid horizon, and then
+        lists ``extra`` in order; an extra ``bound_rhs`` replaces the rhs
+        in the verdict, and ``verdict="skipped"`` records none.
+        """
+        if isinstance(rhs, EstimateCI):
+            rhs, rhs_ci = rhs.point, rhs.half_width
+        if isinstance(subject, BatchStats):
+            spec, paths = subject.spec, subject.path_count
+            t = subject.grid.horizon if t is None else t
+        else:
+            spec, paths, t = subject, self.samples, 1.0
+        md = {
+            "n": spec.n,
+            "N": spec.drivers,
+            "family": spec.family,
+            "t": t,
+            "paths": paths,
+            "slack_factor": self.slack_factor,
+            "tolerance": 0.0,
+            **extra,
+        }
+        return _result(name, lhs.point, rhs, lhs.half_width, rhs_ci, md)
 
 
 def _kept(batch: BatchStats) -> int:
@@ -126,46 +208,6 @@ def _plan_index(orders: tuple, value: float, what: str) -> int:
         ) from None
 
 
-def _batch_result(
-    name: str,
-    batch: BatchStats,
-    slack_factor: float,
-    lhs: EstimateCI,
-    rhs: EstimateCI | float,
-    rhs_ci: float = 0.0,
-    *,
-    t: float | None = None,
-    **extra,
-) -> CheckResult:
-    """Verdict and result of a batch check.
-
-    ``rhs`` is an interval estimate, or a point with half-width
-    ``rhs_ci``.  The metadata describes the batch, with ``t`` defaulting
-    to the grid horizon, and then lists ``extra`` in order.
-    """
-    if isinstance(rhs, EstimateCI):
-        rhs, rhs_ci = rhs.point, rhs.half_width
-    md = {
-        "n": batch.spec.n,
-        "N": batch.spec.drivers,
-        "family": batch.spec.family,
-        "t": batch.grid.horizon if t is None else t,
-        "paths": batch.path_count,
-        "slack_factor": slack_factor,
-        "tolerance": 0.0,
-    }
-    md.update(extra)
-    return CheckResult(
-        name=name,
-        lhs=lhs.point,
-        rhs=rhs,
-        lhs_ci=lhs.half_width,
-        rhs_ci=rhs_ci,
-        holds=verdict(lhs.point, rhs, lhs.half_width, rhs_ci, slack_factor),
-        metadata=md,
-    )
-
-
 def check_trace_lemma(h, a, q: int, r: int) -> CheckResult:
     """Tr(H A^q H A^(r-q)) <= Tr(H^2 |A|^r) for integers 0 <= q <= r."""
     hm = check_symmetric(h, "H")
@@ -181,15 +223,8 @@ def check_trace_lemma(h, a, q: int, r: int) -> CheckResult:
     abs_r = np.linalg.matrix_power(matrix_abs(am), r)
     rhs = float(np.trace(hm @ hm @ abs_r))
     tol = TRACE_LEMMA_TOL * (1.0 + abs(rhs))
-    return CheckResult(
-        name="trace_lemma",
-        lhs=lhs,
-        rhs=rhs,
-        lhs_ci=0.0,
-        rhs_ci=0.0,
-        holds=verdict(lhs, rhs, 0.0, 0.0, 0.0, tol),
-        metadata={"n": hm.shape[0], "q": q, "r": r, "slack_factor": 0.0, "tolerance": tol},
-    )
+    md = {"n": hm.shape[0], "q": q, "r": r, "slack_factor": 0.0, "tolerance": tol}
+    return _result("trace_lemma", lhs, rhs, 0.0, 0.0, md)
 
 
 def check_hessian_lemma(m, h, step: float = 1e-4) -> CheckResult:
@@ -210,15 +245,8 @@ def check_hessian_lemma(m, h, step: float = 1e-4) -> CheckResult:
     lhs = (fp - 2.0 * f0 + fm) / (step * step)
     rhs = float(np.trace(matrix_exp_sym(mm) @ hm @ hm))
     tol = HESSIAN_LEMMA_TOL * (1.0 + abs(rhs))
-    return CheckResult(
-        name="hessian_lemma",
-        lhs=lhs,
-        rhs=rhs,
-        lhs_ci=0.0,
-        rhs_ci=0.0,
-        holds=verdict(lhs, rhs, 0.0, 0.0, 0.0, tol),
-        metadata={"n": mm.shape[0], "step": step, "slack_factor": 0.0, "tolerance": tol},
-    )
+    md = {"n": mm.shape[0], "step": step, "slack_factor": 0.0, "tolerance": tol}
+    return _result("hessian_lemma", lhs, rhs, 0.0, 0.0, md)
 
 
 def run_lemma_suite(count: int = 10_000, seed: int = 0) -> list[CheckResult]:
@@ -243,13 +271,7 @@ def run_lemma_suite(count: int = 10_000, seed: int = 0) -> list[CheckResult]:
 
 
 def freedman_check(
-    batch: BatchStats,
-    u: float,
-    sigma2: float,
-    *,
-    confidence: float = 0.99,
-    slack_factor: float = 3.0,
-    rhs_multiplier: float = 1.0,
+    batch: BatchStats, u: float, sigma2: float, judge: Judge = Judge()
 ) -> CheckResult:
     """Joint tail event frequency vs the n*exp(-u^2/(2 sigma^2)) bound.
 
@@ -262,21 +284,13 @@ def freedman_check(
     kept = _kept(batch)
     li = _plan_index(batch.plan.sigma2_levels, sigma2, "sigma2 level")
     hits = int((batch.data["bridge_prefix_max"][:, li] >= u).sum())
-    lhs = wilson_interval(hits, kept, confidence)
-    rhs = batch.spec.n * math.exp(-u * u / (2.0 * sigma2)) * rhs_multiplier
-    return _batch_result(
-        "freedman", batch, slack_factor, lhs, rhs, u=u, sigma2=sigma2, events=hits
-    )
+    lhs = judge.frequency(hits, kept)
+    rhs = batch.spec.n * math.exp(-u * u / (2.0 * sigma2)) * judge.rhs_multiplier
+    return judge.result("freedman", batch, lhs, rhs, u=u, sigma2=sigma2, events=hits)
 
 
 def good_lambda_check(
-    batch: BatchStats,
-    u: float,
-    sigma2: float,
-    *,
-    confidence: float = 0.99,
-    slack_factor: float = 3.0,
-    rhs_multiplier: float = 1.0,
+    batch: BatchStats, u: float, sigma2: float, judge: Judge = Judge()
 ) -> CheckResult:
     """Tail at 2u with bounded qv vs n*exp(-u^2/(2 sigma^2)) * P(tail at u).
 
@@ -288,13 +302,12 @@ def good_lambda_check(
     li = _plan_index(batch.plan.sigma2_levels, sigma2, "sigma2 level")
     hits2u = int((batch.data["bridge_prefix_max"][:, li] >= 2.0 * u).sum())
     hits_u = int((batch.data["bridge_sup"] >= u).sum())
-    lhs = wilson_interval(hits2u, kept, confidence)
-    u_freq = wilson_interval(hits_u, kept, confidence)
-    factor = batch.spec.n * math.exp(-u * u / (2.0 * sigma2)) * rhs_multiplier
-    return _batch_result(
+    lhs = judge.frequency(hits2u, kept)
+    u_freq = judge.frequency(hits_u, kept)
+    factor = batch.spec.n * math.exp(-u * u / (2.0 * sigma2)) * judge.rhs_multiplier
+    return judge.result(
         "good_lambda",
         batch,
-        slack_factor,
         lhs,
         factor * u_freq.point,
         abs(factor) * u_freq.half_width,
@@ -309,37 +322,21 @@ def _moment_flag(p: float, est) -> bool:
 
 
 def bdg_check(
-    batch: BatchStats,
-    p: int,
-    t: float | None = None,
-    *,
-    confidence: float = 0.99,
-    slack_factor: float = 3.0,
-    resamples: int = 1000,
-    seed: int = 0,
-    rhs_multiplier: float = 1.0,
+    batch: BatchStats, p: int, t: float | None = None, judge: Judge = Judge()
 ) -> CheckResult:
     """p-th moment of the running sup vs the sqrt(p + log n) weighted qv moment."""
     p = _moment_order(batch, p)
-    sup = batch.data["sup_spectral"]
-    qv = batch.data["terminal_qv_norm"]
-    coeff = BDG_CONSTANT * math.sqrt(p + math.log(batch.spec.n)) * rhs_multiplier
-
-    lhs = bootstrap_ci(
-        sup**p, lambda s: s ** (1.0 / p), resamples, confidence, seed, label="bdg lhs"
-    )
-    rhs = bootstrap_ci(
-        qv ** (0.5 * p),
+    coeff = BDG_CONSTANT * math.sqrt(p + math.log(batch.spec.n)) * judge.rhs_multiplier
+    lhs, rhs = judge.pair(
+        "bdg",
+        batch.data["sup_spectral"] ** p,
+        lambda s: s ** (1.0 / p),
+        batch.data["terminal_qv_norm"] ** (0.5 * p),
         lambda s: coeff * s ** (1.0 / p),
-        resamples,
-        confidence,
-        seed + 1,
-        label="bdg rhs",
     )
-    return _batch_result(
+    return judge.result(
         "bdg",
         batch,
-        slack_factor,
         lhs,
         rhs,
         t=t,
@@ -357,39 +354,20 @@ def _schatten_samples(batch: BatchStats, p: int) -> tuple[np.ndarray, np.ndarray
 
 
 def schatten_check(
-    batch: BatchStats,
-    p: int,
-    t: float | None = None,
-    *,
-    confidence: float = 0.99,
-    slack_factor: float = 3.0,
-    resamples: int = 1000,
-    seed: int = 0,
-    rhs_multiplier: float = 1.0,
+    batch: BatchStats, p: int, t: float | None = None, judge: Judge = Judge()
 ) -> CheckResult:
     """Mean squared terminal 2p-norm vs (2p-1) times the quadrature mean."""
     p = _moment_order(batch, p)
     values, quad = _schatten_samples(batch, p)
-    factor = (2.0 * p - 1.0) * rhs_multiplier
-    lhs = bootstrap_ci(values, float, resamples, confidence, seed, label="schatten lhs")
-    rhs = bootstrap_ci(
-        quad, lambda s: factor * s, resamples, confidence, seed + 1, label="schatten rhs"
-    )
-    return _batch_result(
-        "schatten", batch, slack_factor, lhs, rhs, t=t, p=p, unstable_moment=_moment_flag(p, lhs)
+    factor = (2.0 * p - 1.0) * judge.rhs_multiplier
+    lhs, rhs = judge.pair("schatten", values, float, quad, lambda s: factor * s)
+    return judge.result(
+        "schatten", batch, lhs, rhs, t=t, p=p, unstable_moment=_moment_flag(p, lhs)
     )
 
 
 def schatten_rect_check(
-    batch: BatchStats,
-    p: int,
-    t: float | None = None,
-    *,
-    confidence: float = 0.99,
-    slack_factor: float = 3.0,
-    resamples: int = 1000,
-    seed: int = 0,
-    rhs_multiplier: float = 1.0,
+    batch: BatchStats, p: int, t: float | None = None, judge: Judge = Judge()
 ) -> CheckResult:
     """Rectangular Schatten bound via the dilated process.
 
@@ -400,33 +378,17 @@ def schatten_rect_check(
     2^(-1/p)*sqrt(2p-1) variant is reported in the metadata.
     """
     p = _moment_order(batch, p)
-    if batch.spec.rect_shape is None:
-        raise InputDomainError(
-            "rectangular check requires a batch built from rectangular constant payloads"
-        )
+    CHECK_REGISTRY["schatten_rect"].check_spec(batch.spec)
     squares, quad = _schatten_samples(batch, p)
     scale = 2.0 ** (-1.0 / p)
-    values = squares * scale
-    factor_cons = scale * (2.0 * p - 1.0) * rhs_multiplier
-    factor_paper = scale * math.sqrt(2.0 * p - 1.0) * rhs_multiplier
-    lhs = bootstrap_ci(
-        values, float, resamples, confidence, seed, label="schatten_rect lhs"
-    )
-    rhs = bootstrap_ci(
-        quad,
-        lambda s: factor_cons * s,
-        resamples,
-        confidence,
-        seed + 1,
-        label="schatten_rect rhs",
-    )
+    factor_cons = scale * (2.0 * p - 1.0) * judge.rhs_multiplier
+    factor_paper = scale * math.sqrt(2.0 * p - 1.0) * judge.rhs_multiplier
+    lhs, rhs = judge.pair("schatten_rect", squares * scale, float, quad, lambda s: factor_cons * s)
     rhs_paper = rhs.point * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
     rhs_paper_ci = rhs.half_width * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
-    holds_paper = verdict(lhs.point, rhs_paper, lhs.half_width, rhs_paper_ci, slack_factor)
-    return _batch_result(
+    return judge.result(
         "schatten_rect",
         batch,
-        slack_factor,
         lhs,
         rhs,
         t=t,
@@ -434,22 +396,14 @@ def schatten_rect_check(
         rect_shape=batch.spec.rect_shape,
         rhs_paper=rhs_paper,
         rhs_paper_ci=rhs_paper_ci,
-        holds_paper=holds_paper,
+        holds_paper=verdict(
+            lhs.point, rhs_paper, lhs.half_width, rhs_paper_ci, judge.slack_factor
+        ),
         unstable_moment=_moment_flag(p, lhs),
     )
 
 
-def khintchine_check(
-    spec: IntegrandSpec,
-    *,
-    samples: int = 100_000,
-    sample_seed: int = 0,
-    resamples: int = 1000,
-    seed: int = 1,
-    confidence: float = 0.99,
-    slack_factor: float = 3.0,
-    rhs_multiplier: float = 1.0,
-) -> CheckResult:
+def khintchine_check(spec: IntegrandSpec, judge: Judge = Judge()) -> CheckResult:
     """Mean norm of the Gaussian matrix series against the sqrt(log n) shape.
 
     The displayed rhs is the constant-free shape sqrt(log n) *
@@ -458,88 +412,43 @@ def khintchine_check(
     The ratio lhs / ||sum H_i^2||^(1/2) drives the growth-in-n check.
     For n = 1 the shape degenerates and the verdict is skipped.
     """
-    if is_path_dependent(spec) or is_time_dependent(spec):
-        raise InputDomainError("khintchine check requires a constant-in-time integrand")
-    norms = exact_constant_spectral_norms(spec.matrices, 1.0, sample_seed, samples)
-    lhs = bootstrap_ci(norms, float, resamples, confidence, seed, label="khintchine lhs")
+    CHECK_REGISTRY["khintchine"].check_spec(spec)
+    norms = exact_constant_spectral_norms(spec.matrices, 1.0, judge.sample_seed, judge.samples)
+    lhs = judge.mean(norms, label="khintchine lhs")
     base = math.sqrt(spectral_norm(aggregates(spec).sum_sq_base))
     n = spec.n
-    rhs = math.sqrt(math.log(n)) * base
-    bound = BDG_CONSTANT * math.sqrt(1.0 + math.log(n)) * base * rhs_multiplier
-    ratio = lhs.point / base if base > 0.0 else 0.0
-    md = {
-        "n": n,
-        "N": spec.drivers,
-        "family": spec.family,
-        "t": 1.0,
-        "paths": samples,
-        "slack_factor": slack_factor,
-        "tolerance": 0.0,
-        "ratio": ratio,
-        "bound_rhs": bound,
-    }
-    if n == 1:
-        md["verdict"] = "skipped"
-        holds = True
-    else:
-        holds = verdict(lhs.point, rhs, lhs.half_width, 0.0, slack_factor, bound_rhs=bound)
-    return CheckResult(
-        name="khintchine",
-        lhs=lhs.point,
-        rhs=rhs,
-        lhs_ci=lhs.half_width,
-        rhs_ci=0.0,
-        holds=holds,
-        metadata=md,
+    return judge.result(
+        "khintchine",
+        spec,
+        lhs,
+        math.sqrt(math.log(n)) * base,
+        ratio=lhs.point / base if base > 0.0 else 0.0,
+        bound_rhs=BDG_CONSTANT * math.sqrt(1.0 + math.log(n)) * base * judge.rhs_multiplier,
+        **({"verdict": "skipped"} if n == 1 else {}),
     )
 
 
 def biane_speicher_check(
-    batch: BatchStats,
-    t: float | None = None,
-    *,
-    confidence: float = 0.99,
-    slack_factor: float = 3.0,
-    resamples: int = 1000,
-    seed: int = 0,
-    rhs_multiplier: float = 1.0,
+    batch: BatchStats, t: float | None = None, judge: Judge = Judge()
 ) -> CheckResult:
     """Mean terminal norm vs 2*sqrt(2) times the root-quadrature mean."""
     _kept(batch)
     if "sum_norm_quad" not in batch.data:
         raise InputDomainError("batch was not collected with the driver-sum quadrature")
-    coeff = BIANE_SPEICHER_CONSTANT * rhs_multiplier
-    lhs = bootstrap_ci(
+    coeff = BIANE_SPEICHER_CONSTANT * judge.rhs_multiplier
+    lhs, rhs = judge.pair(
+        "biane_speicher",
         batch.data["terminal_spectral"],
         float,
-        resamples,
-        confidence,
-        seed,
-        label="biane_speicher lhs",
-    )
-    rhs = bootstrap_ci(
         np.sqrt(batch.data["sum_norm_quad"]),
         lambda s: coeff * s,
-        resamples,
-        confidence,
-        seed + 1,
-        label="biane_speicher rhs",
     )
-    return _batch_result(
-        "biane_speicher", batch, slack_factor, lhs, rhs, t=t, constant=BIANE_SPEICHER_CONSTANT
+    return judge.result(
+        "biane_speicher", batch, lhs, rhs, t=t, constant=BIANE_SPEICHER_CONSTANT
     )
 
 
-def supermartingale_check(
-    batch: BatchStats,
-    beta: float,
-    *,
-    confidence: float = 0.99,
-    slack_factor: float = 3.0,
-    resamples: int = 1000,
-    seed: int = 0,
-    rhs_multiplier: float = 1.0,
-) -> CheckResult:
+def supermartingale_check(batch: BatchStats, beta: float, judge: Judge = Judge()) -> CheckResult:
     """Checkpoint means of Tr exp(beta*X - (beta^2/2)*qv) never increase.
 
     lhs/rhs are the later/earlier means of the worst consecutive
@@ -551,31 +460,23 @@ def supermartingale_check(
     cps = batch.plan.checkpoints
     vals = batch.data["supermart"][:, bi, :]
     ests = [
-        bootstrap_ci(
-            vals[:, c],
-            float,
-            resamples,
-            confidence,
-            seed + c,
-            label=f"supermartingale checkpoint {cps[c]}",
-        )
+        judge.mean(vals[:, c], label=f"supermartingale checkpoint {cps[c]}", stream=c)
         for c in range(len(cps))
     ]
     worst = None
     worst_excess = -math.inf
     for c in range(len(cps) - 1):
         earlier, later = ests[c], ests[c + 1]
-        rhs_point = earlier.point * rhs_multiplier
-        rhs_ci = earlier.half_width * abs(rhs_multiplier)
-        excess = later.point - rhs_point - slack_factor * (later.half_width + rhs_ci)
+        rhs_point = earlier.point * judge.rhs_multiplier
+        rhs_ci = earlier.half_width * abs(judge.rhs_multiplier)
+        excess = later.point - rhs_point - judge.slack_factor * (later.half_width + rhs_ci)
         if excess > worst_excess:
             worst_excess = excess
             worst = (c, later, rhs_point, rhs_ci)
     c, later, rhs_point, rhs_ci = worst
-    return _batch_result(
+    return judge.result(
         "supermartingale",
         batch,
-        slack_factor,
         later,
         rhs_point,
         rhs_ci,
@@ -626,17 +527,22 @@ def _no_collectors(req, grid: TimeGrid) -> dict:
     return {}
 
 
+def _constant_in_time(spec: IntegrandSpec) -> bool:
+    return not (is_path_dependent(spec) or is_time_dependent(spec))
+
+
 @dataclass(frozen=True)
 class CheckKind:
     """One inequality kind: its parameters, collectors and evaluator.
 
     ``params`` lists, in order, the parameters a request of this kind
     takes; ``evaluate`` is called with the batch (or, when the kind does
-    not need one, the integrand spec) and those parameter values, see
-    :func:`evaluate_checks`.  ``collect(request, grid)`` names the
-    :class:`~mmlab.simulate.CollectorPlan` fields the request needs: a
-    tuple of values to record, or True for an opt-in quadrature.
-    ``bootstrap`` kinds take ``resamples`` and ``seed``.
+    not need one, the integrand spec), those parameter values and a
+    :class:`Judge`, see :func:`evaluate_checks`.  ``collect(request,
+    grid)`` names the :class:`~mmlab.simulate.CollectorPlan` fields the
+    request needs: a tuple of values to record, or True for an opt-in
+    quadrature.  ``applies(spec)`` tells whether the kind can run on an
+    integrand at all; ``requires`` words that rule as errors state it.
     """
 
     name: str
@@ -644,7 +550,8 @@ class CheckKind:
     evaluate: Callable[..., CheckResult]
     collect: Callable[..., dict] = _no_collectors
     needs_batch: bool = True
-    bootstrap: bool = True
+    requires: str = ""
+    applies: Callable[[IntegrandSpec], bool] = _any_value
 
     def takes(self, name: str) -> bool:
         return any(p.name == name for p in self.params)
@@ -661,6 +568,11 @@ class CheckKind:
         for f in fields(req)[1:]:  # every parameter field, after kind
             if getattr(req, f.name) is not None and not self.takes(f.name):
                 raise InputDomainError(f"{self.name} check does not take {f.name}")
+
+    def check_spec(self, spec: IntegrandSpec, field: str | None = None) -> None:
+        """Raise InputDomainError, naming ``field``, unless the kind applies to ``spec``."""
+        if not self.applies(spec):
+            raise InputDomainError(f"{self.name} check requires {self.requires}", field=field)
 
 
 def _sigma2_level(req, grid: TimeGrid) -> dict:
@@ -682,20 +594,26 @@ def _supermartingale(req, grid: TimeGrid) -> dict:
 CHECK_REGISTRY: dict[str, CheckKind] = {
     kind.name: kind
     for kind in (
-        CheckKind(
-            "freedman", (U_POSITIVE, SIGMA2), freedman_check, _sigma2_level, bootstrap=False
-        ),
-        CheckKind(
-            "good_lambda",
-            (U_NONNEGATIVE, SIGMA2),
-            good_lambda_check,
-            _sigma2_level,
-            bootstrap=False,
-        ),
+        CheckKind("freedman", (U_POSITIVE, SIGMA2), freedman_check, _sigma2_level),
+        CheckKind("good_lambda", (U_NONNEGATIVE, SIGMA2), good_lambda_check, _sigma2_level),
         CheckKind("bdg", (ORDER, HORIZON), bdg_check),
         CheckKind("schatten", (ORDER, HORIZON), schatten_check, _schatten_orders),
-        CheckKind("schatten_rect", (ORDER, HORIZON), schatten_rect_check, _schatten_orders),
-        CheckKind("khintchine", (), khintchine_check, needs_batch=False),
+        CheckKind(
+            "schatten_rect",
+            (ORDER, HORIZON),
+            schatten_rect_check,
+            _schatten_orders,
+            requires="integrand.family rect_constant",
+            applies=lambda spec: spec.rect_shape is not None,
+        ),
+        CheckKind(
+            "khintchine",
+            (),
+            khintchine_check,
+            needs_batch=False,
+            requires="a constant-in-time integrand",
+            applies=_constant_in_time,
+        ),
         CheckKind("biane_speicher", (HORIZON,), biane_speicher_check, _sum_norm_quad),
         CheckKind("supermartingale", (BETA,), supermartingale_check, _supermartingale),
     )
@@ -726,18 +644,23 @@ class CheckRequest:
 
     @property
     def needs_batch(self) -> bool:
-        """Whether the check reads a simulated batch (and so needs >= 100 paths)."""
+        """Whether the check reads a simulated batch."""
         return CHECK_REGISTRY[self.kind].needs_batch
 
     def collectors(self, grid: TimeGrid) -> dict:
         """The CollectorPlan fields this check needs on ``grid``."""
         return CHECK_REGISTRY[self.kind].collect(self, grid)
 
+    def check_spec(self, spec: IntegrandSpec, field: str | None = None) -> None:
+        """Raise InputDomainError, naming ``field``, unless this check applies to ``spec``."""
+        CHECK_REGISTRY[self.kind].check_spec(spec, field)
+
 
 def evaluate_checks(config: ExperimentConfig, batch: BatchStats | None) -> list[CheckResult]:
     """Run every requested check against one shared batch.
 
-    Bootstrap and sampling seeds come from the config's auxiliary
+    Each check is judged by a :class:`Judge` built from the config.  Its
+    bootstrap and sampling seeds come from the config's auxiliary
     stream, indexed by check order, so results are reproducible and
     independent of evaluation parallelism.  A kind that needs no batch
     draws its own sample of ``config.paths`` from the integrand spec.
@@ -745,24 +668,20 @@ def evaluate_checks(config: ExperimentConfig, batch: BatchStats | None) -> list[
     results = []
     for i, req in enumerate(config.checks):
         kind = CHECK_REGISTRY[req.kind]
-        options = dict(
+        judge = Judge(
             confidence=config.confidence,
             slack_factor=config.slack_factor,
             rhs_multiplier=config.rhs_multiplier,
+            resamples=config.bootstrap_resamples,
+            seed=bootstrap_seed(config, 2 * i),
+            samples=config.paths,
+            sample_seed=bootstrap_seed(config, 2 * i + 1),
         )
-        if kind.bootstrap:
-            options["resamples"] = config.bootstrap_resamples
-            options["seed"] = bootstrap_seed(config, 2 * i)
-        if kind.needs_batch:
-            if batch is None:
-                raise InputDomainError(f"check '{req.kind}' requires a simulated batch")
-            subject = batch
-        else:
-            subject = config.spec
-            options["samples"] = config.paths
-            options["sample_seed"] = bootstrap_seed(config, 2 * i + 1)
+        if kind.needs_batch and batch is None:
+            raise InputDomainError(f"check '{req.kind}' requires a simulated batch")
+        subject = batch if kind.needs_batch else config.spec
         params = [getattr(req, p.name) for p in kind.params]
-        results.append(kind.evaluate(subject, *params, **options))
+        results.append(kind.evaluate(subject, *params, judge))
     return results
 
 

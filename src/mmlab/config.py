@@ -3,7 +3,8 @@
 Format: one ``key = value`` pair per line, ``#`` starts a full-line
 comment, keys use dotted sections.  Matrix values are row-major with
 rows separated by ``;`` and entries by whitespace, e.g. ``1 0; 0 1``.
-Unknown keys are errors.  Overrides (environment variables with the
+Unknown keys are errors, and every error names the key that caused it
+(``ConfigError.key``).  Overrides (environment variables with the
 ``MMLAB_`` prefix, then ``--set`` pairs) replace file values before any
 typed validation runs; in environment names ``__`` stands for a dot.
 
@@ -35,6 +36,9 @@ Documented schema (defaults in parentheses):
                                 biane_speicher           t
                                 supermartingale          beta (finite)
                                 khintchine               none
+                                schatten_rect needs the rect_constant
+                                family and khintchine a constant-in-time
+                                one; any check needs paths >= 100
     sweep.parameter             n | p | u | steps (p and u: the checks
                                 that take them)
     sweep.values                whitespace-separated finite numbers
@@ -123,6 +127,7 @@ _SCALARS = {
     "bootstrap.resamples": ("bootstrap_resamples", True),
     "test_hooks.rhs_multiplier": ("rhs_multiplier", False),
 }
+_FIELD_KEYS = {name: key for key, (name, _) in _SCALARS.items()}
 _GRID_FIELDS = tuple(f.name for f in dataclasses.fields(TimeGrid))
 _REQUIRED = {
     f.name for f in dataclasses.fields(ExperimentConfig) if f.default is dataclasses.MISSING
@@ -314,13 +319,14 @@ def _build_spec(entries):
         raise ConfigError(str(exc), key="integrand") from exc
 
 
-def _build_checks(entries) -> tuple[CheckRequest, ...]:
+def _build_checks(entries) -> dict[str, CheckRequest]:
+    """The configured checks in index order, by their ``check.<i>`` key."""
     groups: dict[int, dict[str, _Entry]] = {}
     for key in list(entries):
         m = re.match(rf"check\.({_INDEXED})\.(\w+)\Z", key)
         if m:
             groups.setdefault(int(m.group(1)), {})[m.group(2)] = entries.pop(key)
-    checks = []
+    checks = {}
     for index in sorted(groups):
         fields = groups[index]
         if "kind" not in fields:
@@ -333,13 +339,13 @@ def _build_checks(entries) -> tuple[CheckRequest, ...]:
                 raise _err(f"{key} is not valid for check kind '{kind}'", key, entry)
             kwargs[name] = _to_number(key, entry, _CHECK_PARAMS[name].integer)
         try:
-            checks.append(CheckRequest(**kwargs))
+            checks[f"check.{index}"] = CheckRequest(**kwargs)
         except InputDomainError as exc:
             raise ConfigError(str(exc), key=f"check.{index}") from exc
-    return tuple(checks)
+    return checks
 
 
-def _build_sweep(entries, experiment: ExperimentConfig) -> SweepSettings | None:
+def _build_sweep(entries, spec: IntegrandSpec, checks) -> SweepSettings | None:
     param = entries.pop("sweep.parameter", None)
     values = entries.pop("sweep.values", None)
     if param is None and values is None:
@@ -366,7 +372,7 @@ def _build_sweep(entries, experiment: ExperimentConfig) -> SweepSettings | None:
     # a spec's family is the config family of the same name, except that
     # rect_constant builds a constant spec; neither resizes
     resizable = [fam for fam, family in CONFIG_FAMILIES.items() if family.resize]
-    if name == "n" and experiment.spec.family not in resizable:
+    if name == "n" and spec.family not in resizable:
         raise _err(
             f"sweep over n requires integrand.family {' or '.join(resizable)}",
             "sweep.parameter",
@@ -374,7 +380,7 @@ def _build_sweep(entries, experiment: ExperimentConfig) -> SweepSettings | None:
         )
     if name in _CHECK_PARAMS:
         takers = [kind.name for kind in CHECK_REGISTRY.values() if kind.takes(name)]
-        if not any(c.kind in takers for c in experiment.checks):
+        if not any(c.kind in takers for c in checks):
             raise _err(
                 f"sweep over {name} requires a {' or '.join(takers)} check",
                 "sweep.parameter",
@@ -426,11 +432,14 @@ def parse_settings(
         grid = TimeGrid(**{f: values.pop(f) for f in _GRID_FIELDS if f in values})
     except InputDomainError as exc:
         raise ConfigError(str(exc), key="grid") from exc
+    sweep = _build_sweep(entries, spec, checks.values())
     try:
-        experiment = ExperimentConfig(spec=spec, grid=grid, checks=checks, **values)
+        experiment = ExperimentConfig(
+            spec=spec, grid=grid, checks=tuple(checks.values()), **values
+        )
     except InputDomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    sweep = _build_sweep(entries, experiment)
+        keys = {**_FIELD_KEYS, **{f"checks[{i}]": key for i, key in enumerate(checks)}}
+        raise ConfigError(str(exc), key=keys.get(exc.field)) from exc
     dump = _build_dump(entries, experiment)
     for key, entry in entries.items():  # pragma: no cover - schema guards earlier
         raise _err(f"unknown key '{key}'", key, entry)

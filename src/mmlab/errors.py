@@ -6,7 +6,16 @@ class MmlabError(Exception):
 
 
 class InputDomainError(MmlabError, ValueError):
-    """An argument is outside the domain an operation is defined on."""
+    """An argument is outside the domain an operation is defined on.
+
+    ``field`` names the offending field of a validated record when
+    known: an ``ExperimentConfig`` field, or ``checks[i]`` for its i-th
+    check request.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class SpecValidationError(InputDomainError):

@@ -273,7 +273,11 @@ def bootstrap_ci(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a batch run depends on (reproducibility boundary)."""
+    """Everything a batch run depends on (reproducibility boundary).
+
+    Every check must apply to ``spec`` and needs ``paths >= 100``; an
+    invalid value raises InputDomainError naming its ``field``.
+    """
 
     spec: IntegrandSpec
     grid: TimeGrid
@@ -288,27 +292,35 @@ class ExperimentConfig:
 
     def __post_init__(self):
         validate_spec(self.spec)
-        if any(c.needs_batch for c in self.checks) and self.paths < 100:
-            raise InputDomainError("paths must be >= 100 for probabilistic checks")
+        if self.checks and self.paths < 100:
+            raise InputDomainError("paths must be >= 100 for probabilistic checks", "paths")
         if self.paths < 1:
-            raise InputDomainError(f"paths must be >= 1, got {self.paths}")
+            raise InputDomainError(f"paths must be >= 1, got {self.paths}", "paths")
         if not 0 <= int(self.master_seed) <= MASK64:
-            raise InputDomainError("master_seed must fit in 64 bits")
+            raise InputDomainError("master_seed must fit in 64 bits", "master_seed")
         if self.bootstrap_resamples < 100:
-            raise InputDomainError("bootstrap_resamples must be >= 100")
+            raise InputDomainError("bootstrap_resamples must be >= 100", "bootstrap_resamples")
         if not 0.0 < self.confidence < 1.0:
-            raise InputDomainError(f"confidence must be in (0, 1), got {self.confidence}")
+            raise InputDomainError(
+                f"confidence must be in (0, 1), got {self.confidence}", "confidence"
+            )
         if not (math.isfinite(self.slack_factor) and self.slack_factor >= 0.0):
-            raise InputDomainError(f"slack_factor must be finite and >= 0, got {self.slack_factor}")
+            raise InputDomainError(
+                f"slack_factor must be finite and >= 0, got {self.slack_factor}", "slack_factor"
+            )
         if not math.isfinite(self.rhs_multiplier):
-            raise InputDomainError(f"rhs_multiplier must be finite, got {self.rhs_multiplier}")
+            raise InputDomainError(
+                f"rhs_multiplier must be finite, got {self.rhs_multiplier}", "rhs_multiplier"
+            )
         if self.block_size < 1:
-            raise InputDomainError("block_size must be >= 1")
-        for c in self.checks:
+            raise InputDomainError("block_size must be >= 1", "block_size")
+        for i, c in enumerate(self.checks):
             if c.t is not None and not math.isclose(c.t, self.grid.horizon):
                 raise InputDomainError(
-                    f"check time {c.t} must equal the grid horizon {self.grid.horizon}"
+                    f"check time {c.t} must equal the grid horizon {self.grid.horizon}",
+                    f"checks[{i}]",
                 )
+            c.check_spec(self.spec, f"checks[{i}]")
 
 
 def plan_for_config(config: ExperimentConfig) -> CollectorPlan:

@@ -112,17 +112,7 @@ def config_echo(config: ExperimentConfig) -> dict:
             "slack_factor": config.slack_factor,
             "bootstrap_resamples": config.bootstrap_resamples,
             "rhs_multiplier": config.rhs_multiplier,
-            "checks": [
-                {
-                    "kind": c.kind,
-                    "u": c.u,
-                    "sigma2": c.sigma2,
-                    "p": c.p,
-                    "beta": c.beta,
-                    "t": c.t,
-                }
-                for c in config.checks
-            ],
+            "checks": [dataclasses.asdict(c) for c in config.checks],
         }
     )
 
@@ -254,22 +244,29 @@ def parse_report_json(text: str) -> Report:
     )
 
 
-def emit_report(report: Report, fmt: str, out_dir) -> list[Path]:
-    """Write report.csv / report.json per `fmt` (csv, json, both)."""
+def _write_files(out_dir, fmt: str, stem: str, **renders) -> list[Path]:
+    """Write ``<stem>.<ext>`` for each format `fmt` names (csv, json, both).
+
+    ``renders`` maps each extension to a function returning its text.
+    """
     if fmt not in ("csv", "json", "both"):
         raise InputDomainError(f"format must be csv, json, or both, got '{fmt}'")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if fmt in ("csv", "both"):
-        path = out / "report.csv"
-        path.write_text(render_csv(report))
-        written.append(path)
-    if fmt in ("json", "both"):
-        path = out / "report.json"
-        path.write_text(render_json(report))
-        written.append(path)
+    for ext, render in renders.items():
+        if fmt in (ext, "both"):
+            path = out / f"{stem}.{ext}"
+            path.write_text(render())
+            written.append(path)
     return written
+
+
+def emit_report(report: Report, fmt: str, out_dir) -> list[Path]:
+    """Write report.csv / report.json per `fmt` (csv, json, both)."""
+    return _write_files(
+        out_dir, fmt, "report", csv=lambda: render_csv(report), json=lambda: render_json(report)
+    )
 
 
 def run_verify(settings: RunSettings, workers: int = 1) -> Report:
@@ -309,14 +306,13 @@ def run_khintchine(settings: RunSettings) -> Report:
     kchecks = tuple(c for c in exp.checks if not c.needs_batch)
     if not kchecks:
         kchecks = (CheckRequest("khintchine"),)
-    cfg = dataclasses.replace(exp, checks=kchecks)
-    if cfg.paths < 100:
-        raise ConfigError("paths must be >= 100 for the khintchine sample", key="paths")
-    started = time.perf_counter()
     try:
-        results = evaluate_checks(cfg, None)
+        cfg = dataclasses.replace(exp, checks=kchecks)
     except InputDomainError as exc:
-        raise ConfigError(str(exc), key="integrand.family") from exc
+        key = "paths" if exc.field == "paths" else "integrand.family"
+        raise ConfigError(str(exc), key=key) from exc
+    started = time.perf_counter()
+    results = evaluate_checks(cfg, None)
     return assemble_report(
         results,
         master_seed=cfg.master_seed,
@@ -362,27 +358,21 @@ def run_sweep(settings: RunSettings, workers: int = 1) -> tuple[str, list[dict],
 
 
 def emit_sweep(parameter: str, rows: list[dict], failed: bool, fmt: str, out_dir) -> list[Path]:
-    if fmt not in ("csv", "json", "both"):
-        raise InputDomainError(f"format must be csv, json, or both, got '{fmt}'")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt in ("csv", "both"):
-        path = out / "sweep.csv"
-        path.write_text(_csv_lines(("parameter", "value") + CSV_COLUMNS, rows))
-        written.append(path)
-    if fmt in ("json", "both"):
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "failed": failed,
-            "sweep_parameter": parameter,
-            "results": rows,
-        }
-        path = out / "sweep.json"
-        path.write_text(json.dumps(obj, indent=2) + "\n")
-        written.append(path)
-    return written
+    """Write sweep.csv / sweep.json per `fmt` (csv, json, both)."""
+    obj = {
+        "schema_version": SCHEMA_VERSION,
+        "version": __version__,
+        "failed": failed,
+        "sweep_parameter": parameter,
+        "results": rows,
+    }
+    return _write_files(
+        out_dir,
+        fmt,
+        "sweep",
+        csv=lambda: _csv_lines(("parameter", "value") + CSV_COLUMNS, rows),
+        json=lambda: json.dumps(obj, indent=2) + "\n",
+    )
 
 
 def trajectory_csv(traj: Trajectory, beta: float | None = None) -> str:

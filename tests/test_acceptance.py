@@ -17,6 +17,7 @@ from scipy.stats import ks_2samp
 
 from mmlab.checks import (
     CheckRequest,
+    Judge,
     evaluate_checks,
     freedman_check,
     khintchine_check,
@@ -285,12 +286,16 @@ def test_08_dilation_identities():
 
 
 def test_09_gaussian_series_norm_growth():
-    r4 = khintchine_check(diag_basis_spec(4), samples=100_000, sample_seed=94, seed=95)
+    r4 = khintchine_check(
+        diag_basis_spec(4), judge=Judge(samples=100_000, sample_seed=94, seed=95)
+    )
     r256 = khintchine_check(
-        diag_basis_spec(256), samples=100_000, sample_seed=96, seed=97
+        diag_basis_spec(256), judge=Judge(samples=100_000, sample_seed=96, seed=97)
     )
     growth = r256.metadata["ratio"] / r4.metadata["ratio"]
-    r2 = khintchine_check(diag_basis_spec(2), samples=100_000, sample_seed=98, seed=99)
+    r2 = khintchine_check(
+        diag_basis_spec(2), judge=Judge(samples=100_000, sample_seed=98, seed=99)
+    )
     target = 2.0 / math.sqrt(math.pi)
     closed_ok = abs(r2.lhs - target) <= r2.lhs_ci
     ok = growth >= 1.5 and closed_ok

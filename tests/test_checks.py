@@ -1,5 +1,6 @@
 """Inequality-check operations: worked examples and invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from mmlab.checks import (
     BDG_CONSTANT,
     BIANE_SPEICHER_CONSTANT,
+    CHECK_REGISTRY,
     CheckRequest,
     CheckResult,
+    Judge,
     bdg_check,
     biane_speicher_check,
     check_hessian_lemma,
@@ -426,10 +429,10 @@ class TestSchattenRect:
         checks_sq = [CheckRequest("schatten", p=2)]
         checks_rc = [CheckRequest("schatten_rect", p=2)]
         sq = schatten_check(
-            make_batch(constant_spec(mats), checks_sq, 2000, 85), p=2, seed=7
+            make_batch(constant_spec(mats), checks_sq, 2000, 85), p=2, judge=Judge(seed=7)
         )
         rc = schatten_rect_check(
-            make_batch(rect_constant_spec(mats), checks_rc, 2000, 85), p=2, seed=7
+            make_batch(rect_constant_spec(mats), checks_rc, 2000, 85), p=2, judge=Judge(seed=7)
         )
         assert rc.lhs == pytest.approx(sq.lhs, rel=1e-9)
         assert rc.rhs == pytest.approx(sq.rhs, rel=1e-9)
@@ -442,7 +445,7 @@ class TestSchattenRect:
 
 class TestKhintchine:
     def test_identity_payload_folded_gaussian(self):
-        res = khintchine_check(constant_spec([np.eye(3)]), samples=40_000)
+        res = khintchine_check(constant_spec([np.eye(3)]), judge=Judge(samples=40_000))
         assert abs(res.lhs - math.sqrt(2.0 / math.pi)) < 0.02
         assert res.metadata["ratio"] == pytest.approx(res.lhs, rel=1e-12)
         assert res.rhs == pytest.approx(math.sqrt(math.log(3.0)), rel=1e-12)
@@ -450,19 +453,19 @@ class TestKhintchine:
         assert res.holds
 
     def test_diag_basis_max_closed_form(self):
-        res = khintchine_check(diag_basis_spec(2), samples=40_000)
+        res = khintchine_check(diag_basis_spec(2), judge=Judge(samples=40_000))
         assert abs(res.lhs - 2.0 / math.sqrt(math.pi)) < 0.02
         assert res.holds
 
     def test_n1_verdict_skipped(self):
-        res = khintchine_check(constant_spec([np.eye(1)]), samples=20_000)
+        res = khintchine_check(constant_spec([np.eye(1)]), judge=Judge(samples=20_000))
         assert res.holds
         assert res.metadata["verdict"] == "skipped"
         assert abs(res.metadata["ratio"] - math.sqrt(2.0 / math.pi)) < 0.03
 
     def test_log_factor_growth(self):
-        small = khintchine_check(diag_basis_spec(4), samples=20_000)
-        large = khintchine_check(diag_basis_spec(64), samples=20_000)
+        small = khintchine_check(diag_basis_spec(4), judge=Judge(samples=20_000))
+        large = khintchine_check(diag_basis_spec(64), judge=Judge(samples=20_000))
         assert large.metadata["ratio"] > 1.3 * small.metadata["ratio"]
 
     def test_time_dependent_rejected(self):
@@ -572,3 +575,39 @@ class TestEvaluateChecks:
         assert batch is None
         assert results[0].name == "khintchine"
         assert results[0].holds
+
+
+# one request per kind, with a positive lhs on diag_basis n = 2 (on a 1x2
+# rectangular payload for schatten_rect); a new kind needs a row here
+SETTINGS_CHECKS = {
+    "freedman": CheckRequest("freedman", u=1.0, sigma2=2.0),
+    "good_lambda": CheckRequest("good_lambda", u=0.5, sigma2=2.0),
+    "bdg": CheckRequest("bdg", p=2),
+    "schatten": CheckRequest("schatten", p=1),
+    "schatten_rect": CheckRequest("schatten_rect", p=1),
+    "khintchine": CheckRequest("khintchine"),
+    "biane_speicher": CheckRequest("biane_speicher"),
+    "supermartingale": CheckRequest("supermartingale", beta=0.5),
+}
+
+
+@pytest.mark.parametrize("kind", list(CHECK_REGISTRY))
+def test_every_kind_takes_the_config_settings(kind):
+    rect = kind == "schatten_rect"
+    config = ExperimentConfig(
+        spec=rect_constant_spec([np.array([[1.0, 0.0]])]) if rect else diag_basis_spec(2),
+        grid=TimeGrid(1.0, 32),
+        paths=400,
+        master_seed=5,
+        checks=(SETTINGS_CHECKS[kind],),
+    )
+    batch = run_batch(config) if CHECK_REGISTRY[kind].needs_batch else None
+
+    def judged(**settings):
+        (result,) = evaluate_checks(dataclasses.replace(config, **settings), batch)
+        return result
+
+    base = judged()
+    assert base.lhs > 0.0 and base.lhs_ci > 0.0 and base.holds
+    assert not judged(rhs_multiplier=0.0).holds
+    assert judged(confidence=0.8).lhs_ci < base.lhs_ci

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from mmlab import montecarlo
 from mmlab.cli import main
 from mmlab.config import parse_settings
 from mmlab.errors import PathBlowupError
@@ -301,6 +302,69 @@ def test_non_finite_value_is_a_config_error(runner, tmp_path, command, sets, nam
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert "config error:" in result.output and named in result.output
+    assert not (tmp_path / "o").exists()
+
+
+def _never_simulated(*args, **kwargs):
+    raise AssertionError("a refused config simulated a path")
+
+
+# configs that cannot run, refused before any path is simulated, with the
+# message and the key each error names: values ExperimentConfig rejects,
+# and checks that cannot apply to the configured run
+REFUSED = [
+    ("verify", None, ["block_size=0"], "block_size must be >= 1", "block_size"),
+    ("verify", None, ["confidence=1.5"], "confidence must be in (0, 1)", "confidence"),
+    (
+        "verify",
+        None,
+        ["bootstrap.resamples=10"],
+        "bootstrap_resamples must be >= 100",
+        "bootstrap.resamples",
+    ),
+    ("verify", None, ["master_seed=-1"], "master_seed must fit in 64 bits", "master_seed"),
+    ("verify", None, ["paths=50"], "paths must be >= 100 for probabilistic checks", "paths"),
+    ("verify", None, ["slack_factor=-1"], "slack_factor must be finite and >= 0", "slack_factor"),
+    (
+        "verify",
+        None,
+        ["test_hooks.rhs_multiplier=nan"],
+        "rhs_multiplier must be finite, got nan",
+        "test_hooks.rhs_multiplier",
+    ),
+    ("verify", None, ["check.2.t=2"], "check time 2.0 must equal the grid horizon 1.0", "check.2"),
+    (
+        "verify",
+        "verify_goe.cfg",
+        ["check.9.kind=schatten_rect", "check.9.p=1"],
+        "schatten_rect check requires integrand.family rect_constant",
+        "check.9",
+    ),
+    (
+        "verify",
+        "simulate_dump.cfg",
+        ["check.1.kind=khintchine"],
+        "khintchine check requires a constant-in-time integrand",
+        "check.1",
+    ),
+    ("verify", "khintchine_diag.cfg", ["paths=50"], "paths must be >= 100", "paths"),
+    ("sweep", "sweep_khintchine_n.cfg", ["paths=50"], "paths must be >= 100", "paths"),
+]
+
+
+@pytest.mark.parametrize("command, config, sets, message, key", REFUSED)
+def test_refused_config_names_its_key(
+    runner, tmp_path, monkeypatch, command, config, sets, message, key
+):
+    monkeypatch.setattr(montecarlo, "simulate_block", _never_simulated)
+    cfg = str(CONFIGS / config) if config else write_cfg(tmp_path, VERIFY_CFG)
+    args = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    for pair in sets:
+        args += ["--set", pair]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"config error: {message}" in result.output
+    assert f"(key '{key}')" in result.output
     assert not (tmp_path / "o").exists()
 
 

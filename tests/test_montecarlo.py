@@ -14,7 +14,7 @@ import mmlab
 import mmlab.montecarlo as montecarlo
 from mmlab.checks import CheckRequest
 from mmlab.errors import BatchError, InputDomainError, NumericError
-from mmlab.integrands import constant_spec, goe_like_spec, path_feedback_spec
+from mmlab.integrands import constant_spec, goe_like_spec, path_feedback_spec, time_poly_spec
 from mmlab.linalg import spectral_norm
 from mmlab.montecarlo import (
     EstimateCI,
@@ -318,9 +318,28 @@ class TestExperimentConfig:
         with pytest.raises(InputDomainError, match="paths must be >= 100"):
             small_config(paths=50)
 
-    def test_khintchine_only_allows_any_paths(self):
-        cfg = small_config(paths=10, checks=(CheckRequest(kind="khintchine"),))
-        assert cfg.paths == 10
+    def test_khintchine_only_needs_100_paths(self):
+        # the khintchine sample has config.paths values, and a bootstrap
+        # needs 100; the config refuses it before anything is drawn
+        with pytest.raises(InputDomainError, match="paths must be >= 100") as err:
+            small_config(paths=10, checks=(CheckRequest(kind="khintchine"),))
+        assert err.value.field == "paths"
+
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            (
+                CheckRequest("schatten_rect", p=1),
+                "schatten_rect check requires integrand.family rect_constant",
+            ),
+            (CheckRequest("khintchine"), "khintchine check requires a constant-in-time integrand"),
+        ],
+    )
+    def test_check_must_apply_to_the_integrand(self, check, message):
+        spec = time_poly_spec([np.eye(2)], [np.eye(2)])
+        with pytest.raises(InputDomainError, match=message) as err:
+            small_config(spec=spec, checks=(CheckRequest("bdg", p=1), check))
+        assert err.value.field == "checks[1]"
 
     def test_check_time_must_match_horizon(self):
         with pytest.raises(InputDomainError, match="grid horizon"):
