@@ -415,7 +415,11 @@ def khintchine_check(spec: IntegrandSpec, judge: Judge = Judge()) -> CheckResult
     CHECK_REGISTRY["khintchine"].check_spec(spec)
     norms = exact_constant_spectral_norms(spec.matrices, 1.0, judge.sample_seed, judge.samples)
     lhs = judge.mean(norms, label="khintchine lhs")
-    base = math.sqrt(spectral_norm(aggregates(spec).sum_sq_base))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_sq = aggregates(spec).sum_sq_base
+    if not np.isfinite(sum_sq).all():
+        raise NumericError("khintchine rhs: ||sum_i H_i^2|| is not finite")
+    base = math.sqrt(spectral_norm(sum_sq))
     n = spec.n
     return judge.result(
         "khintchine",
@@ -457,7 +461,7 @@ def supermartingale_check(batch: BatchStats, beta: float, judge: Judge = Judge()
     """
     _kept(batch)
     bi = _plan_index(batch.plan.supermartingale_betas, beta, "beta")
-    cps = batch.plan.checkpoints
+    cps = default_checkpoints(batch.grid.steps)
     vals = batch.data["supermart"][:, bi, :]
     ests = [
         judge.mean(vals[:, c], label=f"supermartingale checkpoint {cps[c]}", stream=c)
@@ -481,9 +485,9 @@ def supermartingale_check(batch: BatchStats, beta: float, judge: Judge = Judge()
         rhs_point,
         rhs_ci,
         beta=beta,
-        checkpoints=tuple(cps),
+        checkpoints=cps,
         checkpoint_means=tuple(e.point for e in ests),
-        initial_value=float(vals[:, 0].mean()) if 0 in cps else None,
+        initial_value=float(vals[:, 0].mean()),
         worst_pair=(cps[c], cps[c + 1]),
     )
 
@@ -588,7 +592,7 @@ def _sum_norm_quad(req, grid: TimeGrid) -> dict:
 
 
 def _supermartingale(req, grid: TimeGrid) -> dict:
-    return {"supermartingale_betas": (req.beta,), "checkpoints": default_checkpoints(grid.steps)}
+    return {"supermartingale_betas": (req.beta,)}
 
 
 CHECK_REGISTRY: dict[str, CheckKind] = {

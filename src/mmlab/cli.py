@@ -1,7 +1,9 @@
 """Command-line surface: verify, simulate, khintchine, sweep, lemmas.
 
 Exit codes: 0 all checks hold, 1 any check failed (or runtime failure),
-2 configuration or I/O error.  Config values come from the file, then
+2 configuration or I/O error, a config with no checks among them.
+verify, khintchine and lemmas end in :func:`_finish`, which writes the
+report, failed ones included.  Config values come from the file, then
 MMLAB_-prefixed environment variables, then --set pairs, then --seed.
 """
 
@@ -61,7 +63,9 @@ def _execute(body):
     raise SystemExit(code)
 
 
-def _print_report(report, files):
+def _finish(report, fmt, out_dir) -> int:
+    """Write the report, print its summary, and return the exit code."""
+    files = emit_report(report, fmt, out_dir)
     if report.error is not None:
         click.echo(f"run failed: {report.error}", err=True)
     if len(report.results) > 20:
@@ -79,6 +83,8 @@ def _print_report(report, files):
         click.echo(f"wrote {path}")
     if report.failed:
         click.echo("result: FAILED")
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def _config_option(required=True):
@@ -130,10 +136,7 @@ def verify(config_path, out_dir, fmt, seed, workers, sets):
 
     def body():
         settings = _load_settings(config_path, sets, seed)
-        report = run_verify(settings, workers=workers)
-        files = emit_report(report, fmt, out_dir)
-        _print_report(report, files)
-        return EXIT_CHECK_FAILED if report.failed else EXIT_OK
+        return _finish(run_verify(settings, workers=workers), fmt, out_dir)
 
     _execute(body)
 
@@ -167,10 +170,7 @@ def khintchine(config_path, out_dir, fmt, seed, sets):
 
     def body():
         settings = _load_settings(config_path, sets, seed)
-        report = run_khintchine(settings)
-        files = emit_report(report, fmt, out_dir)
-        _print_report(report, files)
-        return EXIT_CHECK_FAILED if report.failed else EXIT_OK
+        return _finish(run_khintchine(settings), fmt, out_dir)
 
     _execute(body)
 
@@ -216,10 +216,7 @@ def lemmas(config_path, out_dir, fmt, seed, count):
             master = _load_settings(config_path, (), None).experiment.master_seed
         if seed is not None:
             master = seed
-        report = run_lemmas(seed=master, count=count)
-        files = emit_report(report, fmt, out_dir)
-        _print_report(report, files)
-        return EXIT_CHECK_FAILED if report.failed else EXIT_OK
+        return _finish(run_lemmas(seed=master, count=count), fmt, out_dir)
 
     _execute(body)
 

@@ -70,10 +70,6 @@ class Spectrum:
         if self.basis is not None:
             self.basis.flags.writeable = False
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def sym_eigen(a, with_basis: bool = True) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix.

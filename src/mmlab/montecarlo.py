@@ -51,10 +51,7 @@ def derive_path_seed(master: int, index: int) -> int:
     """
     if index < 0:
         raise InputDomainError(f"path index must be >= 0, got {index}")
-    z = (int(master) + (index + 1) * SPLITMIX_GAMMA) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return (z ^ (z >> 31)) & MASK64
+    return int(derive_path_seeds(master, index, index + 1)[0])
 
 
 def derive_path_seeds(master: int, start: int, stop: int) -> np.ndarray:

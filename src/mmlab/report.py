@@ -3,7 +3,10 @@
 Serialized artifacts are a pure function of (config, master seed):
 wall-clock time is carried on the Report for console display but never
 written to files, so reruns and different worker counts emit identical
-bytes.
+bytes.  ``report.json`` is written and read from the dataclasses: its
+keys are the compared fields of :class:`Report` and the fields of
+:class:`CheckResult`, in declaration order.  ``khintchine`` is
+:func:`run_verify` on its own checks; a run with no checks is refused.
 """
 
 from __future__ import annotations
@@ -18,13 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import (
-    CheckRequest,
-    CheckResult,
-    evaluate_checks,
-    run_experiment_checks,
-    run_lemma_suite,
-)
+from .checks import CheckRequest, CheckResult, run_experiment_checks, run_lemma_suite
 from .config import DumpSettings, RunSettings, sweep_configs
 from .errors import BatchError, ConfigError, InputDomainError, NumericError
 from .linalg import stacked_eigenvalues
@@ -32,23 +29,8 @@ from .montecarlo import ExperimentConfig, derive_path_seed
 from .simulate import Trajectory, simulate_path, supermartingale_series
 
 SCHEMA_VERSION = 1
-CSV_COLUMNS = (
-    "name",
-    "n",
-    "N",
-    "family",
-    "p",
-    "u",
-    "sigma2",
-    "t",
-    "lhs",
-    "lhs_ci",
-    "rhs",
-    "rhs_ci",
-    "ratio",
-    "holds",
-    "paths",
-    "seed",
+CSV_COLUMNS = tuple(
+    "name,n,N,family,p,u,sigma2,t,lhs,lhs_ci,rhs,rhs_ci,ratio,holds,paths,seed".split(",")
 )
 
 
@@ -64,16 +46,9 @@ def _json_safe(value):
     raise TypeError(f"value of type {type(value).__name__} is not serializable")
 
 
-def _normalize(result: CheckResult) -> CheckResult:
-    return CheckResult(
-        name=result.name,
-        lhs=float(result.lhs),
-        rhs=float(result.rhs),
-        lhs_ci=float(result.lhs_ci),
-        rhs_ci=float(result.rhs_ci),
-        holds=bool(result.holds),
-        metadata=_json_safe(result.metadata),
-    )
+def _normalize(r: CheckResult) -> CheckResult:
+    values = (float(r.lhs), float(r.rhs), float(r.lhs_ci), float(r.rhs_ci))
+    return CheckResult(r.name, *values, bool(r.holds), _json_safe(r.metadata))
 
 
 @dataclass(frozen=True)
@@ -125,12 +100,14 @@ def assemble_report(
     excluded: int,
     config: dict,
     wall_time: float | None = None,
-    force_failed: bool = False,
     error: str | None = None,
 ) -> Report:
+    """A run's report; it is failed when ``error`` says why the run ended
+    without results, a check fails, or over 0.1% of the paths were
+    excluded."""
     normalized = tuple(_normalize(r) for r in results)
     failed = (
-        force_failed
+        error is not None
         or any(not r.holds for r in normalized)
         or (paths > 0 and excluded > 0.001 * paths)
     )
@@ -149,28 +126,21 @@ def assemble_report(
 
 
 def result_row(result: CheckResult, seed: int) -> dict:
+    """One CSV row: the result's own values, the rest from its metadata."""
     md = result.metadata
+    row = {c: md.get(c) for c in CSV_COLUMNS}
     ratio = md.get("ratio", result.ratio)
-    if ratio is not None and not math.isfinite(ratio):
-        ratio = None
-    return {
-        "name": result.name,
-        "n": md.get("n"),
-        "N": md.get("N"),
-        "family": md.get("family"),
-        "p": md.get("p"),
-        "u": md.get("u"),
-        "sigma2": md.get("sigma2"),
-        "t": md.get("t"),
-        "lhs": result.lhs,
-        "lhs_ci": result.lhs_ci,
-        "rhs": result.rhs,
-        "rhs_ci": result.rhs_ci,
-        "ratio": ratio,
-        "holds": result.holds,
-        "paths": md.get("paths"),
-        "seed": seed,
-    }
+    row.update(
+        name=result.name,
+        lhs=result.lhs,
+        lhs_ci=result.lhs_ci,
+        rhs=result.rhs,
+        rhs_ci=result.rhs_ci,
+        ratio=ratio if ratio is not None and math.isfinite(ratio) else None,
+        holds=result.holds,
+        seed=seed,
+    )
+    return row
 
 
 def _cell(value) -> str:
@@ -194,54 +164,21 @@ def render_csv(report: Report) -> str:
     return _csv_lines(CSV_COLUMNS, rows)
 
 
+def _compared(obj) -> dict:
+    """A dataclass instance's compared fields, in declaration order."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare}
+
+
 def render_json(report: Report) -> str:
-    obj = {
-        "schema_version": report.schema_version,
-        "version": report.version,
-        "failed": report.failed,
-        "master_seed": report.master_seed,
-        "paths": report.paths,
-        "excluded": report.excluded,
-        "config": report.config,
-        "results": [
-            {
-                "name": r.name,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "lhs_ci": r.lhs_ci,
-                "rhs_ci": r.rhs_ci,
-                "holds": r.holds,
-                "metadata": r.metadata,
-            }
-            for r in report.results
-        ],
-    }
+    obj = _compared(report)
+    obj["results"] = [_compared(r) for r in report.results]
     return json.dumps(obj, indent=2) + "\n"
 
 
 def parse_report_json(text: str) -> Report:
     obj = json.loads(text)
-    return Report(
-        schema_version=obj["schema_version"],
-        version=obj["version"],
-        failed=obj["failed"],
-        master_seed=obj["master_seed"],
-        paths=obj["paths"],
-        excluded=obj["excluded"],
-        config=obj["config"],
-        results=tuple(
-            CheckResult(
-                name=r["name"],
-                lhs=r["lhs"],
-                rhs=r["rhs"],
-                lhs_ci=r["lhs_ci"],
-                rhs_ci=r["rhs_ci"],
-                holds=r["holds"],
-                metadata=r["metadata"],
-            )
-            for r in obj["results"]
-        ),
-    )
+    obj["results"] = tuple(CheckResult(**r) for r in obj["results"])
+    return Report(**obj)
 
 
 def _write_files(out_dir, fmt: str, stem: str, **renders) -> list[Path]:
@@ -269,6 +206,12 @@ def emit_report(report: Report, fmt: str, out_dir) -> list[Path]:
     )
 
 
+def _require_checks(exp: ExperimentConfig) -> None:
+    """A run that checks nothing would read as a run where every check held."""
+    if not exp.checks:
+        raise ConfigError("config has no checks", key="check.1.kind")
+
+
 def run_verify(settings: RunSettings, workers: int = 1) -> Report:
     """Simulate the configured batch and evaluate every check.
 
@@ -276,32 +219,29 @@ def run_verify(settings: RunSettings, workers: int = 1) -> Report:
     in a failed report without results.
     """
     exp = settings.experiment
+    _require_checks(exp)
     started = time.perf_counter()
+    results, error = (), None
     try:
         batch, results = run_experiment_checks(exp, workers=workers)
     except (BatchError, NumericError) as exc:
-        return assemble_report(
-            (),
-            master_seed=exp.master_seed,
-            paths=exp.paths,
-            excluded=getattr(exc, "excluded", 0),
-            config=config_echo(exp),
-            wall_time=time.perf_counter() - started,
-            force_failed=True,
-            error=str(exc),
-        )
+        excluded, error = getattr(exc, "excluded", 0), str(exc)
+    else:
+        excluded = batch.excluded_count if batch is not None else 0
     return assemble_report(
         results,
         master_seed=exp.master_seed,
         paths=exp.paths,
-        excluded=batch.excluded_count if batch is not None else 0,
+        excluded=excluded,
         config=config_echo(exp),
         wall_time=time.perf_counter() - started,
+        error=error,
     )
 
 
 def run_khintchine(settings: RunSettings) -> Report:
-    """Evaluate only the Gaussian-series checks (no path simulation)."""
+    """:func:`run_verify` on the Gaussian-series checks alone (no path
+    simulation); a config without one checks ``khintchine``."""
     exp = settings.experiment
     kchecks = tuple(c for c in exp.checks if not c.needs_batch)
     if not kchecks:
@@ -311,16 +251,7 @@ def run_khintchine(settings: RunSettings) -> Report:
     except InputDomainError as exc:
         key = "paths" if exc.field == "paths" else "integrand.family"
         raise ConfigError(str(exc), key=key) from exc
-    started = time.perf_counter()
-    results = evaluate_checks(cfg, None)
-    return assemble_report(
-        results,
-        master_seed=cfg.master_seed,
-        paths=cfg.paths,
-        excluded=0,
-        config=config_echo(cfg),
-        wall_time=time.perf_counter() - started,
-    )
+    return run_verify(dataclasses.replace(settings, experiment=cfg))
 
 
 def run_lemmas(seed: int = 0, count: int = 10_000) -> Report:
@@ -339,6 +270,7 @@ def run_lemmas(seed: int = 0, count: int = 10_000) -> Report:
 
 def run_sweep(settings: RunSettings, workers: int = 1) -> tuple[str, list[dict], bool]:
     """Run the configured sweep; returns (parameter, long-format rows, failed)."""
+    _require_checks(settings.experiment)
     rows = []
     failed = False
     parameter = settings.sweep.parameter
@@ -379,27 +311,17 @@ def trajectory_csv(traj: Trajectory, beta: float | None = None) -> str:
     """Per-step trajectory table (step, time, norms, optional supermartingale)."""
     eig_x = stacked_eigenvalues(traj.x)
     eig_qv = stacked_eigenvalues(traj.qv)
-    lam = eig_x[:, -1]
-    spectral = np.maximum(np.abs(eig_x[:, 0]), np.abs(eig_x[:, -1]))
-    qv_norm = np.maximum(np.abs(eig_qv[:, 0]), np.abs(eig_qv[:, -1]))
-    columns = ["step", "time", "lambda_max", "spectral_norm", "qv_norm"]
-    series = None
+    columns = {
+        "step": np.arange(len(traj.x)),
+        "time": traj.times,
+        "lambda_max": eig_x[:, -1],
+        "spectral_norm": np.maximum(np.abs(eig_x[:, 0]), np.abs(eig_x[:, -1])),
+        "qv_norm": np.maximum(np.abs(eig_qv[:, 0]), np.abs(eig_qv[:, -1])),
+    }
     if beta is not None:
-        columns.append(f"supermart_beta{beta:g}")
-        series = supermartingale_series(traj, beta)
-    lines = [",".join(columns)]
-    for k in range(traj.x.shape[0]):
-        row = [
-            str(k),
-            repr(float(traj.times[k])),
-            repr(float(lam[k])),
-            repr(float(spectral[k])),
-            repr(float(qv_norm[k])),
-        ]
-        if series is not None:
-            row.append(repr(float(series[k])))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        columns[f"supermart_beta{beta:g}"] = supermartingale_series(traj, beta)
+    values = zip(*(c.tolist() for c in columns.values()))
+    return _csv_lines(columns, [dict(zip(columns, row)) for row in values])
 
 
 def run_simulate(settings: RunSettings, out_dir) -> list[Path]:

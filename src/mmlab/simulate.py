@@ -348,7 +348,8 @@ def exact_constant_spectral_norms(matrices, t: float, seed, count: int) -> np.nd
 
     Vectorized sampler for the constant family; diagonal payloads (the
     diag_basis case) reduce to a max of folded Gaussians, which keeps
-    large n cheap.
+    large n cheap.  A sample that leaves float64 range gets a non-finite
+    norm, without a numpy warning, and never reaches LAPACK.
     """
     mats = np.asarray(matrices, dtype=np.float64)
     if count < 1:
@@ -357,28 +358,27 @@ def exact_constant_spectral_norms(matrices, t: float, seed, count: int) -> np.nd
     root_t = math.sqrt(t)
     n = mats.shape[-1]
     diagonal = all(np.array_equal(m, np.diag(np.diag(m))) for m in mats)
-    if diagonal:
-        diags = np.stack([np.diag(m) for m in mats])
-        g = rng.standard_normal((count, mats.shape[0]))
-        return np.abs(root_t * (g @ diags)).max(axis=1)
-    out = np.empty(count)
-    chunk = max(1, 2**22 // (n * n * 8))
-    done = 0
-    while done < count:
-        c = min(chunk, count - done)
-        g = rng.standard_normal((c, mats.shape[0]))
-        x = root_t * np.einsum("si,ikl->skl", g, mats)
-        out[done : done + c] = _norm(stacked_eigenvalues(x))
-        done += c
+    with np.errstate(over="ignore", invalid="ignore"):
+        if diagonal:
+            diags = np.stack([np.diag(m) for m in mats])
+            g = rng.standard_normal((count, mats.shape[0]))
+            return np.abs(root_t * (g @ diags)).max(axis=1)
+        out = np.full(count, np.inf)
+        chunk = max(1, 2**22 // (n * n * 8))
+        for done in range(0, count, chunk):
+            g = rng.standard_normal((min(chunk, count - done), mats.shape[0]))
+            x = root_t * np.einsum("si,ikl->skl", g, mats)
+            finite = np.isfinite(x).all(axis=(1, 2))
+            out[done : done + len(g)][finite] = _norm(stacked_eigenvalues(x[finite]))
     return out
 
 
-def default_checkpoints(steps: int, count: int = 8) -> tuple[int, ...]:
-    """`count` grid indices spanning 0..steps, always including both ends."""
-    if count < 2 or steps < 1:
-        raise InputDomainError("need count >= 2 checkpoints on a grid with steps >= 1")
-    raw = {round(j * steps / (count - 1)) for j in range(count)}
-    return tuple(sorted(raw))
+def default_checkpoints(steps: int) -> tuple[int, ...]:
+    """Eight grid indices spanning 0..steps, always including both ends
+    (fewer on a grid of fewer than seven steps)."""
+    if steps < 1:
+        raise InputDomainError(f"checkpoints need a grid with steps >= 1, got {steps}")
+    return tuple(sorted({round(j * steps / 7) for j in range(8)}))
 
 
 def splitmix64(z: np.ndarray) -> np.ndarray:
@@ -426,7 +426,7 @@ class CollectorPlan:
     level ``bridge_prefix_max``, the same over the steps where ||qv|| stays
     <= level, so the event {some t <= T: lambda_max(X_t) >= u, ||<X>_t|| <=
     level} is ``bridge_prefix_max >= u``.  ``supermartingale_betas`` adds
-    Tr exp(beta*X - (beta^2/2)*<X>) at the grid indices ``checkpoints``,
+    Tr exp(beta*X - (beta^2/2)*<X>) at the grid's ``default_checkpoints``,
     ``schatten_orders`` the Schatten norms of X_T, ``quad_schatten_orders``
     the left-endpoint quadratures of ||sum_i H_i^2||_p and ``sum_norm_quad``
     that of ||sum_i H_i||^2.
@@ -434,7 +434,6 @@ class CollectorPlan:
 
     sigma2_levels: tuple[float, ...] = ()
     supermartingale_betas: tuple[float, ...] = ()
-    checkpoints: tuple[int, ...] = ()
     schatten_orders: tuple[float, ...] = ()
     quad_schatten_orders: tuple[float, ...] = ()
     sum_norm_quad: bool = False
@@ -785,19 +784,18 @@ class _BridgeTail(_Collector):
 
 
 class _Supermartingale(_Collector):
-    """Tr exp(beta*X - (beta^2/2)*<X>) per beta at each checkpoint."""
+    """Tr exp(beta*X - (beta^2/2)*<X>) per beta at each of the grid's
+    checkpoints; the first, t = 0, is the dimension n."""
 
-    def __init__(self, betas, checkpoints, grid: TimeGrid, n: int):
-        if not checkpoints or min(checkpoints) < 0 or max(checkpoints) > grid.steps:
-            raise InputDomainError(f"supermartingale needs checkpoints in [0, {grid.steps}]")
+    def __init__(self, betas, grid: TimeGrid, n: int):
+        checkpoints = default_checkpoints(grid.steps)
         self.betas, self.n = betas, n
         self.slot = {cp: j for j, cp in enumerate(checkpoints)}
         self.columns = {"supermart": (len(betas), len(checkpoints))}
 
     def start(self, rows, seeds):
         self.rows = rows["supermart"]
-        if 0 in self.slot:
-            self.rows[:, :, self.slot[0]] = float(self.n)
+        self.rows[:, :, 0] = float(self.n)
 
     def update(self, step, spectra):
         j = self.slot.get(step.k + 1)
@@ -858,7 +856,7 @@ def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
     if plan.sigma2_levels:
         out.append(_BridgeTail(plan.sigma2_levels, spectra))
     if plan.supermartingale_betas:
-        out.append(_Supermartingale(plan.supermartingale_betas, plan.checkpoints, grid, n))
+        out.append(_Supermartingale(plan.supermartingale_betas, grid, n))
     if plan.schatten_orders:
         out.append(_TerminalSchatten(plan.schatten_orders))
     if plan.quad_schatten_orders:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -241,6 +242,14 @@ class TestSimulate:
         assert header == "step,time,lambda_max,spectral_norm,qv_norm,supermart_beta0.5"
         assert (out / "trajectory_1.csv").exists()
 
+    @pytest.mark.parametrize("config", ["minimal.cfg", "simulate_dump.cfg"])
+    def test_takes_a_config_without_checks(self, runner, tmp_path, config):
+        out = tmp_path / "out"
+        args = ["simulate", "--config", str(CONFIGS / config), "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert (out / "trajectory_0.csv").exists()
+
     def test_overflow_names_the_oracle_step(self, runner, tmp_path):
         # gamma^2 overflows; the blow-up must be reported where the
         # per-matrix Euler first leaves float64 range, not at X = 0
@@ -349,6 +358,16 @@ REFUSED = [
     ),
     ("verify", "khintchine_diag.cfg", ["paths=50"], "paths must be >= 100", "paths"),
     ("sweep", "sweep_khintchine_n.cfg", ["paths=50"], "paths must be >= 100", "paths"),
+    # a run that checks nothing would read as one where every check held
+    ("verify", "minimal.cfg", [], "config has no checks", "check.1.kind"),
+    ("verify", "simulate_dump.cfg", [], "config has no checks", "check.1.kind"),
+    (
+        "sweep",
+        "minimal.cfg",
+        ["sweep.parameter=steps", "sweep.values=4 8"],
+        "config has no checks",
+        "check.1.kind",
+    ),
 ]
 
 
@@ -381,6 +400,47 @@ class TestKhintchine:
         assert len(lines) == 2
         ratio = float(lines[1].split(",")[12])
         assert 1.0 < ratio < 1.3
+
+
+KHINTCHINE_CFG = """\
+integrand.family = constant
+integrand.matrix.1 = 1
+paths = 200
+master_seed = 42
+check.1.kind = khintchine
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "khintchine"])
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        # samples leave float64 range on the LAPACK route (3x3, not diagonal)
+        pytest.param(
+            "1e308 1e308 0; 1e308 1e308 0; 0 0 1",
+            r"khintchine lhs: \d+ of 200 values are not finite",
+            id="lapack",
+        ),
+        # ... and on the diagonal route
+        pytest.param("1e308", r"khintchine lhs: 19 of 200 values are not finite", id="diagonal"),
+        # every sample is finite, ||sum_i H_i^2|| = 1e308 + 1e308 is not
+        pytest.param("1e154", r"khintchine rhs: \|\|sum_i H_i\^2\|\| is not finite", id="rhs"),
+    ],
+)
+def test_khintchine_overflow_writes_failed_report(runner, tmp_path, command, matrix, message):
+    out = tmp_path / "out"
+    args = [command, "--config", write_cfg(tmp_path, KHINTCHINE_CFG), "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args + ["--set", f"integrand.matrix.1={matrix}"])
+    assert result.exit_code == 1, result.output
+    assert re.search(f"run failed: {message}", result.stderr)
+    assert "result: FAILED" in result.output
+    assert [w.message for w in caught] == []
+    assert "Warning" not in result.stderr
+    obj = json.loads((out / "report.json").read_text())
+    assert obj["failed"] is True and obj["results"] == []
+    assert (out / "report.csv").read_text() == GOLDEN_HEADER + "\n"
 
 
 class TestSweep:

@@ -361,7 +361,6 @@ class TestExperimentConfig:
         assert plan.quad_schatten_orders == (2.0,)
         assert plan.sum_norm_quad
         assert plan.supermartingale_betas == (1.0,)
-        assert plan.checkpoints[0] == 0 and plan.checkpoints[-1] == 64
 
 
 class TestRunBatch:

@@ -20,7 +20,6 @@ from mmlab.simulate import (
     EulerScheme,
     TimeGrid,
     brownian_increments,
-    default_checkpoints,
     seed_words,
     simulate_block,
     simulate_path,
@@ -173,7 +172,6 @@ def test_drivers_below_one_rejected(drivers, seeds):
 FULL_PLAN = CollectorPlan(
     sigma2_levels=(0.1, 1.0),
     supermartingale_betas=(0.5, 1.0),
-    checkpoints=default_checkpoints(GRID.steps),
     schatten_orders=(1.0, 3.0),
     quad_schatten_orders=(1.0, 2.0),
     sum_norm_quad=True,
@@ -324,7 +322,6 @@ def test_certified_block_matches_always_solve(
     plan = CollectorPlan(
         sigma2_levels=tuple(levels),
         supermartingale_betas=tuple(betas),
-        checkpoints=default_checkpoints(grid.steps),
         schatten_orders=(2.0,),
         quad_schatten_orders=(1.0,),
         sum_norm_quad=True,

@@ -1,8 +1,11 @@
 """Report serialization: golden columns, round trips, reproducibility."""
 
 import csv
+import dataclasses
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from mmlab.montecarlo import derive_path_seed
 from mmlab.report import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
+    Report,
     assemble_report,
     emit_report,
     parse_report_json,
@@ -31,6 +35,7 @@ from mmlab.simulate import TimeGrid, simulate_path, supermartingale_series
 
 from .oracles import reference_path, summarize
 
+GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_HEADER = "name,n,N,family,p,u,sigma2,t,lhs,lhs_ci,rhs,rhs_ci,ratio,holds,paths,seed"
 
 SMALL_VERIFY = """\
@@ -120,6 +125,19 @@ class TestJson:
 
     def test_round_trip_identity(self, small_report):
         assert parse_report_json(render_json(small_report)) == small_report
+
+    def test_keys_are_the_dataclass_fields(self, small_report):
+        # a field added to Report (compared) or to CheckResult reaches the file
+        obj = json.loads(render_json(small_report))
+        assert list(obj) == [f.name for f in dataclasses.fields(Report) if f.compare]
+        for r in obj["results"]:
+            assert list(r) == [f.name for f in dataclasses.fields(CheckResult)]
+
+    def test_golden_round_trip(self):
+        report = run_verify(parse_settings((GOLDEN / "goe_kinds.cfg").read_text()))
+        assert parse_report_json(render_json(report)) == report
+        golden = (GOLDEN / "goe_kinds_report.json").read_text()
+        assert render_json(parse_report_json(golden)) == golden
 
     def test_rerun_is_byte_identical(self):
         a = render_json(run_verify(parse_settings(SMALL_VERIFY)))

@@ -252,6 +252,22 @@ class TestExactConstantPath:
         assert fast[0] == pytest.approx(single, rel=1e-12)
         assert np.allclose(fast, general, rtol=1e-12)
 
+    def test_overflowing_samples_never_reach_lapack(self):
+        # 3x3 takes LAPACK: a sample with a non-finite entry gets an
+        # infinite norm, and the finite ones are solved one by one
+        mats = np.array([[[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = exact_constant_spectral_norms(mats, 1.0, seed=3, count=64)
+        g = np.random.default_rng(3).standard_normal((64, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.einsum("si,ikl->skl", g, mats)
+        finite = np.isfinite(x).all(axis=(1, 2))
+        assert 0 < finite.sum() < 64
+        assert np.isinf(norms[~finite]).all()
+        for got, xm in zip(norms[finite], x[finite]):
+            assert got == np.abs(np.linalg.eigvalsh(xm)).max()
+
     def test_negative_time_rejected(self):
         with pytest.raises(InputDomainError):
             exact_constant_path(np.eye(2), -1.0, seed=0)
@@ -263,7 +279,7 @@ class TestCheckpoints:
         assert len(cps) == 8 and cps[0] == 0 and cps[-1] == 256
 
     def test_small_grid_dedup(self):
-        assert default_checkpoints(2, count=8) == (0, 1, 2)
+        assert default_checkpoints(2) == (0, 1, 2)
 
     def test_validation(self):
         with pytest.raises(InputDomainError):
@@ -276,7 +292,6 @@ class TestSimulateBlock:
         plan = CollectorPlan(
             sigma2_levels=(0.5, 2.0),
             supermartingale_betas=(0.5, 1.0),
-            checkpoints=default_checkpoints(64),
             schatten_orders=(2.0, 4.0),
         )
         for spec in family_zoo(3):
@@ -299,7 +314,7 @@ class TestSimulateBlock:
                 for bi, beta in enumerate(plan.supermartingale_betas):
                     series = supermartingale_series(s.trajectory, beta)
                     got = out["supermart"][j, bi]
-                    ref = series[list(plan.checkpoints)]
+                    ref = series[list(default_checkpoints(grid.steps))]
                     assert np.max(np.abs(got - ref)) < 1e-10 * max(1.0, ref.max())
 
     def test_prefix_max_encodes_joint_event(self):
@@ -465,9 +480,7 @@ class TestSimulateBlock:
 
     def test_checkpoint_zero_is_dimension(self):
         spec = constant_spec(np.eye(3))
-        plan = CollectorPlan(
-            supermartingale_betas=(0.5, 2.0), checkpoints=default_checkpoints(256)
-        )
+        plan = CollectorPlan(supermartingale_betas=(0.5, 2.0))
         out = simulate_block(spec, GRID, [7], plan)
         assert np.all(out["supermart"][:, :, 0] == 3.0)
 
@@ -492,7 +505,6 @@ class TestSimulateBlock:
         plan = CollectorPlan(
             sigma2_levels=(0.5, 2.0),
             supermartingale_betas=(0.5, 1.0),
-            checkpoints=default_checkpoints(16),
             schatten_orders=(2.0,),
             quad_schatten_orders=(1.0, 2.0),
             sum_norm_quad=True,
@@ -644,15 +656,6 @@ class TestSimulateBlock:
         simulate_block(spec, TimeGrid(1.0, 32), np.arange(16, dtype=np.uint64), plan)
         assert len(held) == 31
         assert np.all(held)
-
-    def test_betas_without_checkpoints_rejected(self):
-        with pytest.raises(InputDomainError, match="checkpoint"):
-            simulate_block(
-                constant_spec(np.eye(2)),
-                GRID,
-                [0],
-                CollectorPlan(supermartingale_betas=(1.0,)),
-            )
 
 
 class TestEngineSeeding:
