@@ -1,10 +1,12 @@
 """Command-line surface: verify, simulate, khintchine, sweep, lemmas.
 
 Exit codes: 0 all checks hold, 1 any check failed (or runtime failure),
-2 configuration or I/O error, a config with no checks among them.
+2 configuration, usage or I/O error, a config with no checks among them.
 verify, khintchine and lemmas end in :func:`_finish`, which writes the
-report, failed ones included.  Config values come from the file, then
-MMLAB_-prefixed environment variables, then --set pairs, then --seed.
+report, failed ones included; a sweep writes every value's report and
+names on stderr each value whose run failed.  Config values come from
+the file, then MMLAB_-prefixed environment variables, then --set pairs,
+then --seed.
 """
 
 from __future__ import annotations
@@ -79,9 +81,14 @@ def _finish(report, fmt, out_dir) -> int:
         click.echo(f"excluded paths: {report.excluded}/{report.paths}")
     if report.wall_time is not None:
         click.echo(f"wall time: {report.wall_time:.2f}s")
+    return _close(files, report.failed)
+
+
+def _close(files, failed: bool) -> int:
+    """Name the written files and return the exit code."""
     for path in files:
         click.echo(f"wrote {path}")
-    if report.failed:
+    if failed:
         click.echo("result: FAILED")
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -105,7 +112,9 @@ _format_option = click.option(
     default="both",
     help="Report formats to write.",
 )
-_seed_option = click.option("--seed", type=int, default=None, help="Master seed override.")
+_seed_option = click.option(
+    "--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="Master seed override."
+)
 _workers_option = click.option(
     "--workers", type=click.IntRange(min=1), default=1, help="Worker processes."
 )
@@ -136,7 +145,7 @@ def verify(config_path, out_dir, fmt, seed, workers, sets):
 
     def body():
         settings = _load_settings(config_path, sets, seed)
-        return _finish(run_verify(settings, workers=workers), fmt, out_dir)
+        return _finish(run_verify(settings.experiment, workers=workers), fmt, out_dir)
 
     _execute(body)
 
@@ -151,10 +160,7 @@ def simulate(config_path, out_dir, seed, sets):
 
     def body():
         settings = _load_settings(config_path, sets, seed)
-        files = run_simulate(settings, out_dir)
-        for path in files:
-            click.echo(f"wrote {path}")
-        return EXIT_OK
+        return _close(run_simulate(settings, out_dir), failed=False)
 
     _execute(body)
 
@@ -170,7 +176,7 @@ def khintchine(config_path, out_dir, fmt, seed, sets):
 
     def body():
         settings = _load_settings(config_path, sets, seed)
-        return _finish(run_khintchine(settings), fmt, out_dir)
+        return _finish(run_khintchine(settings.experiment), fmt, out_dir)
 
     _execute(body)
 
@@ -189,14 +195,14 @@ def sweep(config_path, out_dir, fmt, seed, workers, sets):
         settings = _load_settings(config_path, sets, seed)
         if settings.sweep is None:
             raise ConfigError("config has no sweep section", key="sweep.parameter")
-        parameter, rows, failed = run_sweep(settings, workers=workers)
-        files = emit_sweep(parameter, rows, failed, fmt, out_dir)
-        click.echo(f"swept {parameter} over {len(settings.sweep.values)} values")
-        for path in files:
-            click.echo(f"wrote {path}")
-        if failed:
-            click.echo("result: FAILED")
-        return EXIT_CHECK_FAILED if failed else EXIT_OK
+        parameter = settings.sweep.parameter
+        reports = run_sweep(settings, workers=workers)
+        files = emit_sweep(parameter, reports, fmt, out_dir)
+        click.echo(f"swept {parameter} over {len(reports)} values")
+        for value, report in reports:
+            if report.error is not None:
+                click.echo(f"run failed at {parameter} = {value:g}: {report.error}", err=True)
+        return _close(files, any(report.failed for _, report in reports))
 
     _execute(body)
 
@@ -206,7 +212,7 @@ def sweep(config_path, out_dir, fmt, seed, workers, sets):
 @_out_option
 @_format_option
 @_seed_option
-@click.option("--count", type=int, default=10_000, help="Instances per lemma.")
+@click.option("--count", type=click.IntRange(min=1), default=10_000, help="Instances per lemma.")
 def lemmas(config_path, out_dir, fmt, seed, count):
     """Random sweep of the deterministic trace and Hessian lemmas."""
 

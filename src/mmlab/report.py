@@ -6,7 +6,10 @@ written to files, so reruns and different worker counts emit identical
 bytes.  ``report.json`` is written and read from the dataclasses: its
 keys are the compared fields of :class:`Report` and the fields of
 :class:`CheckResult`, in declaration order.  ``khintchine`` is
-:func:`run_verify` on its own checks; a run with no checks is refused.
+:func:`run_verify` on its own checks, and a sweep is one
+:func:`run_verify` report per value, so a value whose run fails gets a
+failed report and the other values still run.  A run with no checks is
+refused.
 """
 
 from __future__ import annotations
@@ -103,18 +106,12 @@ def assemble_report(
     error: str | None = None,
 ) -> Report:
     """A run's report; it is failed when ``error`` says why the run ended
-    without results, a check fails, or over 0.1% of the paths were
-    excluded."""
+    without results or a check fails."""
     normalized = tuple(_normalize(r) for r in results)
-    failed = (
-        error is not None
-        or any(not r.holds for r in normalized)
-        or (paths > 0 and excluded > 0.001 * paths)
-    )
     return Report(
         schema_version=SCHEMA_VERSION,
         version=__version__,
-        failed=failed,
+        failed=error is not None or any(not r.holds for r in normalized),
         master_seed=int(master_seed),
         paths=int(paths),
         excluded=int(excluded),
@@ -206,20 +203,15 @@ def emit_report(report: Report, fmt: str, out_dir) -> list[Path]:
     )
 
 
-def _require_checks(exp: ExperimentConfig) -> None:
-    """A run that checks nothing would read as a run where every check held."""
-    if not exp.checks:
-        raise ConfigError("config has no checks", key="check.1.kind")
-
-
-def run_verify(settings: RunSettings, workers: int = 1) -> Report:
+def run_verify(exp: ExperimentConfig, workers: int = 1) -> Report:
     """Simulate the configured batch and evaluate every check.
 
     A batch over the exclusion limit or a non-finite check statistic ends
-    in a failed report without results.
+    in a failed report without results.  A run that checks nothing would
+    read as a run where every check held, so it is refused.
     """
-    exp = settings.experiment
-    _require_checks(exp)
+    if not exp.checks:
+        raise ConfigError("config has no checks", key="check.1.kind")
     started = time.perf_counter()
     results, error = (), None
     try:
@@ -239,10 +231,9 @@ def run_verify(settings: RunSettings, workers: int = 1) -> Report:
     )
 
 
-def run_khintchine(settings: RunSettings) -> Report:
+def run_khintchine(exp: ExperimentConfig) -> Report:
     """:func:`run_verify` on the Gaussian-series checks alone (no path
     simulation); a config without one checks ``khintchine``."""
-    exp = settings.experiment
     kchecks = tuple(c for c in exp.checks if not c.needs_batch)
     if not kchecks:
         kchecks = (CheckRequest("khintchine"),)
@@ -251,7 +242,7 @@ def run_khintchine(settings: RunSettings) -> Report:
     except InputDomainError as exc:
         key = "paths" if exc.field == "paths" else "integrand.family"
         raise ConfigError(str(exc), key=key) from exc
-    return run_verify(dataclasses.replace(settings, experiment=cfg))
+    return run_verify(cfg)
 
 
 def run_lemmas(seed: int = 0, count: int = 10_000) -> Report:
@@ -268,33 +259,29 @@ def run_lemmas(seed: int = 0, count: int = 10_000) -> Report:
     )
 
 
-def run_sweep(settings: RunSettings, workers: int = 1) -> tuple[str, list[dict], bool]:
-    """Run the configured sweep; returns (parameter, long-format rows, failed)."""
-    _require_checks(settings.experiment)
-    rows = []
-    failed = False
-    parameter = settings.sweep.parameter
-    for value, cfg in sweep_configs(settings):
-        _, results = run_experiment_checks(cfg, workers=workers)
-        for result in results:
-            normalized = _normalize(result)
-            failed = failed or not normalized.holds
-            rows.append(
-                {
-                    "parameter": parameter,
-                    "value": value,
-                    **result_row(normalized, cfg.master_seed),
-                }
-            )
-    return parameter, rows, failed
+def run_sweep(settings: RunSettings, workers: int = 1) -> list[tuple[float, Report]]:
+    """One :func:`run_verify` report per swept value, in sweep order.
+
+    Every value is expanded before the first one runs, so a config error
+    in any of them stops the sweep before anything is simulated.
+    """
+    return [(value, run_verify(cfg, workers)) for value, cfg in sweep_configs(settings)]
 
 
-def emit_sweep(parameter: str, rows: list[dict], failed: bool, fmt: str, out_dir) -> list[Path]:
-    """Write sweep.csv / sweep.json per `fmt` (csv, json, both)."""
+def emit_sweep(
+    parameter: str, reports: list[tuple[float, Report]], fmt: str, out_dir
+) -> list[Path]:
+    """Write sweep.csv / sweep.json per `fmt` (csv, json, both): each
+    report's rows, prefixed by (parameter, value); failed if any report is."""
+    rows = [
+        {"parameter": parameter, "value": value, **result_row(r, report.master_seed)}
+        for value, report in reports
+        for r in report.results
+    ]
     obj = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "failed": failed,
+        "failed": any(report.failed for _, report in reports),
         "sweep_parameter": parameter,
         "results": rows,
     }

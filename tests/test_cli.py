@@ -151,6 +151,21 @@ class TestVerify:
         assert "--workers" in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            pytest.param(["lemmas", "--count", "0"], "--count", id="lemmas-count"),
+            pytest.param(["lemmas", "--seed", "-1"], "--seed", id="lemmas-seed"),
+            pytest.param(["verify", "--seed", str(2**64)], "--seed", id="verify-seed"),
+        ],
+    )
+    def test_out_of_range_option_is_a_usage_error(self, runner, tmp_path, args, option):
+        cfg = write_cfg(tmp_path, VERIFY_CFG)
+        result = runner.invoke(main, args + ["--config", cfg, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_non_finite_statistic_writes_failed_report(self, runner, tmp_path, workers):
         # no tail check: the engine itself excludes every path whose qv
@@ -443,7 +458,64 @@ def test_khintchine_overflow_writes_failed_report(runner, tmp_path, command, mat
     assert (out / "report.csv").read_text() == GOLDEN_HEADER + "\n"
 
 
+# p = 4 overflows sup ||X||^p and ||<X>_T||^(p/2) on every path; p = 2 does not
+BDG_OVERFLOW_CFG = """\
+integrand.family = constant
+integrand.matrix.1 = 1e100
+grid.steps = 8
+paths = 200
+master_seed = 42
+check.1.kind = bdg
+check.1.p = 4
+"""
+
+
+def test_bdg_moment_overflow_writes_failed_report(runner, tmp_path):
+    out = tmp_path / "out"
+    args = ["verify", "--config", write_cfg(tmp_path, BDG_OVERFLOW_CFG), "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert "run failed: bdg lhs: 200 of 200 values are not finite" in result.stderr
+    assert [w.message for w in caught] == []
+    assert "Warning" not in result.stderr
+    obj = json.loads((out / "report.json").read_text())
+    assert obj["failed"] is True and obj["results"] == [] and obj["excluded"] == 0
+
+
 class TestSweep:
+    def test_every_value_failing_writes_a_failed_sweep(self, runner, tmp_path):
+        text = KHINTCHINE_CFG.replace("integrand.matrix.1 = 1", "integrand.matrix.1 = 1e154")
+        cfg = write_cfg(tmp_path, text + "sweep.parameter = steps\nsweep.values = 4 8\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        for value in (4, 8):
+            message = f"run failed at steps = {value}: khintchine rhs: ||sum_i H_i^2|| is not finite"
+            assert message in result.stderr
+        assert "result: FAILED" in result.output
+        assert (out / "sweep.csv").read_text() == "parameter,value," + GOLDEN_HEADER + "\n"
+        obj = json.loads((out / "sweep.json").read_text())
+        assert obj["failed"] is True and obj["results"] == []
+
+    def test_failing_value_keeps_the_others(self, runner, tmp_path):
+        text = BDG_OVERFLOW_CFG + "sweep.parameter = p\nsweep.values = 2 4\n"
+        args = ["sweep", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "run failed at p = 4: bdg lhs: 200 of 200 values are not finite" in result.stderr
+        assert "p = 2" not in result.stderr
+        assert [w.message for w in caught] == []
+        assert "Warning" not in result.stderr
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("p,2.0,bdg,1,1,constant,2,")
+        obj = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        assert obj["failed"] is True
+        assert [(r["value"], r["p"], r["holds"]) for r in obj["results"]] == [(2.0, 2, True)]
+
     def test_long_format_csv(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path,

@@ -34,6 +34,11 @@ case of the paper's dimension factor.  Its reports were written by
 ``mmlab verify`` before every route to a maximum went through ``settle``,
 and any later route for diagonal states has these bytes to match.
 
+``golden/sweep_goe_n.cfg`` sweeps a ``goe_like`` integrand over n = 2, 3, 4
+under five check kinds.  ``golden/sweep_goe_n_sweep.{csv,json}`` were
+written by ``mmlab sweep`` while the sweep still kept its own loop over
+the checks, before each value became one verify run.
+
 ``golden/trajectory_{0,1,2}.csv`` were written by ``mmlab simulate`` on
 ``configs/simulate_dump.cfg`` (a 2x2 ``path_feedback`` integrand, 256
 steps) when the dump moved onto the block engine's stepper; an edit to
@@ -85,6 +90,17 @@ def test_reports_match_golden_bytes(tmp_path, config, stem, workers):
     for ext in ("csv", "json"):
         got = (out / f"report.{ext}").read_bytes()
         assert got == (GOLDEN / f"{stem}.{ext}").read_bytes(), ext
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_matches_golden_bytes(tmp_path, workers):
+    out = tmp_path / "out"
+    args = ["sweep", "--config", str(GOLDEN / "sweep_goe_n.cfg"), "--out", str(out)]
+    result = CliRunner().invoke(main, args + ["--workers", workers])
+    assert result.exit_code == 0, result.output
+    for ext in ("csv", "json"):
+        got = (out / f"sweep.{ext}").read_bytes()
+        assert got == (GOLDEN / f"sweep_goe_n_sweep.{ext}").read_bytes(), ext
 
 
 def test_trajectory_dump_matches_golden_bytes(tmp_path):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used there.
+"""Every name a module of the package imports is used there, and every
+name the benchmark's tracer wraps is still bound.
 
 No linter is a dependency of the project, so a walk over each module's
 syntax tree stands in for one: an import binds a name, and the module
@@ -7,11 +8,13 @@ counts as a read).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmlab"
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +44,23 @@ def test_no_unused_import(module):
 def test_an_unused_import_is_found():
     source = "import os\nfrom math import pi, tau\nfrom . import x as y\nprint(tau)\n"
     assert unused_imports(source) == ["line 1: os", "line 2: pi", "line 3: y"]
+
+
+def tracer_bindings() -> list[tuple[str, str]]:
+    """The (module, name) pairs of ``BINDINGS`` in ``perfbench/tracer.py``,
+    read from its syntax tree so that the tracer is not imported."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "BINDINGS" for t in node.targets
+        ):
+            return [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    raise AssertionError("perfbench/tracer.py defines no BINDINGS")
+
+
+def test_tracer_bindings_resolve():
+    # the tracer wraps each name where its module looks it up; a rename
+    # there would leave the benchmark timing nothing
+    pairs = tracer_bindings()
+    assert ("mmlab.cli", "run_verify") in pairs
+    missing = [f"{m}.{n}" for m, n in pairs if not hasattr(importlib.import_module(m), n)]
+    assert missing == []

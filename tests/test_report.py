@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mmlab.checks import CheckResult
-from mmlab.config import parse_settings
+from mmlab.config import parse_settings, sweep_configs
 from mmlab.errors import ConfigError, InputDomainError
 from mmlab.montecarlo import derive_path_seed
 from mmlab.report import (
@@ -20,6 +20,7 @@ from mmlab.report import (
     Report,
     assemble_report,
     emit_report,
+    emit_sweep,
     parse_report_json,
     render_csv,
     render_json,
@@ -54,7 +55,7 @@ check.2.p = 1
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_verify(parse_settings(SMALL_VERIFY))
+    return run_verify(parse_settings(SMALL_VERIFY).experiment)
 
 
 class TestRows:
@@ -107,8 +108,8 @@ class TestCsv:
         assert int(freedman["seed"]) == 11
 
     def test_rerun_is_byte_identical(self):
-        a = render_csv(run_verify(parse_settings(SMALL_VERIFY)))
-        b = render_csv(run_verify(parse_settings(SMALL_VERIFY)))
+        a = render_csv(run_verify(parse_settings(SMALL_VERIFY).experiment))
+        b = render_csv(run_verify(parse_settings(SMALL_VERIFY).experiment))
         assert a == b
 
 
@@ -134,14 +135,14 @@ class TestJson:
             assert list(r) == [f.name for f in dataclasses.fields(CheckResult)]
 
     def test_golden_round_trip(self):
-        report = run_verify(parse_settings((GOLDEN / "goe_kinds.cfg").read_text()))
+        report = run_verify(parse_settings((GOLDEN / "goe_kinds.cfg").read_text()).experiment)
         assert parse_report_json(render_json(report)) == report
         golden = (GOLDEN / "goe_kinds_report.json").read_text()
         assert render_json(parse_report_json(golden)) == golden
 
     def test_rerun_is_byte_identical(self):
-        a = render_json(run_verify(parse_settings(SMALL_VERIFY)))
-        b = render_json(run_verify(parse_settings(SMALL_VERIFY)))
+        a = render_json(run_verify(parse_settings(SMALL_VERIFY).experiment))
+        b = render_json(run_verify(parse_settings(SMALL_VERIFY).experiment))
         assert a == b
 
 
@@ -158,10 +159,13 @@ class TestEmit:
             emit_report(small_report, "yaml", tmp_path)
 
     def test_failed_flag_from_exclusions(self):
-        report = assemble_report(
-            (), master_seed=1, paths=1000, excluded=5, config={}
-        )
-        assert report.failed
+        # every path's qv norm overflows: run_batch refuses the batch over
+        # the 0.1% exclusion limit, and the report records it without results
+        text = SMALL_VERIFY.replace("integrand.matrix.1 = 1", "integrand.matrix.1 = 1e200")
+        report = run_verify(parse_settings(text).experiment)
+        assert report.failed and report.results == ()
+        assert report.excluded == report.paths == 200
+        assert report.error.startswith("200 of 200 paths excluded")
 
 
 class TestTrajectoryDump:
@@ -216,7 +220,7 @@ class TestDrivers:
 
     def test_run_khintchine_synthesizes_check(self):
         text = "integrand.family = diag_basis\nintegrand.n = 2\npaths = 5000\nmaster_seed = 3\n"
-        report = run_khintchine(parse_settings(text))
+        report = run_khintchine(parse_settings(text).experiment)
         assert [r.name for r in report.results] == ["khintchine"]
         assert abs(report.results[0].metadata["ratio"] - 2.0 / math.sqrt(math.pi)) < 0.05
         assert not report.failed
@@ -226,7 +230,7 @@ class TestDrivers:
             "integrand.family = diag_basis\nintegrand.n = 2\npaths = 5000\nmaster_seed = 3\n"
             "check.1.kind = bdg\ncheck.1.p = 1\ncheck.2.kind = khintchine\n"
         )
-        report = run_khintchine(parse_settings(text))
+        report = run_khintchine(parse_settings(text).experiment)
         assert [r.name for r in report.results] == ["khintchine"]
 
     def test_run_khintchine_rejects_time_dependence(self):
@@ -235,28 +239,34 @@ class TestDrivers:
             "integrand.slope.1 = 1\npaths = 5000\nmaster_seed = 3\n"
         )
         with pytest.raises(ConfigError, match="constant-in-time"):
-            run_khintchine(parse_settings(text))
+            run_khintchine(parse_settings(text).experiment)
 
     def test_run_khintchine_needs_samples(self):
         text = "integrand.family = diag_basis\nintegrand.n = 2\npaths = 50\nmaster_seed = 3\n"
         with pytest.raises(ConfigError, match="paths"):
-            run_khintchine(parse_settings(text))
+            run_khintchine(parse_settings(text).experiment)
 
-    def test_run_sweep_long_format(self):
+    def test_run_sweep_long_format(self, tmp_path):
         text = (
             "integrand.family = diag_basis\nintegrand.n = 2\npaths = 2000\nmaster_seed = 3\n"
             "check.1.kind = khintchine\nsweep.parameter = n\nsweep.values = 2 4\n"
         )
-        parameter, rows, failed = run_sweep(parse_settings(text))
-        assert parameter == "n"
+        settings = parse_settings(text)
+        reports = run_sweep(settings)
+        # each value's report is the one verify gives for its own config
+        for (value, report), (_, cfg) in zip(reports, sweep_configs(settings)):
+            assert render_json(report) == render_json(run_verify(cfg))
+        emit_sweep("n", reports, "json", tmp_path)
+        obj = json.loads((tmp_path / "sweep.json").read_text())
+        rows = obj["results"]
         assert [r["value"] for r in rows] == [2.0, 4.0]
         assert [r["n"] for r in rows] == [2, 4]
-        assert not failed
+        assert obj["failed"] is False
         # ratio grows with n
         assert rows[1]["ratio"] > rows[0]["ratio"]
 
     def test_verify_failed_report_on_falsified_rhs(self):
         text = SMALL_VERIFY.replace("paths = 200", "paths = 3000") + "test_hooks.rhs_multiplier = 0\n"
-        report = run_verify(parse_settings(text))
+        report = run_verify(parse_settings(text).experiment)
         assert report.failed
         assert any(not r.holds for r in report.results)
