@@ -116,10 +116,11 @@ def _result(name: str, lhs: float, rhs: float, lhs_ci: float, rhs_ci: float, md:
 class Judge:
     """How a check forms its intervals and its verdict.
 
-    Every interval is taken at level ``confidence``.  A bootstrap mean
-    draws ``resamples`` resamples from stream ``seed + j`` for its
-    stream j; a kind that draws its own sample takes ``samples`` values
-    from stream ``sample_seed``.  ``rhs_multiplier`` scales every rhs (0
+    Every interval is taken at level ``confidence``.  A check's
+    bootstrap means resample its paths together: ``resamples`` resamples
+    drawn once from stream ``seed``, shared by every mean of the check.
+    A kind that draws its own sample takes ``samples`` values from
+    stream ``sample_seed``.  ``rhs_multiplier`` scales every rhs (0
     shows that a check can fail), and a result holds when lhs <= rhs +
     slack_factor * (lhs_ci + rhs_ci).  :func:`evaluate_checks` builds
     one per check from the config.
@@ -133,19 +134,24 @@ class Judge:
     samples: int = 100_000
     sample_seed: int = 0
 
-    def mean(self, values, statistic=float, *, label: str, stream: int = 0) -> EstimateCI:
-        """Bootstrap interval for statistic(mean(values)) on stream ``seed + stream``."""
+    def mean(self, values, statistic=float, *, label: str | tuple[str, ...]):
+        """Bootstrap interval for statistic(mean(values)) on stream ``seed``.
+
+        ``values`` may be a tuple of samples of the same paths, with one
+        label each; see :func:`~mmlab.montecarlo.bootstrap_ci`.
+        """
         return bootstrap_ci(
-            values, statistic, self.resamples, self.confidence, self.seed + stream, label=label
+            values, statistic, self.resamples, self.confidence, self.seed, label=label
         )
 
     def pair(
         self, name: str, lhs, lhs_statistic, rhs, rhs_statistic
     ) -> tuple[EstimateCI, EstimateCI]:
-        """The lhs and rhs means of check ``name``, on streams 0 and 1."""
-        return (
-            self.mean(lhs, lhs_statistic, label=f"{name} lhs"),
-            self.mean(rhs, rhs_statistic, label=f"{name} rhs", stream=1),
+        """The lhs and rhs means of check ``name``, on one resample of its paths."""
+        return self.mean(
+            (lhs, rhs),
+            lambda means: (lhs_statistic(means[0]), rhs_statistic(means[1])),
+            label=(f"{name} lhs", f"{name} rhs"),
         )
 
     def frequency(self, hits: int, trials: int) -> EstimateCI:
@@ -462,10 +468,11 @@ def supermartingale_check(batch: BatchStats, beta: float, judge: Judge = Judge()
     bi = _plan_index(batch.plan.supermartingale_betas, beta, "beta")
     cps = default_checkpoints(batch.grid.steps)
     vals = batch.data["supermart"][:, bi, :]
-    ests = [
-        judge.mean(vals[:, c], label=f"supermartingale checkpoint {cps[c]}", stream=c)
-        for c in range(len(cps))
-    ]
+    ests = judge.mean(
+        tuple(vals.T),  # one column view per checkpoint
+        lambda means: means,
+        label=tuple(f"supermartingale checkpoint {cp}" for cp in cps),
+    )
     worst = None
     worst_excess = -math.inf
     for c in range(len(cps) - 1):
@@ -662,10 +669,12 @@ class CheckRequest:
 def evaluate_checks(config: ExperimentConfig, batch: BatchStats | None) -> list[CheckResult]:
     """Run every requested check against one shared batch.
 
-    Each check is judged by a :class:`Judge` built from the config.  Its
-    bootstrap and sampling seeds come from the config's auxiliary
-    stream, indexed by check order, so results are reproducible and
-    independent of evaluation parallelism.  A kind that needs no batch
+    Each check is judged by a :class:`Judge` built from the config.
+    Check i resamples its paths once: every bootstrap mean of the check
+    shares one index stream, seeded by ``bootstrap_seed(config, 2i)``,
+    and a kind that draws its own sample seeds it by
+    ``bootstrap_seed(config, 2i + 1)``.  So results are reproducible
+    and independent of evaluation parallelism.  A kind that needs no batch
     draws its own sample of ``config.paths`` from the integrand spec.
     Overflow warns nothing: the checks refuse non-finite values by name.
     """

@@ -216,56 +216,101 @@ def bootstrap_ci(
     confidence: float = 0.99,
     seed: int = 0,
     *,
-    label: str = "values",
-) -> EstimateCI:
+    label: str | tuple[str, ...] = "values",
+) -> EstimateCI | tuple[EstimateCI, ...]:
     """Percentile bootstrap interval for statistic(mean(values)).
 
-    ``values`` is a 1-D sample.  Callers apply any elementwise transform
-    first and pass the rest as ``statistic``, a map of one float, which
-    is called once for the point estimate and once per resample.  Each
-    resample's m indices follow on from the previous one's in the
-    ``default_rng(seed)`` stream, as a per-resample loop would draw them;
-    they are drawn and averaged in blocks of rows.  The returned interval
-    is widened (never narrowed) to contain the point estimate.  Non-finite
-    values or statistics raise NumericError naming ``label``.
+    ``values`` is a 1-D sample, or a tuple of equal-length 1-D samples
+    taken on the same units (paths).  Callers apply any elementwise
+    transform first and pass the rest as ``statistic``: a map of one
+    float, or for a tuple a map of the tuple of means (Python floats) to
+    a tuple of values, one per sample.  It is called once for the point
+    estimate and once per resample.  Every sample shares one index
+    stream: each resample's m indices follow on from the previous one's
+    in the ``default_rng(seed)`` stream, as a per-resample loop would
+    draw them, and are drawn once, in blocks of rows, for all samples.
+    A constant sample gets a zero-width interval and is not gathered.
+    Each interval is widened (never narrowed) to contain its point
+    estimate.  Non-finite values or statistics raise NumericError naming
+    the sample's label (``label`` is one label per sample for a tuple).
+    Returns one EstimateCI, or a tuple of them for a tuple of samples.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputDomainError(f"bootstrap needs a 1-D sample, got shape {arr.shape}")
-    m = arr.shape[0]
+    joint = isinstance(values, tuple)
+    arrs = [np.asarray(v, dtype=np.float64) for v in (values if joint else (values,))]
+    labels = label if joint else (label,)
+    evaluate = statistic if joint else (lambda means: (statistic(means[0]),))
+    if isinstance(labels, str) or len(labels) != len(arrs):
+        raise InputDomainError(f"bootstrap needs one label per sample, got {labels!r}")
+    for arr in arrs:
+        if arr.ndim != 1:
+            raise InputDomainError(f"bootstrap needs a 1-D sample, got shape {arr.shape}")
+    m = arrs[0].shape[0]
+    if any(arr.shape[0] != m for arr in arrs):
+        lengths = [arr.shape[0] for arr in arrs]
+        raise InputDomainError(f"bootstrap samples differ in length: {lengths}")
     if m < 100:
         raise InputDomainError(f"bootstrap needs >= 100 samples, got {m}")
     if resamples < 100:
         raise InputDomainError(f"bootstrap needs >= 100 resamples, got {resamples}")
     if not 0.0 < confidence < 1.0:
         raise InputDomainError(f"confidence must be in (0, 1), got {confidence}")
-    bad = m - int(np.count_nonzero(np.isfinite(arr)))
-    if bad:
-        raise NumericError(f"{label}: {bad} of {m} values are not finite", detail=float(bad))
-    point = float(statistic(float(np.mean(arr))))
-    if not math.isfinite(point):
-        raise NumericError(f"{label}: point estimate {point} is not finite", detail=point)
-    if np.all(arr == arr[0]):
-        return EstimateCI(point=point, lo=point, hi=point, method="bootstrap")
+    for arr, name in zip(arrs, labels):
+        bad = m - int(np.count_nonzero(np.isfinite(arr)))
+        if bad:
+            raise NumericError(f"{name}: {bad} of {m} values are not finite", detail=float(bad))
+    means = [float(np.mean(arr)) for arr in arrs]
+    points = [float(s) for s in evaluate(tuple(means))]
+    if len(points) != len(arrs):
+        raise InputDomainError(f"statistic gave {len(points)} values for {len(arrs)} samples")
+    for point, name in zip(points, labels):
+        if not math.isfinite(point):
+            raise NumericError(f"{name}: point estimate {point} is not finite", detail=point)
+    varying = [j for j, arr in enumerate(arrs) if not np.all(arr == arr[0])]
+    bounds = [(point, point) for point in points]
+    if varying:
+        stats = _resample_statistics(arrs, means, varying, evaluate, resamples, seed)
+        alpha = 0.5 * (1.0 - confidence)
+        for j in varying:
+            column = stats[:, j]
+            if not np.all(np.isfinite(column)):
+                raise NumericError(f"{labels[j]}: a bootstrap resample gave a non-finite statistic")
+            bounds[j] = float(np.quantile(column, alpha)), float(np.quantile(column, 1.0 - alpha))
+    intervals = tuple(
+        EstimateCI(point=point, lo=min(lo, point), hi=max(hi, point), method="bootstrap")
+        for point, (lo, hi) in zip(points, bounds)
+    )
+    return intervals if joint else intervals[0]
+
+
+def _resample_statistics(arrs, means, varying, evaluate, resamples: int, seed: int) -> np.ndarray:
+    """(resamples, samples) statistics of the resample means, on one index stream.
+
+    Each block of rows draws its indices once; every sample in
+    ``varying`` is gathered and averaged with them, and a constant
+    sample keeps its own mean.  The statistic runs per block, so at most
+    one block's means are Python floats at a time.
+    """
+    m = arrs[0].shape[0]
     rng = np.random.default_rng(seed)
     rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // m)
-    means = np.empty(resamples)
-    # one gather buffer for every block: a fresh one per block of a large
-    # sample is a fresh mmap, and faults its pages in again each time
-    # ("clip" never clips these indices; it only spares take a temporary)
+    stats = np.empty((resamples, len(arrs)))
+    block_means = np.empty((min(rows, resamples), len(arrs)))
+    block_means[:] = means
+    # one gather buffer for every block and sample: a fresh one per block
+    # of a large sample is a fresh mmap, and faults its pages in again
+    # each time ("clip" never clips these indices; it only spares take a
+    # temporary)
     gathered = np.empty((min(rows, resamples), m))
     for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)
         block = gathered[: stop - start]
-        np.take(arr, rng.integers(0, m, size=block.shape), out=block, mode="clip")
-        means[start:stop] = block.mean(axis=1)
-    stats = np.array([statistic(s) for s in means.tolist()], dtype=np.float64)
-    if not np.all(np.isfinite(stats)):
-        raise NumericError(f"{label}: a bootstrap resample gave a non-finite statistic")
-    alpha = 0.5 * (1.0 - confidence)
-    lo = float(np.quantile(stats, alpha))
-    hi = float(np.quantile(stats, 1.0 - alpha))
-    return EstimateCI(point=point, lo=min(lo, point), hi=max(hi, point), method="bootstrap")
+        rows_means = block_means[: stop - start]
+        index = rng.integers(0, m, size=block.shape)
+        for j in varying:
+            np.take(arrs[j], index, out=block, mode="clip")
+            rows_means[:, j] = block.mean(axis=1)
+        stats[start:stop] = [evaluate(tuple(row)) for row in rows_means.tolist()]
+    return stats
 
 
 @dataclass(frozen=True)

@@ -104,21 +104,33 @@ def loop_bootstrap_ci(values, statistic, resamples=1000, confidence=0.99, seed=0
     The reference form of ``mmlab.montecarlo.bootstrap_ci``: each
     resample draws m indices from ``default_rng(seed)``, gathers them
     and evaluates ``statistic`` on the gathered array.  Returns
-    (point, lo, hi), widened to contain the point.
+    (point, lo, hi), widened to contain the point.  ``values`` may be a
+    tuple of samples of one length, with ``statistic`` a tuple of one
+    statistic each: every resample draws its indices once and gathers
+    each sample with them, and the result is a tuple of triples.  A
+    constant sample's triple is its point three times.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    m = arr.shape[0]
-    point = float(statistic(arr))
-    if np.all(arr == arr[0]):
-        return point, point, point
+    joint = isinstance(values, tuple)
+    arrs = [np.asarray(v, dtype=np.float64) for v in (values if joint else (values,))]
+    stat_fns = statistic if joint else (statistic,)
+    m = arrs[0].shape[0]
+    stats = np.empty((len(arrs), resamples))
     rng = np.random.default_rng(seed)
-    stats = np.empty(resamples)
     for r in range(resamples):
-        stats[r] = statistic(arr[rng.integers(0, m, size=m)])
+        idx = rng.integers(0, m, size=m)
+        for j, (fn, arr) in enumerate(zip(stat_fns, arrs)):
+            stats[j, r] = fn(arr[idx])
     alpha = 0.5 * (1.0 - confidence)
-    lo = float(np.quantile(stats, alpha))
-    hi = float(np.quantile(stats, 1.0 - alpha))
-    return point, min(lo, point), max(hi, point)
+    out = []
+    for fn, arr, column in zip(stat_fns, arrs, stats):
+        point = float(fn(arr))
+        if np.all(arr == arr[0]):
+            out.append((point, point, point))
+            continue
+        lo = float(np.quantile(column, alpha))
+        hi = float(np.quantile(column, 1.0 - alpha))
+        out.append((point, min(lo, point), max(hi, point)))
+    return tuple(out) if joint else out[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,13 @@ from mmlab.integrands import (
     rect_constant_spec,
     time_poly_spec,
 )
-from mmlab.montecarlo import ExperimentConfig, derive_path_seeds, run_batch, wilson_interval
+from mmlab.montecarlo import (
+    ExperimentConfig,
+    bootstrap_seed,
+    derive_path_seeds,
+    run_batch,
+    wilson_interval,
+)
 from mmlab.simulate import TimeGrid
 
 from .oracles import grid_lambda_max, reflection_sup_tail
@@ -562,6 +568,40 @@ class TestEvaluateChecks:
     def test_batchless_probabilistic_check_rejected(self, driver_config):
         with pytest.raises(InputDomainError):
             evaluate_checks(driver_config, None)
+
+    def test_one_bootstrap_call_per_check(self, monkeypatch):
+        # a check resamples its paths once: each paired kind and the
+        # supermartingale's checkpoints make one joint call, on one seed,
+        # and the frequency kinds none
+        import mmlab.checks as checks_module
+
+        calls = []
+        bootstrap = checks_module.bootstrap_ci
+
+        def spy(values, statistic, resamples, confidence, seed, *, label):
+            labels = label if isinstance(label, tuple) else (label,)
+            calls.append((labels[0].split()[0], seed))
+            return bootstrap(values, statistic, resamples, confidence, seed, label=label)
+
+        monkeypatch.setattr(checks_module, "bootstrap_ci", spy)
+        config = ExperimentConfig(
+            spec=path_feedback_spec([np.array([[0.8, 0.2], [0.2, 0.5]])], 0.3),
+            grid=TimeGrid(1.0, 16),
+            paths=200,
+            master_seed=5,
+            checks=(
+                CheckRequest("freedman", u=1.0, sigma2=1.0),
+                CheckRequest("good_lambda", u=0.5, sigma2=1.0),
+                CheckRequest("bdg", p=2),
+                CheckRequest("schatten", p=1),
+                CheckRequest("biane_speicher"),
+                CheckRequest("supermartingale", beta=0.5),
+            ),
+        )
+        run_experiment_checks(config)
+        names = [name for name, _ in calls]
+        assert names == ["bdg", "schatten", "biane_speicher", "supermartingale"]
+        assert [seed for _, seed in calls] == [bootstrap_seed(config, 2 * i) for i in (2, 3, 4, 5)]
 
     def test_khintchine_only_needs_no_batch(self):
         config = ExperimentConfig(

@@ -39,6 +39,14 @@ under five check kinds.  ``golden/sweep_goe_n_sweep.{csv,json}`` were
 written by ``mmlab sweep`` while the sweep still kept its own loop over
 the checks, before each value became one verify run.
 
+The five report goldens and ``golden/sweep_goe_n_sweep.{csv,json}`` were
+rewritten once since, when every bootstrap mean of a check came to share
+one resample of its paths.  Only two kinds of field moved: each
+``supermartingale`` row's ``lhs_ci``, and the ``rhs_ci`` of ``bdg``,
+``schatten`` and ``biane_speicher`` on ``path_feedback``, where the rhs
+varies over paths.  Every ``lhs`` and ``lhs_ci`` of a paired check kept
+its bytes.
+
 ``golden/trajectory_{0,1,2}.csv`` were written by ``mmlab simulate`` on
 ``configs/simulate_dump.cfg`` (a 2x2 ``path_feedback`` integrand, 256
 steps) when the dump moved onto the block engine's stepper; an edit to

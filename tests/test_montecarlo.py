@@ -181,6 +181,78 @@ class TestBootstrap:
         bootstrap_ci(sample, lambda s: calls.append(type(s)) or s, resamples=157)
         assert len(calls) == 158 and set(calls) == {float}
 
+    def test_joint_statistic_called_once_per_resample_plus_point(self):
+        # one statistic for a tuple of samples, called with a tuple of
+        # Python floats: the count perfbench's tracer reads as resamples
+        calls = []
+        rng = np.random.default_rng(4)
+        samples = (rng.standard_normal(300), np.full(300, 2.0), rng.lognormal(size=300))
+        bootstrap_ci(samples, lambda s: calls.append(s) or s, resamples=157, label=("a", "b", "c"))
+        assert len(calls) == 158
+        assert {type(s) for s in calls} == {tuple}
+        assert {type(v) for s in calls for v in s} == {float} and {len(s) for s in calls} == {3}
+
+    def test_joint_returns_one_interval_per_sample(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal(400), rng.lognormal(size=400)
+        lhs, rhs = bootstrap_ci((a, b), lambda s: (s[0], -2.0 * s[1]), label=("x", "y"))
+        assert lhs.lo < lhs.point == float(np.mean(a)) < lhs.hi
+        assert rhs.lo < rhs.point == -2.0 * float(np.mean(b)) < rhs.hi
+
+    def test_joint_all_constant_draws_nothing(self):
+        calls = []
+        cis = bootstrap_ci(
+            (np.full(200, 1.5), np.full(200, -2.0)),
+            lambda s: calls.append(s) or s,
+            label=("a", "b"),
+        )
+        assert calls == [(1.5, -2.0)]
+        assert [(c.lo, c.point, c.hi) for c in cis] == [(1.5, 1.5, 1.5), (-2.0, -2.0, -2.0)]
+
+    def test_joint_rejects_two_dimensional_sample(self):
+        with pytest.raises(InputDomainError, match="1-D sample"):
+            bootstrap_ci((np.ones(200), np.ones((200, 2))), lambda s: s, label=("a", "b"))
+
+    def test_joint_rejects_samples_of_different_lengths(self):
+        with pytest.raises(InputDomainError, match="differ in length"):
+            bootstrap_ci((np.ones(200), np.ones(201)), lambda s: s, label=("a", "b"))
+
+    @pytest.mark.parametrize("label", [("a",), "ab"])
+    def test_joint_needs_one_label_per_sample(self, label):
+        with pytest.raises(InputDomainError, match="one label per sample"):
+            bootstrap_ci((np.ones(200), np.ones(200)), lambda s: s, label=label)
+
+    def test_joint_statistic_gives_one_value_per_sample(self):
+        with pytest.raises(InputDomainError, match="1 values for 2 samples"):
+            bootstrap_ci((np.ones(200), np.ones(200)), lambda s: s[:1], label=("a", "b"))
+
+    def test_joint_non_finite_values_name_their_sample(self):
+        rng = np.random.default_rng(4)
+        bad = rng.standard_normal(300)
+        bad[5] = math.nan
+        with pytest.raises(NumericError, match="supermartingale checkpoint 37: 1 of 300"):
+            bootstrap_ci(
+                (rng.standard_normal(300), bad),
+                lambda s: s,
+                label=("supermartingale checkpoint 0", "supermartingale checkpoint 37"),
+            )
+
+    def test_joint_non_finite_statistic_names_its_sample(self):
+        rng = np.random.default_rng(4)
+        samples = (rng.lognormal(size=300), rng.lognormal(size=300))
+        with pytest.raises(NumericError, match="bdg rhs: point estimate"):
+            bootstrap_ci(
+                samples, lambda s: (s[0], s[1] * 1e308 * 10.0), label=("bdg lhs", "bdg rhs")
+            )
+        # finite at the point, not on every resample: named by its own label
+        point = float(np.mean(samples[1]))
+        with pytest.raises(NumericError, match="bdg rhs: a bootstrap resample"):
+            bootstrap_ci(
+                samples,
+                lambda s: (s[0], s[1] if s[1] == point else math.inf),
+                label=("bdg lhs", "bdg rhs"),
+            )
+
 
 # (elementwise transform, statistic of the mean) as the checks pass them,
 # next to the statistic of the whole resample that the loop evaluated
@@ -236,6 +308,80 @@ class TestBootstrapMatchesLoop:
 
     def test_constant_sample(self):
         self.assert_same(np.full(400, 0.3), "bdg_lhs_p3", 200, 1)
+
+
+def joint_bootstrap(raws, names, resamples, seed):
+    """bootstrap_ci on the transformed samples under one joint statistic,
+    and the loop oracle on the raw ones under the whole-resample statistics;
+    both as lists of (point, lo, hi)."""
+    rows = [CHECK_TRANSFORMS[name] for name in names]
+    cis = bootstrap_ci(
+        tuple(transform(raw) for (transform, _, _), raw in zip(rows, raws)),
+        lambda means: tuple(stat(s) for (_, stat, _), s in zip(rows, means)),
+        resamples,
+        0.99,
+        seed,
+        label=tuple(names),
+    )
+    loop = loop_bootstrap_ci(tuple(raws), tuple(r[2] for r in rows), resamples, 0.99, seed)
+    return [(ci.point, ci.lo, ci.hi) for ci in cis], list(loop)
+
+
+# (lhs, rhs) transforms as the paired checks pass them
+JOINT_PAIRS = [
+    *((f"bdg_lhs_p{p}", f"bdg_rhs_p{p}") for p in (1, 2, 3)),
+    ("mean", "schatten_rhs"),
+    ("mean", "biane_speicher_rhs"),
+]
+
+
+class TestJointBootstrapMatchesLoop:
+    """Samples that share one index stream reproduce the per-resample loop
+    that gathers every sample with each resample's indices, bit for bit."""
+
+    @pytest.mark.parametrize("m", [100, 257, 1280, 5000])
+    def test_sample_sizes(self, m):
+        rng = np.random.default_rng(m)
+        raws = [rng.lognormal(size=m) for _ in range(3)]
+        got, want = joint_bootstrap(raws, ["mean", "schatten_rhs", "bdg_lhs_p2"], 1000, 2**40 + m)
+        assert got == want
+
+    @pytest.mark.parametrize("names", JOINT_PAIRS, ids="-".join)
+    @pytest.mark.parametrize("m", [257, 1280])
+    def test_check_transforms(self, names, m):
+        rng = np.random.default_rng(3 * m)
+        raws = [np.abs(rng.standard_normal(m)) * 1.7 for _ in names]
+        got, want = joint_bootstrap(raws, names, 1000, 12345)
+        assert got == want
+
+    def test_resamples_not_a_multiple_of_block_rows(self):
+        m = 301
+        resamples = 2 * (BOOTSTRAP_BLOCK_ELEMENTS // m) + 7
+        rng = np.random.default_rng(8)
+        raws = [rng.standard_normal(m), rng.lognormal(size=m)]
+        got, want = joint_bootstrap(raws, ["mean", "schatten_rhs"], resamples, 99)
+        assert got == want
+
+    def test_constant_sample_mixed_in(self):
+        # the constant sample is not gathered and keeps its zero-width
+        # interval; the others still match the loop that gathers all
+        rng = np.random.default_rng(10)
+        raws = [rng.lognormal(size=400), np.full(400, 0.3), rng.lognormal(size=400)]
+        got, want = joint_bootstrap(raws, ["bdg_lhs_p2", "bdg_rhs_p2", "mean"], 500, 4)
+        assert got == want
+        assert got[1][0] == got[1][1] == got[1][2]
+
+    @pytest.mark.parametrize("m", [100, 1280, 5000])
+    def test_sample_zero_matches_the_one_sample_call(self, m):
+        # stream 0 is the one-sample call's stream: a check's lhs keeps
+        # its bytes when its rhs joins the resample
+        rng = np.random.default_rng(m + 1)
+        lhs, rhs = rng.lognormal(size=m) ** 2, rng.lognormal(size=m)
+        alone = bootstrap_ci(lhs, math.sqrt, 1000, 0.99, 77, label="lhs")
+        joint = bootstrap_ci(
+            (lhs, rhs), lambda s: (math.sqrt(s[0]), 5.0 * s[1]), 1000, 0.99, 77, label=("l", "r")
+        )
+        assert joint[0] == alone
 
 
 class TestNdtri:

@@ -14,7 +14,14 @@ from mmlab.checks import CHECK_REGISTRY, CheckRequest, evaluate_checks, recomput
 from mmlab.errors import InputDomainError
 from mmlab.integrands import path_feedback_spec, rect_constant_spec
 from mmlab.linalg import stacked_eigenvalues, symmetrize
-from mmlab.montecarlo import ExperimentConfig, derive_path_seed, derive_path_seeds, run_batch
+from mmlab.montecarlo import (
+    BOOTSTRAP_BLOCK_ELEMENTS,
+    ExperimentConfig,
+    bootstrap_ci,
+    derive_path_seed,
+    derive_path_seeds,
+    run_batch,
+)
 from mmlab.simulate import (
     CollectorPlan,
     EulerScheme,
@@ -25,7 +32,7 @@ from mmlab.simulate import (
     simulate_path,
 )
 
-from .oracles import always_solve_block, reference_increments
+from .oracles import always_solve_block, loop_bootstrap_ci, reference_increments
 from .test_simulate import family_zoo
 
 GRID = TimeGrid(1.0, 16)
@@ -423,3 +430,41 @@ def test_ceilings_bound_eigvalsh(kind, n, exponent, noise, seed):
         norm, top = ceilings_module.ceilings(x)
     assert (top >= eigs[:, -1]).all()
     assert (norm >= np.abs(eigs).max(axis=-1)).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(100, 3000),
+    constant=st.lists(st.booleans(), min_size=1, max_size=4),
+    resamples=st.integers(100, 160),
+    seed=st.integers(0, 2**63),
+)
+@example(m=BOOTSTRAP_BLOCK_ELEMENTS // 150, constant=[False, True, False], resamples=151, seed=3)
+def test_joint_bootstrap_matches_loop(m, constant, resamples, seed):
+    # k = len(constant) samples of one length on one index stream, any of
+    # them constant: each interval is the per-resample loop's, bit for
+    # bit, and sample 0's is the one-sample call's
+    rng = np.random.default_rng(seed)
+    samples = tuple(
+        np.full(m, float(j)) if flat else rng.lognormal(size=m) for j, flat in enumerate(constant)
+    )
+    scales = tuple(float(j + 1) for j in range(len(samples)))
+    cis = bootstrap_ci(
+        samples,
+        lambda means: tuple(c * s for c, s in zip(scales, means)),
+        resamples,
+        0.99,
+        seed,
+        label=tuple(f"sample {j}" for j in range(len(samples))),
+    )
+    loop = loop_bootstrap_ci(
+        samples,
+        tuple(lambda a, c=c: c * float(np.mean(a)) for c in scales),
+        resamples,
+        0.99,
+        seed,
+    )
+    assert [(ci.point, ci.lo, ci.hi) for ci in cis] == list(loop)
+    for ci, flat in zip(cis, constant):
+        assert (ci.lo == ci.hi) == flat
+    assert cis[0] == bootstrap_ci(samples[0], lambda s: scales[0] * s, resamples, 0.99, seed)
