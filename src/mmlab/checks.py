@@ -42,7 +42,7 @@ from .montecarlo import (
     run_batch,
     wilson_interval,
 )
-from .simulate import TimeGrid, default_checkpoints, exact_constant_spectral_norms
+from .simulate import default_checkpoints, exact_constant_spectral_norms
 
 # sup-norm moment bound constant, 12*sqrt(2*log 2)
 BDG_CONSTANT = 12.0 * math.sqrt(2.0 * math.log(2.0))
@@ -419,7 +419,7 @@ def khintchine_check(spec: IntegrandSpec, judge: Judge = Judge()) -> CheckResult
     For n = 1 the shape degenerates and the verdict is skipped.
     """
     CHECK_REGISTRY["khintchine"].check_spec(spec)
-    norms = exact_constant_spectral_norms(spec.matrices, 1.0, judge.sample_seed, judge.samples)
+    norms = exact_constant_spectral_norms(spec.matrices, judge.sample_seed, judge.samples)
     lhs = judge.mean(norms, label="khintchine lhs")
     sum_sq = aggregates(spec).sum_sq_base
     if not np.isfinite(sum_sq).all():
@@ -533,7 +533,7 @@ BETA = Param("beta", "finite beta", math.isfinite)
 HORIZON = Param("t", optional=True)
 
 
-def _no_collectors(req, grid: TimeGrid) -> dict:
+def _no_collectors(req) -> dict:
     return {}
 
 
@@ -548,9 +548,9 @@ class CheckKind:
     ``params`` lists, in order, the parameters a request of this kind
     takes; ``evaluate`` is called with the batch (or, when the kind does
     not need one, the integrand spec), those parameter values and a
-    :class:`Judge`, see :func:`evaluate_checks`.  ``collect(request,
-    grid)`` names the :class:`~mmlab.simulate.CollectorPlan` fields the
-    request needs: a tuple of values to record, or True for an opt-in
+    :class:`Judge`, see :func:`evaluate_checks`.  ``collect(request)``
+    names the :class:`~mmlab.simulate.CollectorPlan` fields the request
+    needs: a tuple of values to record, or True for an opt-in
     quadrature.  ``applies(spec)`` tells whether the kind can run on an
     integrand at all; ``requires`` words that rule as errors state it.
     """
@@ -585,19 +585,19 @@ class CheckKind:
             raise InputDomainError(f"{self.name} check requires {self.requires}", field=field)
 
 
-def _sigma2_level(req, grid: TimeGrid) -> dict:
+def _sigma2_level(req) -> dict:
     return {"sigma2_levels": (req.sigma2,)}
 
 
-def _schatten_orders(req, grid: TimeGrid) -> dict:
+def _schatten_orders(req) -> dict:
     return {"schatten_orders": (2.0 * req.p,), "quad_schatten_orders": (float(req.p),)}
 
 
-def _sum_norm_quad(req, grid: TimeGrid) -> dict:
+def _sum_norm_quad(req) -> dict:
     return {"sum_norm_quad": True}
 
 
-def _supermartingale(req, grid: TimeGrid) -> dict:
+def _supermartingale(req) -> dict:
     return {"supermartingale_betas": (req.beta,)}
 
 
@@ -657,9 +657,9 @@ class CheckRequest:
         """Whether the check reads a simulated batch."""
         return CHECK_REGISTRY[self.kind].needs_batch
 
-    def collectors(self, grid: TimeGrid) -> dict:
-        """The CollectorPlan fields this check needs on ``grid``."""
-        return CHECK_REGISTRY[self.kind].collect(self, grid)
+    def collectors(self) -> dict:
+        """The CollectorPlan fields this check needs."""
+        return CHECK_REGISTRY[self.kind].collect(self)
 
     def check_spec(self, spec: IntegrandSpec, field: str | None = None) -> None:
         """Raise InputDomainError, naming ``field``, unless this check applies to ``spec``."""

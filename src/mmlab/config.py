@@ -93,7 +93,8 @@ class Family:
 
 
 # every family a config can name: adding one takes its factory in
-# integrands.py and one row here
+# integrands.py and one row here, and its name in integrands.FAMILIES
+# when its specs carry a new family name (validate_spec refuses others)
 CONFIG_FAMILIES: dict[str, Family] = {
     "constant": Family(constant_spec, ("matrix",)),
     "time_poly": Family(time_poly_spec, ("matrix", "slope")),

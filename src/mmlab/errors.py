@@ -23,15 +23,7 @@ class SpecValidationError(InputDomainError):
 
 
 class NumericError(MmlabError, ArithmeticError):
-    """A numerical routine failed (non-convergence, overflow).
-
-    ``detail`` carries the diagnostic quantity: the residual of a failed
-    eigen iteration, or the offending exponent of an overflow.
-    """
-
-    def __init__(self, message: str, detail: float | None = None):
-        super().__init__(message)
-        self.detail = detail
+    """A numerical routine failed (non-convergence, overflow)."""
 
 
 class PathBlowupError(NumericError):

@@ -69,7 +69,6 @@ class EstimateCI:
     point: float
     lo: float
     hi: float
-    method: str
 
     def __post_init__(self):
         if not (self.lo <= self.point <= self.hi):
@@ -206,7 +205,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> Es
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
-    return EstimateCI(point=phat, lo=min(lo, phat), hi=max(hi, phat), method="wilson")
+    return EstimateCI(point=phat, lo=min(lo, phat), hi=max(hi, phat))
 
 
 def bootstrap_ci(
@@ -257,14 +256,14 @@ def bootstrap_ci(
     for arr, name in zip(arrs, labels):
         bad = m - int(np.count_nonzero(np.isfinite(arr)))
         if bad:
-            raise NumericError(f"{name}: {bad} of {m} values are not finite", detail=float(bad))
+            raise NumericError(f"{name}: {bad} of {m} values are not finite")
     means = [float(np.mean(arr)) for arr in arrs]
     points = [float(s) for s in evaluate(tuple(means))]
     if len(points) != len(arrs):
         raise InputDomainError(f"statistic gave {len(points)} values for {len(arrs)} samples")
     for point, name in zip(points, labels):
         if not math.isfinite(point):
-            raise NumericError(f"{name}: point estimate {point} is not finite", detail=point)
+            raise NumericError(f"{name}: point estimate {point} is not finite")
     varying = [j for j, arr in enumerate(arrs) if not np.all(arr == arr[0])]
     bounds = [(point, point) for point in points]
     if varying:
@@ -276,7 +275,7 @@ def bootstrap_ci(
                 raise NumericError(f"{labels[j]}: a bootstrap resample gave a non-finite statistic")
             bounds[j] = float(np.quantile(column, alpha)), float(np.quantile(column, 1.0 - alpha))
     intervals = tuple(
-        EstimateCI(point=point, lo=min(lo, point), hi=max(hi, point), method="bootstrap")
+        EstimateCI(point=point, lo=min(lo, point), hi=max(hi, point))
         for point, (lo, hi) in zip(points, bounds)
     )
     return intervals if joint else intervals[0]
@@ -369,7 +368,7 @@ def plan_for_config(config: ExperimentConfig) -> CollectorPlan:
     """The union of the engine collectors that the requested checks name."""
     fields: dict = {}
     for c in config.checks:
-        for name, value in c.collectors(config.grid).items():
+        for name, value in c.collectors().items():
             if isinstance(value, bool):
                 fields[name] = fields.get(name, False) or value
             else:
@@ -388,7 +387,6 @@ class BatchStats:
     spec: IntegrandSpec
     grid: TimeGrid
     plan: CollectorPlan
-    master_seed: int
     path_count: int
     excluded_count: int
     data: dict[str, np.ndarray] = field(repr=False)
@@ -415,9 +413,7 @@ def _share_task(args):
     ]
 
 
-def run_batch(
-    config: ExperimentConfig, plan: CollectorPlan | None = None, workers: int = 1
-) -> BatchStats:
+def run_batch(config: ExperimentConfig, workers: int = 1) -> BatchStats:
     """Simulate config.paths trajectories and gather per-path statistics.
 
     The path indices are cut into min(workers, blocks) contiguous,
@@ -426,12 +422,13 @@ def run_batch(
     pieces of at most ``config.block_size`` paths, so at one worker the
     pieces are the consecutive blocks of ``block_size`` paths.  Results
     are stitched back in path order, so the output is identical for
-    every worker count.  Exclusion above 0.1% of paths raises BatchError.
+    every worker count.  The collectors are those of
+    :func:`plan_for_config`.  Exclusion above 0.1% of paths raises
+    BatchError.
     """
     if workers < 1:
         raise InputDomainError(f"workers must be >= 1, got {workers}")
-    if plan is None:
-        plan = plan_for_config(config)
+    plan = plan_for_config(config)
     paths = config.paths
     seeds = derive_path_seeds(config.master_seed, 0, paths)
     count = min(workers, -(-paths // config.block_size))
@@ -468,7 +465,6 @@ def run_batch(
         spec=config.spec,
         grid=config.grid,
         plan=plan,
-        master_seed=int(config.master_seed),
         path_count=paths,
         excluded_count=excluded_count,
         data=data,

@@ -343,8 +343,8 @@ def supermartingale_series(traj: Trajectory, beta: float) -> np.ndarray:
     return np.exp(eigs).sum(axis=-1)
 
 
-def exact_constant_spectral_norms(matrices, t: float, seed, count: int) -> np.ndarray:
-    """Spectral norms of `count` independent exact samples of X_t.
+def exact_constant_spectral_norms(matrices, seed, count: int) -> np.ndarray:
+    """Spectral norms of `count` independent exact samples of X_1.
 
     Vectorized sampler for the constant family; diagonal payloads (the
     diag_basis case) reduce to a max of folded Gaussians, which keeps
@@ -355,19 +355,18 @@ def exact_constant_spectral_norms(matrices, t: float, seed, count: int) -> np.nd
     if count < 1:
         raise InputDomainError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    root_t = math.sqrt(t)
     n = mats.shape[-1]
     diagonal = all(np.array_equal(m, np.diag(np.diag(m))) for m in mats)
     with np.errstate(over="ignore", invalid="ignore"):
         if diagonal:
             diags = np.stack([np.diag(m) for m in mats])
             g = rng.standard_normal((count, mats.shape[0]))
-            return np.abs(root_t * (g @ diags)).max(axis=1)
+            return np.abs(g @ diags).max(axis=1)
         out = np.full(count, np.inf)
         chunk = max(1, 2**22 // (n * n * 8))
         for done in range(0, count, chunk):
             g = rng.standard_normal((min(chunk, count - done), mats.shape[0]))
-            x = root_t * np.einsum("si,ikl->skl", g, mats)
+            x = np.einsum("si,ikl->skl", g, mats)
             finite = np.isfinite(x).all(axis=(1, 2))
             out[done : done + len(g)][finite] = _norm(stacked_eigenvalues(x[finite]))
     return out
@@ -479,9 +478,7 @@ class _Spectra:
     integrand depends on time alone qv, s2 and h are path-free:
     :meth:`path_free` solves each once on the whole grid (qv by grid index,
     s2 and h by step) and a step is served its row.  On path_feedback, and
-    always for x, they are solved per path.  A per-path solve may be
-    limited to some paths (``rows``); the others are NaN and :meth:`solved`
-    tells them apart.
+    always for x, they are solved on every path.
 
     Where the dimension has a closed form, which costs less than any bound,
     x is solved on every path at every step, and :func:`simulate_block`
@@ -495,13 +492,10 @@ class _Spectra:
         self.certify = not has_closed_form(scheme.spec.n)
         self._grid: dict[str, np.ndarray] = {}
 
-    def start(self, paths: int) -> None:
-        self.everyone = np.ones(paths, dtype=bool)
-
     def at(self, step: EulerStep) -> None:
         """Move to ``step``.  Solve x on every path, unless solves are
         certified and this is not the last step."""
-        self.step, self._step, self._solved = step, {}, {}
+        self.step, self._step = step, {}
         self.last = step.k == self.scheme.grid.steps - 1
         if self.last or not self.certify:
             self("x")
@@ -516,34 +510,19 @@ class _Spectra:
             self._grid[name] = stacked_eigenvalues(stack)
         return self._grid.get(name)
 
-    def solved(self, name: str) -> np.ndarray:
-        """The mask of paths on which ``name``'s spectrum is solved."""
-        return self._solved[name]
-
-    def __call__(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, name: str) -> np.ndarray:
         """Eigenvalues of ``name`` at this step: (paths, n), or (n,) when
-        path-free.  ``rows``, a path mask, limits a per-path solve to those
-        paths."""
+        path-free."""
         if name not in self._step:
             step, scheme = self.step, self.scheme
             whole = self.path_free(name)
             if whole is not None:
                 self._step[name] = whole[step.k + 1 if name == "qv" else step.k]
-                self._solved[name] = self.everyone
-                return self._step[name]
-            if name == "h":
-                stack = feedback_sum(scheme.spec, step.x_left, scheme.agg)
+            elif name == "h":
+                h = feedback_sum(scheme.spec, step.x_left, scheme.agg)
+                self._step[name] = stacked_eigenvalues(h)
             else:
-                stack = getattr(step, name)
-            if rows is None or rows.all():
-                eigs = stacked_eigenvalues(stack)
-                rows = self.everyone
-            else:
-                idx = np.flatnonzero(rows)
-                eigs = np.full((len(rows), stack.shape[-1]), np.nan)
-                if len(idx):
-                    eigs[idx] = stacked_eigenvalues(stack[idx])
-            self._step[name], self._solved[name] = eigs, rows
+                self._step[name] = stacked_eigenvalues(getattr(step, name))
         return self._step[name]
 
 
@@ -703,8 +682,12 @@ class _BridgeTail(_Collector):
         floor = self.qv_floor + dt * s2[:, 0] - slack
         ceil = self.qv_ceil + dt * s2_norm + slack
         settled = (ceil[:, None] < levels) | (floor[:, None] > levels)
-        qv = spectra("qv", ~settled.all(axis=1))
-        solved = spectra.solved("qv")
+        # qv is solved, in one call, only on the paths that no level
+        # settles; the others stay NaN
+        solved = ~settled.all(axis=1)
+        qv = np.full(s2.shape, np.nan)
+        if solved.any():
+            qv[solved] = stacked_eigenvalues(spectra.step.qv[solved])
         exact = _norm(qv)
         self.qv_floor = np.where(solved, qv[:, -1], floor)
         self.qv_ceil = np.where(solved, exact, ceil)
@@ -861,7 +844,7 @@ def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
         out.append(_TerminalSchatten(plan.schatten_orders))
     if plan.quad_schatten_orders:
         orders = plan.quad_schatten_orders
-        terms = [lambda e, p=p: schatten_from_eigenvalues(e, p, axis=-1) for p in orders]
+        terms = [lambda e, p=p: schatten_from_eigenvalues(e, p) for p in orders]
         out.append(_Quadrature("quad_schatten", "s2", terms, (len(orders),), spectra))
     if plan.sum_norm_quad:
         out.append(_Quadrature("sum_norm_quad", "h", [lambda e: _norm(e) ** 2], (), spectra))
@@ -953,7 +936,6 @@ def simulate_block(
         idx = slice(start, min(start + _CHUNK, total))
         chunk_seeds = seeds[idx]
         dB = brownian_increments(grid, spec.drivers, chunk_seeds)
-        spectra.start(len(chunk_seeds))
         for c in collectors:
             c.start({name: out[name][idx] for name in c.columns}, chunk_seeds)
         window = None

@@ -320,7 +320,7 @@ def test_10_discretization_fidelity():
         checks=(CheckRequest("bdg", p=1),),
     )
     batch = run_batch(cfg)
-    exact = exact_constant_spectral_norms(spec.matrices, GRID.horizon, 2020, 10_000)
+    exact = exact_constant_spectral_norms(spec.matrices, 2020, 10_000)
     ks = ks_2samp(batch.data["terminal_spectral"], exact)
 
     tp = _family_spec("time_poly", 2)

@@ -305,7 +305,7 @@ class TestFreedman:
         res = freedman_check(batch, u=1.0, sigma2=1.0)
         assert abs(res.lhs - target) <= res.lhs_ci
         assert batch.excluded_count == 0
-        seeds = derive_path_seeds(batch.master_seed, 0, batch.path_count)
+        seeds = derive_path_seeds(85, 0, batch.path_count)
         _, prefix = grid_lambda_max(batch.spec, batch.grid, seeds, (1.0,))
         grid_hits = int((prefix[:, 0] >= 1.0).sum())
         grid = wilson_interval(grid_hits, batch.kept_count, 0.99)

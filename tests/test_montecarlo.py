@@ -30,7 +30,7 @@ from mmlab.montecarlo import (
     wilson_interval,
     STREAM_OFFSET,
 )
-from mmlab.simulate import CollectorPlan, TimeGrid
+from mmlab.simulate import TimeGrid
 
 from .oracles import loop_bootstrap_ci, reference_path, summarize
 
@@ -423,10 +423,10 @@ def test_cli_import_leaves_scipy_out():
 class TestEstimateCI:
     def test_ordering_enforced(self):
         with pytest.raises(InputDomainError):
-            EstimateCI(point=2.0, lo=0.0, hi=1.0, method="exact")
+            EstimateCI(point=2.0, lo=0.0, hi=1.0)
 
     def test_exact_helper(self):
-        ci = EstimateCI(point=1.5, lo=1.5, hi=1.5, method="exact")
+        ci = EstimateCI(point=1.5, lo=1.5, hi=1.5)
         assert ci.lo == ci.hi == ci.point == 1.5 and ci.half_width == 0.0
 
 
@@ -512,7 +512,7 @@ class TestExperimentConfig:
 class TestRunBatch:
     def test_single_path_matches_reference(self):
         cfg = small_config(paths=1, checks=())
-        batch = run_batch(cfg, plan=CollectorPlan(sigma2_levels=(1.0,)))
+        batch = run_batch(cfg)
         s = summarize(reference_path(cfg.spec, cfg.grid, derive_path_seed(cfg.master_seed, 0)))
         assert batch.path_count == 1 and batch.excluded_count == 0
         assert batch.data["sup_spectral"][0] == pytest.approx(s.sup_spectral, rel=1e-12)
@@ -525,9 +525,8 @@ class TestRunBatch:
     )
     def test_worker_count_invariance(self, paths, block_size, workers):
         cfg = small_config(paths=paths, block_size=block_size)
-        plan = plan_for_config(cfg)
-        one = run_batch(cfg, plan, workers=1)
-        many = run_batch(cfg, plan, workers=workers)
+        one = run_batch(cfg, workers=1)
+        many = run_batch(cfg, workers=workers)
         assert one.data.keys() == many.data.keys()
         for key in one.data:
             assert np.array_equal(one.data[key], many.data[key]), key

@@ -223,10 +223,9 @@ class TestExactConstantPath:
         )
 
     def test_scalar_second_moment(self):
-        # X ~ N(0, t): mean of X^2 over 1e6 draws within 1% of t
-        t = 0.7
-        samples = exact_constant_spectral_norms(np.ones((1, 1, 1)), t, seed=31, count=10**6)
-        assert np.mean(samples**2) == pytest.approx(t, rel=0.01)
+        # X_1 ~ N(0, 1): mean of X^2 over 1e6 draws within 1% of 1
+        samples = exact_constant_spectral_norms(np.ones((1, 1, 1)), seed=31, count=10**6)
+        assert np.mean(samples**2) == pytest.approx(1.0, rel=0.01)
 
     def test_entrywise_covariance_structure(self):
         # cov(vec X) = t * sum_i vec(H_i) vec(H_i)^T for constant integrands
@@ -246,8 +245,8 @@ class TestExactConstantPath:
         c, s = math.cos(0.3), math.sin(0.3)
         rot = np.array([[c, -s], [s, c]])
         dense = symmetrize(rot @ mats @ rot.T)
-        fast = exact_constant_spectral_norms(mats, 1.0, seed=8, count=500)
-        general = exact_constant_spectral_norms(dense, 1.0, seed=8, count=500)
+        fast = exact_constant_spectral_norms(mats, seed=8, count=500)
+        general = exact_constant_spectral_norms(dense, seed=8, count=500)
         single = spectral_norm(exact_constant_path(mats, 1.0, seed=8))
         assert fast[0] == pytest.approx(single, rel=1e-12)
         assert np.allclose(fast, general, rtol=1e-12)
@@ -258,7 +257,7 @@ class TestExactConstantPath:
         mats = np.array([[[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            norms = exact_constant_spectral_norms(mats, 1.0, seed=3, count=64)
+            norms = exact_constant_spectral_norms(mats, seed=3, count=64)
         g = np.random.default_rng(3).standard_normal((64, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             x = np.einsum("si,ikl->skl", g, mats)
