@@ -190,16 +190,8 @@ class Judge:
         return _result(name, lhs.point, rhs, lhs.half_width, rhs_ci, md)
 
 
-def _kept(batch: BatchStats) -> int:
-    kept = batch.kept_count
-    if kept < 1:
-        raise InputDomainError("empty batch: no surviving paths")
-    return kept
-
-
-def _moment_order(batch: BatchStats, p) -> int:
-    """The integer order p >= 1 of a moment check on a non-empty batch."""
-    _kept(batch)
+def _moment_order(p) -> int:
+    """The integer order p >= 1 of a moment check."""
     if p < 1 or int(p) != p:
         raise InputDomainError(f"p must be an integer >= 1, got {p}")
     return int(p)
@@ -287,10 +279,9 @@ def freedman_check(
     steps whose right end keeps ||qv|| <= sigma2, so the event is a
     threshold on one number per path and the Wilson interval applies.
     """
-    kept = _kept(batch)
     li = _plan_index(batch.plan.sigma2_levels, sigma2, "sigma2 level")
     hits = int((batch.data["bridge_prefix_max"][:, li] >= u).sum())
-    lhs = judge.frequency(hits, kept)
+    lhs = judge.frequency(hits, batch.kept_count)
     rhs = batch.spec.n * math.exp(-u * u / (2.0 * sigma2)) * judge.rhs_multiplier
     return judge.result("freedman", batch, lhs, rhs, u=u, sigma2=sigma2, events=hits)
 
@@ -304,7 +295,7 @@ def good_lambda_check(
     supremum of lambda_max: the 2u-tail on the sigma2-conditioned one
     (as in :func:`freedman_check`), the u-tail on the unconditioned one.
     """
-    kept = _kept(batch)
+    kept = batch.kept_count
     li = _plan_index(batch.plan.sigma2_levels, sigma2, "sigma2 level")
     hits2u = int((batch.data["bridge_prefix_max"][:, li] >= 2.0 * u).sum())
     hits_u = int((batch.data["bridge_sup"] >= u).sum())
@@ -331,7 +322,7 @@ def bdg_check(
     batch: BatchStats, p: int, t: float | None = None, judge: Judge = Judge()
 ) -> CheckResult:
     """p-th moment of the running sup vs the sqrt(p + log n) weighted qv moment."""
-    p = _moment_order(batch, p)
+    p = _moment_order(p)
     coeff = BDG_CONSTANT * math.sqrt(p + math.log(batch.spec.n)) * judge.rhs_multiplier
     lhs, rhs = judge.pair(
         "bdg",
@@ -363,7 +354,7 @@ def schatten_check(
     batch: BatchStats, p: int, t: float | None = None, judge: Judge = Judge()
 ) -> CheckResult:
     """Mean squared terminal 2p-norm vs (2p-1) times the quadrature mean."""
-    p = _moment_order(batch, p)
+    p = _moment_order(p)
     values, quad = _schatten_samples(batch, p)
     factor = (2.0 * p - 1.0) * judge.rhs_multiplier
     lhs, rhs = judge.pair("schatten", values, float, quad, lambda s: factor * s)
@@ -383,7 +374,7 @@ def schatten_rect_check(
     verdict uses the conservative factor 2^(-1/p)*(2p-1); the stricter
     2^(-1/p)*sqrt(2p-1) variant is reported in the metadata.
     """
-    p = _moment_order(batch, p)
+    p = _moment_order(p)
     CHECK_REGISTRY["schatten_rect"].check_spec(batch.spec)
     squares, quad = _schatten_samples(batch, p)
     scale = 2.0 ** (-1.0 / p)
@@ -441,7 +432,6 @@ def biane_speicher_check(
     batch: BatchStats, t: float | None = None, judge: Judge = Judge()
 ) -> CheckResult:
     """Mean terminal norm vs 2*sqrt(2) times the root-quadrature mean."""
-    _kept(batch)
     if "sum_norm_quad" not in batch.data:
         raise InputDomainError("batch was not collected with the driver-sum quadrature")
     coeff = BIANE_SPEICHER_CONSTANT * judge.rhs_multiplier
@@ -464,7 +454,6 @@ def supermartingale_check(batch: BatchStats, beta: float, judge: Judge = Judge()
     checkpoint pair; the verdict requires every pair to be nonincreasing
     within the combined interval slack.
     """
-    _kept(batch)
     bi = _plan_index(batch.plan.supermartingale_betas, beta, "beta")
     cps = default_checkpoints(batch.grid.steps)
     vals = batch.data["supermart"][:, bi, :]

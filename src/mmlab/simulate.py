@@ -13,8 +13,9 @@ for bit.  :func:`brownian_increments` draws a whole chunk of paths, with
 the SeedSequence hash run once over all of their seeds.
 
 One stepper, :meth:`EulerScheme.steps`, runs this update on a batch of
-increments (paths, steps, drivers); :func:`simulate_path` runs it on one
-path and keeps the whole :class:`Trajectory` (trajectory dumps).
+increments (paths, steps, drivers), moving x by :meth:`EulerScheme.advance`;
+:func:`simulate_path` runs it on one path and keeps the whole
+:class:`Trajectory` (trajectory dumps).
 :func:`simulate_block` runs it on each chunk of a block and, after every
 step, feeds one collector object per :class:`CollectorPlan` field from a
 cache that solves each spectrum (x, qv, sum_i H_i^2, sum_i H_i) at most
@@ -32,8 +33,9 @@ bounds ||X_k|| and lambda_max(X_k) from above by the Wolkowicz-Styan
 ceilings (from tr X and ||X - (tr X / n) I||_F alone) and keeps, per path,
 the states whose ceilings are the largest.  Solved in one call, those
 give lower bounds that the maxima actually attain somewhere on the path.
-The solve pass replays the stepper and feeds ``settle`` the states whose
-ceilings still reach such a bound, and every path at the last step.  The
+The solve pass replays x alone by :meth:`EulerScheme.advance`, on the
+paths the bound pass kept, and feeds ``settle`` the states whose ceilings
+still reach such a bound, and every path at the last step.  The
 ceilings are widened by a relative margin far above the rounding of
 ``eigvalsh``, so the outputs are bit-identical to solving every path at
 every step.  On path_feedback the bound pass brackets qv by Weyl's
@@ -254,14 +256,28 @@ class EulerScheme:
         self.grid = grid
         self.feedback = is_path_dependent(spec)
         self.agg = aggregates(spec)
+        self.times = grid.times()
         self.s2 = self.qv = None
         if not self.feedback:
             n = spec.n
             with np.errstate(over="ignore", invalid="ignore"):
-                self.s2 = deterministic_sum_squares(spec, grid.times()[:-1])
+                self.s2 = deterministic_sum_squares(spec, self.times[:-1])
                 self.qv = np.concatenate(
                     [np.zeros((1, n, n)), np.cumsum(self.s2 * grid.dt, axis=0)]
                 )
+
+    def advance(self, x, dB_k, k):
+        """x after Euler step k, from x at t_k and the increments ``dB_k``
+        (paths, drivers): the one X update, which both passes of
+        :func:`simulate_block` run."""
+        spec = self.spec
+        h_k = spec.matrices
+        if spec.family == "time_poly":
+            h_k = spec.matrices + self.times[k] * spec.slopes
+        x_next = x + np.einsum("ci,ikl->ckl", dB_k, h_k)
+        if not self.feedback:
+            return x_next
+        return x_next + spec.gamma * dB_k.sum(axis=1)[:, None, None] * x
 
     def steps(self, dB):
         """Yield one :class:`EulerStep` per grid step of the paths driven
@@ -274,7 +290,6 @@ class EulerScheme:
                 f"(..., {K}, {spec.drivers})"
             )
         c = dB.shape[0]
-        times = grid.times()
         x = np.zeros((c, n, n))
         qv = np.zeros((c, n, n)) if self.feedback else None
         excluded = np.zeros(c, dtype=bool)
@@ -286,22 +301,12 @@ class EulerScheme:
                     # sanitize before any eigen work: a blown-up state must
                     # never reach LAPACK
                     _drop(_bad_rows(s2), excluded, x, qv, s2)
-                    sum_db = dB[:, k, :].sum(axis=1)
-                    x = (
-                        x
-                        + np.einsum("ci,ikl->ckl", dB[:, k, :], spec.matrices)
-                        + spec.gamma * sum_db[:, None, None] * x
-                    )
                     qv = qv + s2 * dt
-                    _drop(_bad_rows(x, qv), excluded, x, qv)
                 else:
                     s2, qv = self.s2[k], self.qv[k + 1]
-                    if spec.family == "time_poly":
-                        h_k = spec.matrices + times[k] * spec.slopes
-                    else:
-                        h_k = spec.matrices
-                    x = x + np.einsum("ci,ikl->ckl", dB[:, k, :], h_k)
-                    _drop(_bad_rows(x), excluded, x)
+                x = self.advance(x, dB[:, k, :], k)
+                states = (x, qv) if self.feedback else (x,)
+                _drop(_bad_rows(*states), excluded, *states)
             yield EulerStep(k, x_left, x, qv, s2, excluded)
 
 
@@ -504,7 +509,7 @@ class _Spectra:
         scheme = self.scheme
         if not scheme.feedback and name != "x" and name not in self._grid:
             if name == "h":
-                stack = deterministic_sum(scheme.spec, scheme.grid.times()[:-1])
+                stack = deterministic_sum(scheme.spec, scheme.times[:-1])
             else:
                 stack = getattr(scheme, name)
             self._grid[name] = stacked_eigenvalues(stack)
@@ -851,19 +856,21 @@ def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
     return out
 
 
-def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal) -> None:
+def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal, dropped) -> None:
     """The certified route's second pass over a chunk.
 
     The first, the bound pass, ran every collector as usual but solved x
     only at the last step; the collectors that take maxima over x kept
     states and recorded ceilings instead (see :class:`_Collector`).  Here
-    the kept states are solved in one call, for the lower bounds.  Then the
-    stepper replays the chunk, so the states are the bound pass's bit for
-    bit, and each maximum's ``settle`` takes x after each step, solved in
-    one call per step on the paths some collector needs.  At the last step
-    it takes ``terminal``, the spectrum of X_T that the bound pass solved
-    on every path.  Each kept state is solved once: the replay takes its
-    spectrum from the first call.
+    the kept states are solved in one call, for the lower bounds.  Then x
+    alone is replayed by :meth:`EulerScheme.advance`, and each maximum's
+    ``settle`` takes x after each step, solved in one call per step on the
+    paths some collector needs and the bound pass kept: no drop touched a
+    kept path's state, so its replayed states are the bound pass's bit for
+    bit, and a ``dropped`` path's may have left float64 range.  At the last
+    step ``settle`` takes ``terminal``, the spectrum of X_T that the bound
+    pass solved on every path.  Each kept state is solved once: the replay
+    takes its spectrum from the first call.
     """
     n, steps = scheme.spec.n, scheme.grid.steps
     bests = [b for c in maxima for b in c.bests]
@@ -889,19 +896,20 @@ def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal) -> 
     grid_index, path = np.divmod(unique, paths)
     inner = (grid_index > 0) & (grid_index < steps)
     need[grid_index[inner] - 1, path[inner]] = False
+    need[:, dropped] = False
     edges = np.searchsorted(grid_index, np.arange(steps + 1))
-    for step in scheme.steps(dB):
-        k = step.k
-        if k == steps - 1:
-            idx, solved = slice(None), terminal
-        else:
-            idx = need[k].nonzero()[0]
-            solved = stacked_eigenvalues(step.x[idx]) if len(idx) else eigs[:0]
-            known = slice(edges[k + 1], edges[k + 2])
-            idx = np.concatenate([idx, path[known]])
-            solved = np.concatenate([solved, eigs[known]])
+    x = np.zeros((paths, n, n))
+    for k in range(steps - 1):
+        x = scheme.advance(x, dB[:, k, :], k)
+        idx = need[k].nonzero()[0]
+        solved = stacked_eigenvalues(x[idx]) if len(idx) else eigs[:0]
+        known = slice(edges[k + 1], edges[k + 2])
+        idx = np.concatenate([idx, path[known]])
+        solved = np.concatenate([solved, eigs[known]])
         for c in maxima:
             c.settle(k, idx, solved)
+    for c in maxima:
+        c.settle(steps - 1, slice(None), terminal)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -956,7 +964,7 @@ def simulate_block(
         dropped = step.excluded
         if window is not None:
             window = None  # free it: the solve pass keeps no states
-            _solve_pass(scheme, maxima, dB, spectra("x"))
+            _solve_pass(scheme, maxima, dB, spectra("x"), dropped)
         # the one exclusion rule: a state that left float64 range, or a
         # non-finite statistic (np.maximum carries a nan or inf peak to
         # the end), must not reach an event count or an interval

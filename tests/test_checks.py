@@ -651,3 +651,25 @@ def test_every_kind_takes_the_config_settings(kind):
     assert base.lhs > 0.0 and base.lhs_ci > 0.0 and base.holds
     assert not judged(rhs_multiplier=0.0).holds
     assert judged(confidence=0.8).lhs_ci < base.lhs_ci
+
+
+@pytest.mark.parametrize("kind", [k for k, v in CHECK_REGISTRY.items() if v.needs_batch])
+def test_all_excluded_batch_is_refused(kind):
+    # a batch whose every path was excluded has no sample: the interval
+    # layer refuses it, the Wilson interval for 0 trials and the bootstrap
+    # for fewer than 100 samples
+    config = ExperimentConfig(
+        spec=rect_constant_spec([np.array([[1.0, 0.0]])]),
+        grid=TimeGrid(1.0, 8),
+        paths=100,
+        master_seed=5,
+        checks=(SETTINGS_CHECKS[kind],),
+    )
+    batch = run_batch(config)
+    empty = dataclasses.replace(
+        batch,
+        excluded_count=batch.path_count,
+        data={name: values[:0] for name, values in batch.data.items()},
+    )
+    with pytest.raises(InputDomainError, match="trials must be >= 1, got 0|>= 100 samples, got 0"):
+        evaluate_checks(config, empty)

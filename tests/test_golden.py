@@ -47,6 +47,14 @@ one resample of its paths.  Only two kinds of field moved: each
 varies over paths.  Every ``lhs`` and ``lhs_ci`` of a paired check kept
 its bytes.
 
+``golden/timepoly3_kinds.cfg`` runs a 3x3 ``time_poly`` integrand, H_i(t) =
+A_i + t * B_i with two drivers, under the freedman, good_lambda, bdg,
+schatten, biane_speicher and supermartingale checks: the only golden in
+which the Euler update adds the slope term.  Its path-free ||<X>_t||
+first exceeds the freedman level 0.5 at grid index 16 and the good_lambda
+level 1.0 at grid index 27.  Its reports were written by ``mmlab verify`` while the solve
+pass still replayed the whole stepper, before the replay advanced x alone.
+
 ``golden/trajectory_{0,1,2}.csv`` were written by ``mmlab simulate`` on
 ``configs/simulate_dump.cfg`` (a 2x2 ``path_feedback`` integrand, 256
 steps) when the dump moved onto the block engine's stepper; an edit to
@@ -78,6 +86,8 @@ CONFIGS = Path(__file__).parent.parent / "configs"
         pytest.param("feedback3_kinds.cfg", "feedback3_kinds_report", "2", id="feedback3_kinds-2"),
         pytest.param("diag3_kinds.cfg", "diag3_kinds_report", "1", id="diag3_kinds-1"),
         pytest.param("diag3_kinds.cfg", "diag3_kinds_report", "2", id="diag3_kinds-2"),
+        pytest.param("timepoly3_kinds.cfg", "timepoly3_kinds_report", "1", id="timepoly3_kinds-1"),
+        pytest.param("timepoly3_kinds.cfg", "timepoly3_kinds_report", "2", id="timepoly3_kinds-2"),
     ],
 )
 def test_reports_match_golden_bytes(tmp_path, config, stem, workers):

@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -241,11 +243,14 @@ def payload_spec(spec, payload):
 
 
 @contextlib.contextmanager
-def engine_spies(passes):
-    """Fail on a non-finite matrix handed to LAPACK, and append to
-    ``passes`` one list per run of the stepper: each step's state and
-    exclusion mask as the collectors first see them."""
-    solve, steps = simulate_module.stacked_eigenvalues, EulerScheme.steps
+def engine_spies(passes, advances):
+    """Fail on a non-finite matrix handed to LAPACK; append to ``passes``
+    one list per run of the stepper, of each step's state and exclusion
+    mask as the collectors first see them; and append to ``advances``
+    each state that :meth:`EulerScheme.advance` returns, with whether the
+    stepper asked for it."""
+    solve = simulate_module.stacked_eigenvalues
+    steps, advance = EulerScheme.steps, EulerScheme.advance
 
     def finite_solve(a):
         assert np.isfinite(a).all(), "a non-finite matrix reached LAPACK"
@@ -258,13 +263,25 @@ def engine_spies(passes):
             seen.append((step.x.copy(), step.excluded.copy()))
             yield step
 
+    def recording_advance(self, x, dB_k, k):
+        x_next = advance(self, x, dB_k, k)
+        advances.append((x_next.copy(), sys._getframe(1).f_code is steps.__code__))
+        return x_next
+
     simulate_module.stacked_eigenvalues = finite_solve
-    EulerScheme.steps = recording_steps
+    EulerScheme.steps, EulerScheme.advance = recording_steps, recording_advance
     try:
         yield
     finally:
         simulate_module.stacked_eigenvalues = solve
-        EulerScheme.steps = steps
+        EulerScheme.steps, EulerScheme.advance = steps, advance
+
+
+def replays(advances):
+    """The states of each replay, in order: the runs of ``advances`` (see
+    :func:`engine_spies`) that no stepper asked for."""
+    runs = itertools.groupby(advances, key=lambda a: a[1])
+    return [[x for x, _ in run] for by_steps, run in runs if not by_steps]
 
 
 def qv_norms(spec, grid, seeds):
@@ -319,8 +336,8 @@ def test_certified_block_matches_always_solve(
     # skipping the solves that the ceilings and lower bounds certify leaves
     # every statistic of every kept path bit-identical, whatever the split
     # into blocks and vectorized chunks.  LAPACK never sees a non-finite
-    # matrix, and the solve pass replays the bound pass's states bit for
-    # bit and drops no path the bound pass kept.
+    # matrix, and the solve pass's replay of x gives the bound pass's
+    # states bit for bit on every path the bound pass kept.
     spec = payload_spec(next(s for s in family_zoo(n, payload_seed) if s.family == family), payload)
     grid = TimeGrid(1.0, 32)
     norms = qv_norms(spec, grid, seeds)
@@ -334,23 +351,24 @@ def test_certified_block_matches_always_solve(
         sum_norm_quad=True,
     )
     seeds = np.array(seeds, dtype=np.uint64)
-    passes = []
+    passes, advances = [], []
     bounds = sorted({0, len(seeds), *(c % (len(seeds) + 1) for c in cuts)})
     saved = simulate_module._CHUNK
     simulate_module._CHUNK = chunk
     try:
-        with engine_spies(passes):
+        with engine_spies(passes, advances):
             oracle = always_solve_block(spec, grid, seeds, plan)
-            del passes[:]
+            del passes[:], advances[:]
             parts = [simulate_block(spec, grid, seeds[a:b], plan) for a, b in zip(bounds, bounds[1:])]
     finally:
         simulate_module._CHUNK = saved
-    assert len(passes) % 2 == 0
-    for bound_pass, replay in zip(passes[::2], passes[1::2]):
-        assert len(bound_pass) == len(replay) == grid.steps
-        for (x, dropped), (x_again, dropped_again) in zip(bound_pass, replay):
-            assert np.array_equal(x, x_again)
-            assert not (dropped_again & ~dropped).any()
+    replayed = replays(advances)
+    assert len(replayed) == len(passes)
+    for bound_pass, replay in zip(passes, replayed):
+        assert len(bound_pass) == grid.steps and len(replay) == grid.steps - 1
+        kept = ~bound_pass[-1][1]
+        for (x, _), x_again in zip(bound_pass, replay):
+            assert np.array_equal(x[kept], x_again[kept])
     got = {key: np.concatenate([p[key] for p in parts]) for key in oracle}
     kept = ~oracle["excluded"]
     assert np.array_equal(got["excluded"], oracle["excluded"])
@@ -360,10 +378,10 @@ def test_certified_block_matches_always_solve(
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stepper_passes_per_chunk(monkeypatch, n):
-    # where x has a closed form each chunk takes one pass of the stepper,
-    # and every maximum's settle sees every path after every step; for
-    # n >= 3 each chunk takes a bound pass and a solve pass, and settle
-    # sees every path at the last step only
+    # each chunk takes one pass of the stepper.  Where x has a closed form
+    # every maximum's settle sees every path after every step; for n >= 3
+    # the solve pass then replays x alone, one advance per step but the
+    # last, and settle sees every path at the last step only
     grid = TimeGrid(1.0, 20)
     plan = CollectorPlan(sigma2_levels=(0.5, 2.0))
     chunks, maxima = 3, (simulate_module._Norms, simulate_module._BridgeTail)
@@ -380,11 +398,14 @@ def test_stepper_passes_per_chunk(monkeypatch, n):
     for cls in maxima:
         monkeypatch.setattr(cls, "settle", spy(cls, cls.settle))
     for spec in family_zoo(n):
-        passes, seen[:] = [], []
-        with engine_spies(passes):
+        passes, advances, seen[:] = [], [], []
+        with engine_spies(passes, advances):
             simulate_block(spec, grid, np.arange(10, dtype=np.uint64), plan)
         one_pass = simulate_module.has_closed_form(n)
-        assert len(passes) == chunks * (1 if one_pass else 2), spec.family
+        assert len(passes) == chunks, spec.family
+        replay_steps = [] if one_pass else [grid.steps - 1] * chunks
+        assert [len(r) for r in replays(advances)] == replay_steps
+        assert sum(by_steps for _, by_steps in advances) == chunks * grid.steps
         for cls in maxima:
             calls = [c for c in seen if c[0] is cls]
             assert [k for _, k, _, _ in calls] == list(range(grid.steps)) * chunks
@@ -394,6 +415,52 @@ def test_stepper_passes_per_chunk(monkeypatch, n):
                 if every:
                     # chunks of 4, 4 and 2 paths
                     assert idx == slice(None) and rows in (4, 2)
+
+
+@pytest.mark.parametrize("payload", ["drawn", "overflow"])
+def test_replay_redoes_no_bound_pass_work(monkeypatch, payload):
+    # on an n = 3 path_feedback block (the feedback3_kinds payload) the
+    # stepper runs once per chunk and sum_i H_i^2 once per step of it: the
+    # replay advances x alone.  Exclusion is the bound pass's: on a payload
+    # that leaves float64 range on most paths, every matrix the replay
+    # hands LAPACK is the state of a path the bound pass kept
+    a = np.array(
+        [
+            [[0.8, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 0.4]],
+            [[0.3, 0.0, 0.1], [0.0, -0.2, 0.0], [0.1, 0.0, -0.3]],
+        ]
+    )
+    spec = payload_spec(path_feedback_spec(a, gamma=0.3), payload)
+    grid, chunks = TimeGrid(1.0, 32), 3
+    plan = CollectorPlan(sigma2_levels=(0.5,), sum_norm_quad=True)
+    monkeypatch.setattr(simulate_module, "_CHUNK", 4)
+    sum_squares, solve = simulate_module.feedback_sum_squares, simulate_module.stacked_eigenvalues
+    passes, advances, calls, replay_solves = [], [], [0], []
+
+    def counted(*args):
+        calls[0] += 1
+        return sum_squares(*args)
+
+    def recording(a):
+        if advances and not advances[-1][1]:
+            # a replay solve: rows of the state the replay advanced last,
+            # in the chunk whose bound pass ran last
+            replay_solves.append((len(passes) - 1, advances[-1][0], a.copy()))
+        return solve(a)
+
+    monkeypatch.setattr(simulate_module, "feedback_sum_squares", counted)
+    monkeypatch.setattr(simulate_module, "stacked_eigenvalues", recording)
+    with engine_spies(passes, advances):
+        simulate_block(spec, grid, np.arange(10, dtype=np.uint64), plan)
+    assert len(passes) == chunks
+    assert calls[0] == chunks * grid.steps
+    dropped = [p[-1][1] for p in passes]
+    assert np.concatenate(dropped).any() == (payload == "overflow")
+    assert replay_solves
+    for chunk, x, matrices in replay_solves:
+        for m in matrices:
+            rows = np.flatnonzero((x == m).all(axis=(1, 2)))
+            assert len(rows) and not dropped[chunk][rows].any()
 
 
 @settings(max_examples=200, deadline=None)
