@@ -6,8 +6,11 @@ maximum over the states X_k of a path in two passes.  The bound pass reads
 the states a few steps at a time (:class:`Window`), bounds each from above
 (:func:`ceilings`), records the bounds (:func:`record`) and keeps, per
 path, copies of the states whose bounds are the largest (:class:`Best`).
-Solved, those give lower bounds on the maxima.  The solve pass solves a
-state only where a recorded bound still :func:`reaches` one.
+Solved, those give lower bounds on the maxima.  The solve pass flags a
+state where a recorded bound still :func:`reaches` one, bounds the flagged
+states again by :func:`sharper_ceilings`, and solves those whose sharper
+bounds still reach.  The sharper bound costs about ten times the first,
+and a third of a small eigvalsh, so it runs on the flagged states only.
 """
 
 from __future__ import annotations
@@ -24,8 +27,28 @@ MARGIN = 1e-8
 # squares summed below n^2 times this have lost digits to underflow: the
 # smallest normal float over the unit roundoff
 SQUARES_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-# most bytes of states a Window keeps; speed and memory only
+# bytes of states above which a Window halves its length, down to one
+# step (two states per path): speed and memory only
 WINDOW_BYTES = 1 << 18
+# the ||x - m I||_F^2 for which the eighth powers in sharper_ceilings stay
+# normal floats
+EIGHTH_RANGE = (1e-60, 1e60)
+# most bytes of states sharper_ceilings bounds at once; its temporaries
+# take a few times that.  Memory only
+SHARP_BYTES = 1 << 16
+# largest n at which sharper_ceilings' rounding, about n^3.5 eps relative
+# to ||x - m I||_F, stays well below MARGIN
+EIGHTH_MAX_N = 64
+
+
+def _deviation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a stack of symmetric ``x`` (c, n, n): m = tr x / n, x - m I
+    flattened to (c, n * n), and ||x - m I||_F^2."""
+    c, n = x.shape[:2]
+    mean = np.einsum("cii->c", x) / n
+    dev = x.reshape(c, n * n).copy()
+    dev[:, :: n + 1] -= mean[:, None]
+    return mean, dev, np.einsum("ci,ci->c", dev, dev)
 
 
 def ceilings(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -40,22 +63,84 @@ def ceilings(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ceilings are widened by the margin times |m| + ||x - m I||_F, which
     bounds ||x|| and so the rounding of eigvalsh and of this arithmetic.
     """
-    c, n = x.shape[:2]
-    mean = np.einsum("cii->c", x) / n
-    dev = x.reshape(c, n * n).copy()
-    dev[:, :: n + 1] -= mean[:, None]
-    squares = np.einsum("ci,ci->c", dev, dev)
+    return _styan(x.shape[1], *_deviation(x))
+
+
+def _styan(n, mean, dev, squares):
+    """The ceilings of :func:`ceilings`, from what :func:`_deviation`
+    returns."""
     # squares below the smallest normal float lose digits: unless x is
     # exactly m I, so small a sum certifies nothing
     unsure = squares < n * n * SQUARES_FLOOR
     if unsure.any():
         unsure = np.flatnonzero(unsure)
+        squares = squares.copy()
         squares[unsure[dev[unsure].any(axis=1)]] = np.inf
     radius = np.sqrt(squares)
     size = np.abs(mean)
     spread = radius * (math.sqrt((n - 1) / n) + MARGIN) + MARGIN * size
     size += spread
     return size, mean + spread
+
+
+def sharper_ceilings(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ceilings on ||x|| and lambda_max(x), as eigvalsh returns them, for
+    each matrix of a stack of symmetric ``x``: those of :func:`ceilings`,
+    lowered by an eighth-power bound.
+
+    With m, D = x - m I and R = sqrt((n-1)/n) ||D||_F as there, let
+    P = D + R I and Q = R I - D.  No eigenvalue of a symmetric A exceeds
+    (tr A^8)^(1/8) = ||A^4||_F^(1/4) in magnitude, so lambda_max(x) <=
+    m - R + ||P^4||_F^(1/4) and -lambda_min(x) <= -m - R + ||Q^4||_F^(1/4),
+    and ||x|| is at most the larger.  The shift makes the top eigenvalue of
+    D the largest of P in magnitude (the bottom one of Q), so the bound is
+    close where the rest of the spectrum lies well below it.  Both are
+    widened as in :func:`ceilings`.  The products' rounding is at most
+    about n^3.5 eps ||D||_F: entries of P^4 are rounded against those of
+    |P|^4, ||P||_F^2 = n ||D||_F^2 and ||P^4||_F >= R^4.  Where ||D||_F^2
+    lies outside EIGHTH_RANGE, or n exceeds EIGHTH_MAX_N, the ceilings are
+    those of :func:`ceilings` alone.
+    """
+    norm, top = np.empty(len(x)), np.empty(len(x))
+    block = max(1, SHARP_BYTES // (8 * x.shape[1] ** 2))
+    for at in range(0, len(x), block):
+        part = slice(at, at + block)
+        norm[part], top[part] = _sharper(x[part])
+    return norm, top
+
+
+def _sharper(x):
+    """:func:`sharper_ceilings` of one block."""
+    n = x.shape[1]
+    mean, dev, squares = _deviation(x)
+    norm, top = _styan(n, mean, dev, squares)
+    low, high = EIGHTH_RANGE
+    sure = (squares >= low) & (squares <= high)
+    if n > EIGHTH_MAX_N or not sure.any():
+        return norm, top
+    rows = slice(None) if sure.all() else np.flatnonzero(sure)
+    mean, squares, dev = mean[rows], squares[rows], dev[rows]
+    radius = np.sqrt((n - 1) / n * squares)
+    widen = MARGIN * (np.abs(mean) + np.sqrt(squares)) - radius
+    # P, then Q, in the one buffer of D
+    diag = dev[:, :: n + 1]
+    d = diag.copy()
+    diag += radius[:, None]
+    hi = _root8(dev.reshape(-1, n, n)) + widen + mean
+    np.negative(dev, out=dev)
+    np.subtract(radius[:, None], d, out=diag)
+    lo = _root8(dev.reshape(-1, n, n)) + widen - mean
+    top[rows] = np.minimum(top[rows], hi)
+    norm[rows] = np.minimum(norm[rows], np.maximum(hi, lo))
+    return norm, top
+
+
+def _root8(a: np.ndarray) -> np.ndarray:
+    """(tr A^8)^(1/8) = ||A^4||_F^(1/4) for each of a stack of symmetric
+    ``a``."""
+    a = a @ a
+    a = a @ a
+    return np.sqrt(np.sqrt(np.sqrt(np.einsum("cij,cij->c", a, a))))
 
 
 def record(row: np.ndarray, ceiling: np.ndarray) -> None:

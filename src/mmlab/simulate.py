@@ -34,12 +34,16 @@ ceilings (from tr X and ||X - (tr X / n) I||_F alone) and keeps, per path,
 the states whose ceilings are the largest.  Solved in one call, those
 give lower bounds that the maxima actually attain somewhere on the path.
 The solve pass replays x alone by :meth:`EulerScheme.advance`, on the
-paths the bound pass kept, and feeds ``settle`` the states whose ceilings
-still reach such a bound, and every path at the last step.  The
-ceilings are widened by a relative margin far above the rounding of
-``eigvalsh``, so the outputs are bit-identical to solving every path at
-every step.  On path_feedback the bound pass brackets qv by Weyl's
-inequality and solves it only where a sigma^2 level falls inside.
+paths the bound pass kept, and flags the states whose ceilings still
+reach such a bound.  A batch of steps at a time it bounds the flagged
+states again, by the sharper eighth-power ceilings of
+:func:`~mmlab.ceilings.sharper_ceilings`, solves those that still reach
+in one call, and feeds them to ``settle``, and every path at the last
+step.  The ceilings are widened by a relative margin far above the
+rounding of ``eigvalsh``, so the outputs are bit-identical to solving
+every path at every step.  On path_feedback the bound pass brackets qv
+by Weyl's inequality and solves it only where a sigma^2 level falls
+inside.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ceilings import MARGIN, Best, Window, record, reaches
+from .ceilings import MARGIN, Best, Window, record, reaches, sharper_ceilings
 from .errors import InputDomainError, PathBlowupError
 from .integrands import (
     IntegrandSpec,
@@ -551,8 +555,12 @@ class _Collector:
     window's ceilings to the trackers and records them.  After the bound
     pass ``lower`` turns the exact spectra of the kept states into lower
     bounds on the maxima and sets ``need``, per step and path, whether x
-    after the step may still move a maximum; the solve pass then calls
-    ``settle`` where it may, and on every path at the last step.
+    after the step may still move a maximum.  In the solve pass
+    ``recertify(k0, norm, top)`` re-decides ``need`` for the batch of
+    steps from k0 from sharper ceilings on x after each step (rows 1 on
+    of ``norm`` and ``top``, row 0 x before step k0); ``settle`` is then
+    called where x may still move a maximum, and on every path at the
+    last step.
     """
 
     bests: tuple[Best, ...] = ()
@@ -573,8 +581,8 @@ class _Norms(_Collector):
 
     Certified, the bound pass keeps each path's state with the largest norm
     ceiling.  Its exact norm, or ||X_T|| if larger, bounds sup_k ||X_k||
-    from below, and the solve pass solves a state only where its ceiling
-    reaches that bound.
+    from below, the ``floor``, and the solve pass solves a state only where
+    its ceiling, and then its sharper ceiling, reach that bound.
     """
 
     columns = {"sup_spectral": (), "terminal_spectral": (), "terminal_qv_norm": ()}
@@ -600,9 +608,12 @@ class _Norms(_Collector):
         self.rows["terminal_qv_norm"][...] = _norm(spectra("qv"))
 
     def lower(self):
-        floor = np.maximum(self.rows["terminal_spectral"], _norm(self.best.eigs[0]))
-        self.need = reaches(self.ceilings, floor)
+        self.floor = np.maximum(self.rows["terminal_spectral"], _norm(self.best.eigs[0]))
+        self.need = reaches(self.ceilings, self.floor)
         self.ceilings = None
+
+    def recertify(self, k0, norm, top):
+        return self.need[k0 : k0 + len(norm) - 1] & reaches(norm[1:], self.floor)
 
     def settle(self, k, idx, eigs):
         sup = self.rows["sup_spectral"]
@@ -627,7 +638,11 @@ class _BridgeTail(_Collector):
     until a step it does not admit); their exact peaks bound the maxima
     from below.  A step is a candidate where its peak ceiling reaches the
     overall bound or that of a level admitting it, and x is needed after
-    a step where it or the next step is one.
+    a step where it or the next step is one.  The solve pass keeps a
+    candidate only where the peak ceiling from the sharper ceilings of its
+    endpoints also reaches.  A batch of steps re-decides its own steps only,
+    so x after its last step stays needed where the next batch's first step
+    is a candidate of the bound pass.
 
     On path_feedback ``update`` records each step's variance and admitted
     levels per path for ``settle`` and ``bound``; the one-pass route keeps
@@ -668,6 +683,8 @@ class _BridgeTail(_Collector):
         self.lam = np.full((_BRIDGE_STEPS + 1, paths), np.nan)
         self.lam[0] = 0.0
         self.cand = None
+        # the Exp(1) draws of one batch of steps, from grid index exps_from
+        self.exps_from = None
         if spectra.certify:
             n = spectra.scheme.spec.n
             self.best = Best(paths, n, 2)
@@ -704,18 +721,38 @@ class _BridgeTail(_Collector):
             self.var[k] = 2.0 * self.grid.dt * _norm(s2)
             self.admits[k] = self._inside(spectra, s2)
 
+    def _exps(self, k0):
+        """The Exp(1) draws of the batch of steps from ``k0``, (steps,
+        paths), drawn once per batch and pass."""
+        if self.exps_from != k0:
+            stop = min(k0 + _BRIDGE_STEPS, self.grid.steps)
+            self.exps = bridge_exponentials(self.seeds, range(k0, stop))
+            self.exps_from = k0
+        return self.exps
+
+    def _ceiling(self, ks, norm, top):
+        """Ceilings on the peaks of the steps ``ks`` from ceilings on
+        their endpoints (count + 1, paths), and their ``ve``."""
+        first = ks.start % _BRIDGE_STEPS
+        ve = self.var[ks] * self._exps(ks.start - first)[first : first + len(top) - 1]
+        # the margin scales with every magnitude in the peak's arithmetic,
+        # so it covers the rounding
+        ceiling = _peak(top[:-1], top[1:], ve) + MARGIN * (norm[:-1] + norm[1:] + np.sqrt(ve))
+        return ceiling, ve
+
+    def _floor(self, ks):
+        """Per step of ``ks`` and path, the lower bound its peak must
+        reach: the overall one, or the least of those of the levels that
+        admit the step."""
+        overall, *levels = self.floors
+        floor = overall
+        for j, level in enumerate(levels):
+            floor = np.where(self.admits[ks, :, j], np.minimum(floor, level), floor)
+        return floor
+
     def bound(self, window):
         ks = slice(window.k0, window.k0 + window.count)
-        first = window.k0 % _BRIDGE_STEPS
-        if first == 0:
-            # the bound pass's own draws, once per batch of steps
-            stop = min(window.k0 + _BRIDGE_STEPS, self.grid.steps)
-            self.exps = bridge_exponentials(self.seeds, range(window.k0, stop))
-        ve = self.var[ks] * self.exps[first : first + window.count]
-        # ceilings on the steps' peaks; the margin scales with every
-        # magnitude in the peak's arithmetic, so it covers the rounding
-        norm, top = window.norm, window.top
-        ceiling = _peak(top[:-1], top[1:], ve) + MARGIN * (norm[:-1] + norm[1:] + np.sqrt(ve))
+        ceiling, ve = self._ceiling(ks, window.norm, window.top)
         for j, admitted in enumerate(np.moveaxis(self.admits[ks], -1, 0)):
             if self.level_bests[j] is self.best:
                 if admitted.all():
@@ -734,17 +771,27 @@ class _BridgeTail(_Collector):
 
         overall = exact(self.best)
         levels = [overall if b is self.best else exact(b) for b in self.level_bests]
+        self.floors = [overall, *levels]
         steps, paths = self.ceilings.shape
         self.cand = np.empty((steps, paths), dtype=bool)
         for k0 in range(0, steps, _BRIDGE_STEPS):
             ks = slice(k0, k0 + _BRIDGE_STEPS)
-            floor = overall
-            for j, level in enumerate(levels):
-                floor = np.where(self.admits[ks, :, j], np.minimum(floor, level), floor)
-            self.cand[ks] = reaches(self.ceilings[ks], floor)
+            self.cand[ks] = reaches(self.ceilings[ks], self._floor(ks))
         self.need = self.cand.copy()
         self.need[:-1] |= self.cand[1:]
         self.ceilings = None
+
+    def recertify(self, k0, norm, top):
+        ks = slice(k0, k0 + len(top) - 1)
+        cand = self.cand[ks] & reaches(self._ceiling(ks, norm, top)[0], self._floor(ks))
+        self.cand[ks] = cand
+        need = cand.copy()
+        need[:-1] |= cand[1:]
+        # x after the batch's last step is also a left end of the next
+        # step, which keeps the bound pass's verdict
+        if ks.stop < len(self.cand):
+            need[-1] |= self.cand[ks.stop]
+        return need
 
     def settle(self, k, idx, eigs):
         j = k % _BRIDGE_STEPS
@@ -755,7 +802,7 @@ class _BridgeTail(_Collector):
         first = (k - j) % len(self.var)
         ks = slice(first, first + j + 1)
         lam = self.lam[: j + 2]
-        ve = self.var[ks] * bridge_exponentials(self.seeds, range(k - j, k + 1))
+        ve = self.var[ks] * self._exps(k - j)[: j + 1]
         peak = _peak(lam[:-1], lam[1:], ve)
         if self.cand is not None:
             peak = np.where(self.cand[ks], peak, -np.inf)
@@ -862,15 +909,20 @@ def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal, dro
     The first, the bound pass, ran every collector as usual but solved x
     only at the last step; the collectors that take maxima over x kept
     states and recorded ceilings instead (see :class:`_Collector`).  Here
-    the kept states are solved in one call, for the lower bounds.  Then x
-    alone is replayed by :meth:`EulerScheme.advance`, and each maximum's
-    ``settle`` takes x after each step, solved in one call per step on the
-    paths some collector needs and the bound pass kept: no drop touched a
-    kept path's state, so its replayed states are the bound pass's bit for
-    bit, and a ``dropped`` path's may have left float64 range.  At the last
-    step ``settle`` takes ``terminal``, the spectrum of X_T that the bound
-    pass solved on every path.  Each kept state is solved once: the replay
-    takes its spectrum from the first call.
+    the kept states are solved in one call, for the lower bounds, and each
+    collector's ``lower`` flags the states whose ceilings reach them.  Then
+    x alone is replayed by :meth:`EulerScheme.advance`, one batch of
+    _BRIDGE_STEPS steps at a time.  The flagged states of a batch, on the
+    paths the bound pass kept, are re-certified by
+    :func:`~mmlab.ceilings.sharper_ceilings`: each collector's
+    ``recertify`` says which of them may still move its maxima, and the
+    survivors are solved in one call.  ``settle`` then takes x after each
+    step of the batch, in order.  No drop touched a kept path's state, so
+    its replayed states are the bound pass's bit for bit, and a
+    ``dropped`` path's may have left float64 range.  At the last step
+    ``settle`` takes ``terminal``, the spectrum of X_T that the bound pass
+    solved on every path.  Each kept state is solved once: the replay takes
+    its spectrum from the first call.
     """
     n, steps = scheme.spec.n, scheme.grid.steps
     bests = [b for c in maxima for b in c.bests]
@@ -884,30 +936,52 @@ def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal, dro
     eigs = np.zeros((len(unique), n))
     solve = unique >= paths
     eigs[solve] = stacked_eigenvalues(states[first[solve]])
+    del states
     kept = eigs[inverse.reshape(-1)].reshape(-1, paths, n)
     at = 0
     for b in bests:
         b.eigs, at = kept[at : at + len(b.states)], at + len(b.states)
     for c in maxima:
         c.lower()
-    need = maxima[0].need
-    for c in maxima[1:]:
-        need |= c.need
+    # the states some collector flagged, other than the kept ones and
+    # those of dropped paths
+    need = np.logical_or.reduce([c.need for c in maxima])
     grid_index, path = np.divmod(unique, paths)
     inner = (grid_index > 0) & (grid_index < steps)
     need[grid_index[inner] - 1, path[inner]] = False
     need[:, dropped] = False
     edges = np.searchsorted(grid_index, np.arange(steps + 1))
     x = np.zeros((paths, n, n))
-    for k in range(steps - 1):
-        x = scheme.advance(x, dB[:, k, :], k)
-        idx = need[k].nonzero()[0]
-        solved = stacked_eigenvalues(x[idx]) if len(idx) else eigs[:0]
-        known = slice(edges[k + 1], edges[k + 2])
-        idx = np.concatenate([idx, path[known]])
-        solved = np.concatenate([solved, eigs[known]])
-        for c in maxima:
-            c.settle(k, idx, solved)
+    # ceilings on the states of one batch, row j holding X_{k0 + j}: inf
+    # where a state is neither flagged nor kept, the spectrum where kept;
+    # row 0 is the last batch's last row, X_0 = 0 for the first
+    norm = top = np.zeros((1, paths))
+    for k0 in range(0, steps - 1, _BRIDGE_STEPS):
+        ks = range(k0, min(k0 + _BRIDGE_STEPS, steps - 1))
+        # the batch's flagged states: x after step k0 + row on path col
+        row, col = need[k0 : ks.stop].nonzero()
+        starts = np.searchsorted(row, np.arange(len(ks) + 1))
+        flagged = np.empty((len(row), n, n))
+        for j, k in enumerate(ks):
+            x = scheme.advance(x, dB[:, k, :], k)
+            at = slice(starts[j], starts[j + 1])
+            flagged[at] = x[col[at]]
+        norm = np.concatenate([norm[-1:], np.full((len(ks), paths), np.inf)])
+        top = np.concatenate([top[-1:], np.full((len(ks), paths), np.inf)])
+        norm[row + 1, col], top[row + 1, col] = sharper_ceilings(flagged)
+        known = slice(edges[k0 + 1], edges[ks.stop + 1])
+        norm[grid_index[known] - k0, path[known]] = _norm(eigs[known])
+        top[grid_index[known] - k0, path[known]] = eigs[known][:, -1]
+        survive = np.logical_or.reduce([c.recertify(k0, norm, top) for c in maxima])[row, col]
+        solved = stacked_eigenvalues(flagged[survive]) if survive.any() else eigs[:0]
+        row, col = row[survive], col[survive]
+        starts = np.searchsorted(row, np.arange(len(ks) + 1))
+        for j, k in enumerate(ks):
+            at, known = slice(starts[j], starts[j + 1]), slice(edges[k + 1], edges[k + 2])
+            idx = np.concatenate([col[at], path[known]])
+            spectra = np.concatenate([solved[at], eigs[known]])
+            for c in maxima:
+                c.settle(k, idx, spectra)
     for c in maxima:
         c.settle(steps - 1, slice(None), terminal)
 

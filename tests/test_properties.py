@@ -443,9 +443,9 @@ def test_replay_redoes_no_bound_pass_work(monkeypatch, payload):
 
     def recording(a):
         if advances and not advances[-1][1]:
-            # a replay solve: rows of the state the replay advanced last,
-            # in the chunk whose bound pass ran last
-            replay_solves.append((len(passes) - 1, advances[-1][0], a.copy()))
+            # a replay solve: states the replay has advanced to so far, in
+            # the chunk whose bound pass ran last
+            replay_solves.append((len(passes) - 1, np.stack(replays(advances)[-1]), a.copy()))
         return solve(a)
 
     monkeypatch.setattr(simulate_module, "feedback_sum_squares", counted)
@@ -457,15 +457,15 @@ def test_replay_redoes_no_bound_pass_work(monkeypatch, payload):
     dropped = [p[-1][1] for p in passes]
     assert np.concatenate(dropped).any() == (payload == "overflow")
     assert replay_solves
-    for chunk, x, matrices in replay_solves:
+    for chunk, xs, matrices in replay_solves:
         for m in matrices:
-            rows = np.flatnonzero((x == m).all(axis=(1, 2)))
+            rows = np.flatnonzero((xs == m).all(axis=(2, 3)).any(axis=0))
             assert len(rows) and not dropped[chunk][rows].any()
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from(["near_scalar", "diagonal", "rank_one"]),
+    kind=st.sampled_from(["near_scalar", "diagonal", "rank_one", "dense", "dominant"]),
     n=st.integers(3, 8),
     exponent=st.integers(-200, 200),
     noise=st.sampled_from([1e-12, 1e-9, 1e-8, 1e-7]),
@@ -476,7 +476,9 @@ def test_ceilings_bound_eigvalsh(kind, n, exponent, noise, seed):
     # the Wolkowicz-Styan ceilings bound what eigvalsh returns, where the
     # bound is tight (a rank-one stack, a diagonal with a repeated entry),
     # where x - m I is tiny against m I, and at magnitudes whose squares
-    # underflow or overflow float64
+    # underflow or overflow float64.  The sharper ceilings lie between
+    # them and eigvalsh, also on dense symmetrized Gaussians and on stacks
+    # with one dominant eigenvalue, where the eighth-power bound is close
     rng = np.random.default_rng(seed)
     count = 64
     if kind == "near_scalar":
@@ -487,16 +489,27 @@ def test_ceilings_bound_eigvalsh(kind, n, exponent, noise, seed):
         d[::2, 1:] = d[::2, :1]
         d[1::4, 1:] = 0.0
         x = d[:, :, None] * np.eye(n)
-    else:
+    elif kind == "rank_one":
         v = rng.standard_normal((count, n))
         x = np.sign(rng.standard_normal(count))[:, None, None] * v[:, :, None] * v[:, None, :]
+    elif kind == "dense":
+        x = symmetrize(rng.standard_normal((count, n, n)))
+    else:
+        v = rng.standard_normal((count, n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        top = 10.0 * np.sign(rng.standard_normal(count))[:, None, None]
+        x = top * v[:, :, None] * v[:, None, :] + symmetrize(rng.standard_normal((count, n, n)))
     x = x * 10.0**exponent
     assert np.isfinite(x).all()
     eigs = stacked_eigenvalues(x)
     with np.errstate(over="ignore", invalid="ignore"):
         norm, top = ceilings_module.ceilings(x)
+        sharp_norm, sharp_top = ceilings_module.sharper_ceilings(x)
     assert (top >= eigs[:, -1]).all()
     assert (norm >= np.abs(eigs).max(axis=-1)).all()
+    assert (sharp_top >= eigs[:, -1]).all()
+    assert (sharp_norm >= np.abs(eigs).max(axis=-1)).all()
+    assert (sharp_top <= top).all() and (sharp_norm <= norm).all()
 
 
 @settings(max_examples=30, deadline=None)

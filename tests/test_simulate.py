@@ -494,12 +494,15 @@ class TestSimulateBlock:
         #   the checkpoints; ||<X>_T|| reuses the last step's qv spectrum
         # At n = 3 x is solved in two passes: the bound pass solves X_T, one
         # call per chunk solves the states kept for the lower bounds, and
-        # the solve pass makes at most one call per step; on path_feedback
-        # qv is solved only where its bracket straddles a level.  So the
-        # calls may exceed the old count by one per chunk and no more, and
-        # the matrices must stay below the budget of the per-path Weyl
-        # bounds of the engine before (323, 336 and 641).  The counts are
-        # pinned for these seeds.
+        # the solve pass makes at most one call per batch of 16 steps, on
+        # the states that the sharper ceilings do not rule out; on
+        # path_feedback qv is solved only where its bracket straddles a
+        # level.  So the calls may exceed the old count by one per chunk and
+        # no more, and the matrices must stay below the budget of the
+        # per-path Weyl bounds of the engine before (323, 336 and 641).  The
+        # counts are pinned for these seeds; with one call per step and the
+        # Wolkowicz-Styan ceilings alone they were (78, 284), (68, 276) and
+        # (177, 577).
         grid = TimeGrid(1.0, 16)
         plan = CollectorPlan(
             sigma2_levels=(0.5, 2.0),
@@ -515,7 +518,7 @@ class TestSimulateBlock:
             "path_feedback": (3 * (4 * 16 + 14), 10 * (4 * 16 + 14)),
         }
         certificates = {"goe_like": 323, "time_poly": 336, "path_feedback": 641}
-        budget = {"goe_like": (78, 284), "time_poly": (68, 276), "path_feedback": (177, 577)}
+        budget = {"goe_like": (54, 254), "time_poly": (52, 255), "path_feedback": (158, 554)}
         solve = simulate_module.stacked_eigenvalues
         monkeypatch.setattr(simulate_module, "_CHUNK", 4)
         for spec in (s for s in zoo if s.family in budget):
@@ -534,9 +537,10 @@ class TestSimulateBlock:
 
     def test_x_solves_per_path_step_at_benchmark_shape(self, monkeypatch):
         # one 256-path block of the shipped GOE config: the x rows solved,
-        # lower bounds and X_T included, stay at most 0.40 per path-step
-        # (0.517 with the per-path Weyl bounds before, 1 when every path is
-        # solved)
+        # lower bounds and X_T included, stay at most 0.12 per path-step
+        # (0.081 with the sharper ceilings, 0.307 with the Wolkowicz-Styan
+        # ceilings alone, 0.517 with the per-path Weyl bounds before, 1
+        # when every path is solved)
         root = Path(simulate_module.__file__).resolve().parents[2]
         text = (root / "configs" / "verify_goe.cfg").read_text()
         exp = parse_settings(text, overrides={"paths": "256"}).experiment
@@ -564,7 +568,7 @@ class TestSimulateBlock:
         for cls, name in ((simulate_module._Supermartingale, "update"), (simulate_module._Spectra, "path_free")):
             monkeypatch.setattr(cls, name, not_x(getattr(cls, name)))
         simulate_block(exp.spec, exp.grid, seeds, plan_for_config(exp))
-        assert rows[0] <= 0.40 * 256 * exp.grid.steps
+        assert rows[0] <= 0.12 * 256 * exp.grid.steps
 
     def test_ties_and_nans_reach(self):
         # a ceiling equal to the lower bound may be the step that attains
@@ -614,6 +618,33 @@ class TestSimulateBlock:
         assert poisoned.all()
         monkeypatch.undo()
         ref = always_solve_block(spec, grid, seeds, plan)
+        for key, values in ref.items():
+            assert np.array_equal(out[key], values), key
+
+    @pytest.mark.parametrize("family", ["goe_like", "time_poly"])
+    def test_recertified_batches_match_always_solve(self, monkeypatch, family):
+        # the solve pass re-certifies and solves x one batch of 16 steps at
+        # a time.  x after a batch's last step is also the left end of the
+        # next batch's first step, whose bridge candidacy that batch has not
+        # re-decided yet.  On 33 steps batches end at 16 and 32 and the last
+        # is one step long; every collector is on, with levels that stop
+        # admitting steps inside batches, in chunks of 4, 4 and 4 paths.
+        # Every output equals that of the engine that solves every path at
+        # every step, bit for bit
+        spec = next(s for s in family_zoo(4) if s.family == family)
+        grid = TimeGrid(1.0, 33)
+        plan = CollectorPlan(
+            sigma2_levels=(1.5, 4.0, 8.0),
+            supermartingale_betas=(0.5,),
+            schatten_orders=(2.0,),
+            quad_schatten_orders=(1.0,),
+            sum_norm_quad=True,
+        )
+        seeds = np.arange(12, dtype=np.uint64)
+        monkeypatch.setattr(simulate_module, "_CHUNK", 4)
+        out = simulate_block(spec, grid, seeds, plan)
+        ref = always_solve_block(spec, grid, seeds, plan)
+        assert not ref["excluded"].any()
         for key, values in ref.items():
             assert np.array_equal(out[key], values), key
 
