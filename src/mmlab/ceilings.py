@@ -36,9 +36,12 @@ EIGHTH_RANGE = (1e-60, 1e60)
 # most bytes of states sharper_ceilings bounds at once; its temporaries
 # take a few times that.  Memory only
 SHARP_BYTES = 1 << 16
-# largest n at which sharper_ceilings' rounding, about n^3.5 eps relative
-# to ||x - m I||_F, stays well below MARGIN
-EIGHTH_MAX_N = 64
+# largest n at which sharper_ceilings bounds more than ceilings: beyond
+# it the bound rules out too few solves to pay for its products (goe_like
+# with N = n at 256 paths and 64 steps: n = 12 gains, n = 16 loses), and
+# from about n = 100 its rounding, about n^3.5 eps relative to
+# ||x - m I||_F, would near MARGIN
+EIGHTH_MAX_N = 12
 
 
 def _deviation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,6 +104,8 @@ def sharper_ceilings(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lies outside EIGHTH_RANGE, or n exceeds EIGHTH_MAX_N, the ceilings are
     those of :func:`ceilings` alone.
     """
+    if x.shape[1] > EIGHTH_MAX_N:
+        return ceilings(x)
     norm, top = np.empty(len(x)), np.empty(len(x))
     block = max(1, SHARP_BYTES // (8 * x.shape[1] ** 2))
     for at in range(0, len(x), block):
@@ -116,7 +121,7 @@ def _sharper(x):
     norm, top = _styan(n, mean, dev, squares)
     low, high = EIGHTH_RANGE
     sure = (squares >= low) & (squares <= high)
-    if n > EIGHTH_MAX_N or not sure.any():
+    if not sure.any():
         return norm, top
     rows = slice(None) if sure.all() else np.flatnonzero(sure)
     mean, squares, dev = mean[rows], squares[rows], dev[rows]

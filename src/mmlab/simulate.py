@@ -37,13 +37,13 @@ The solve pass replays x alone by :meth:`EulerScheme.advance`, on the
 paths the bound pass kept, and flags the states whose ceilings still
 reach such a bound.  A batch of steps at a time it bounds the flagged
 states again, by the sharper eighth-power ceilings of
-:func:`~mmlab.ceilings.sharper_ceilings`, solves those that still reach
-in one call, and feeds them to ``settle``, and every path at the last
-step.  The ceilings are widened by a relative margin far above the
-rounding of ``eigvalsh``, so the outputs are bit-identical to solving
-every path at every step.  On path_feedback the bound pass brackets qv
-by Weyl's inequality and solves it only where a sigma^2 level falls
-inside.
+:func:`~mmlab.ceilings.sharper_ceilings` (up to n = 12), solves those
+that still reach in one call, and feeds them to ``settle``, and every
+path at the last step.  The ceilings are widened by a relative margin
+far above the rounding of ``eigvalsh``, so the outputs are bit-identical
+to solving every path at every step.  On path_feedback the bound pass
+brackets qv by Weyl's inequality and solves it only where a sigma^2
+level falls inside.
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ DEFAULT_STEPS = 256
 _CHUNK = 1024
 # grid steps per batch of bridge draws; memory and speed only
 _BRIDGE_STEPS = 16
+# most bytes of flagged states the solve pass holds at once, unless one
+# step's exceed it; memory only
+_REPLAY_BYTES = 1 << 20
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -556,11 +559,11 @@ class _Collector:
     pass ``lower`` turns the exact spectra of the kept states into lower
     bounds on the maxima and sets ``need``, per step and path, whether x
     after the step may still move a maximum.  In the solve pass
-    ``recertify(k0, norm, top)`` re-decides ``need`` for the batch of
-    steps from k0 from sharper ceilings on x after each step (rows 1 on
-    of ``norm`` and ``top``, row 0 x before step k0); ``settle`` is then
-    called where x may still move a maximum, and on every path at the
-    last step.
+    ``recertify(k0, norm, top)`` re-decides ``need`` for a span of steps
+    from k0, inside one batch of _BRIDGE_STEPS, from sharper ceilings on x
+    after each step (rows 1 on of ``norm`` and ``top``, row 0 x before
+    step k0); ``settle`` is then called where x may still move a maximum,
+    and on every path at the last step.
     """
 
     bests: tuple[Best, ...] = ()
@@ -640,8 +643,8 @@ class _BridgeTail(_Collector):
     overall bound or that of a level admitting it, and x is needed after
     a step where it or the next step is one.  The solve pass keeps a
     candidate only where the peak ceiling from the sharper ceilings of its
-    endpoints also reaches.  A batch of steps re-decides its own steps only,
-    so x after its last step stays needed where the next batch's first step
+    endpoints also reaches.  A span of steps re-decides its own steps only,
+    so x after its last step stays needed where the next span's first step
     is a candidate of the bound pass.
 
     On path_feedback ``update`` records each step's variance and admitted
@@ -787,7 +790,7 @@ class _BridgeTail(_Collector):
         self.cand[ks] = cand
         need = cand.copy()
         need[:-1] |= cand[1:]
-        # x after the batch's last step is also a left end of the next
+        # x after the span's last step is also a left end of the next
         # step, which keeps the bound pass's verdict
         if ks.stop < len(self.cand):
             need[-1] |= self.cand[ks.stop]
@@ -912,12 +915,13 @@ def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal, dro
     the kept states are solved in one call, for the lower bounds, and each
     collector's ``lower`` flags the states whose ceilings reach them.  Then
     x alone is replayed by :meth:`EulerScheme.advance`, one batch of
-    _BRIDGE_STEPS steps at a time.  The flagged states of a batch, on the
-    paths the bound pass kept, are re-certified by
+    _BRIDGE_STEPS steps at a time, or a shorter span of one where its
+    flagged states would exceed _REPLAY_BYTES.  The flagged states of a
+    span, on the paths the bound pass kept, are re-certified by
     :func:`~mmlab.ceilings.sharper_ceilings`: each collector's
     ``recertify`` says which of them may still move its maxima, and the
     survivors are solved in one call.  ``settle`` then takes x after each
-    step of the batch, in order.  No drop touched a kept path's state, so
+    step of the span, in order.  No drop touched a kept path's state, so
     its replayed states are the bound pass's bit for bit, and a
     ``dropped`` path's may have left float64 range.  At the last step
     ``settle`` takes ``terminal``, the spectrum of X_T that the bound pass
@@ -952,13 +956,18 @@ def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal, dro
     need[:, dropped] = False
     edges = np.searchsorted(grid_index, np.arange(steps + 1))
     x = np.zeros((paths, n, n))
-    # ceilings on the states of one batch, row j holding X_{k0 + j}: inf
+    # ceilings on the states of one span, row j holding X_{k0 + j}: inf
     # where a state is neither flagged nor kept, the spectrum where kept;
-    # row 0 is the last batch's last row, X_0 = 0 for the first
+    # row 0 is the last span's last row, X_0 = 0 for the first
     norm = top = np.zeros((1, paths))
-    for k0 in range(0, steps - 1, _BRIDGE_STEPS):
-        ks = range(k0, min(k0 + _BRIDGE_STEPS, steps - 1))
-        # the batch's flagged states: x after step k0 + row on path col
+    k0 = 0
+    while k0 < steps - 1:
+        # the rest of this batch of steps, or as much of it as keeps the
+        # flagged states within _REPLAY_BYTES, and at least one step
+        end = min(k0 - k0 % _BRIDGE_STEPS + _BRIDGE_STEPS, steps - 1)
+        held = np.cumsum(need[k0:end].sum(axis=1)) * (8 * n * n)
+        ks = range(k0, k0 + max(1, int(np.searchsorted(held, _REPLAY_BYTES, side="right"))))
+        # their flagged states: x after step k0 + row on path col
         row, col = need[k0 : ks.stop].nonzero()
         starts = np.searchsorted(row, np.arange(len(ks) + 1))
         flagged = np.empty((len(row), n, n))
@@ -982,6 +991,7 @@ def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal, dro
             spectra = np.concatenate([solved[at], eigs[known]])
             for c in maxima:
                 c.settle(k, idx, spectra)
+        k0 = ks.stop
     for c in maxima:
         c.settle(steps - 1, slice(None), terminal)
 

@@ -621,16 +621,20 @@ class TestSimulateBlock:
         for key, values in ref.items():
             assert np.array_equal(out[key], values), key
 
+    @pytest.mark.parametrize(
+        "replay_bytes", [simulate_module._REPLAY_BYTES, 1], ids=["batch", "step"]
+    )
     @pytest.mark.parametrize("family", ["goe_like", "time_poly"])
-    def test_recertified_batches_match_always_solve(self, monkeypatch, family):
+    def test_recertified_batches_match_always_solve(self, monkeypatch, family, replay_bytes):
         # the solve pass re-certifies and solves x one batch of 16 steps at
         # a time.  x after a batch's last step is also the left end of the
         # next batch's first step, whose bridge candidacy that batch has not
         # re-decided yet.  On 33 steps batches end at 16 and 32 and the last
         # is one step long; every collector is on, with levels that stop
         # admitting steps inside batches, in chunks of 4, 4 and 4 paths.
-        # Every output equals that of the engine that solves every path at
-        # every step, bit for bit
+        # With _REPLAY_BYTES at 1 each step is a span of its own.  Every
+        # output equals that of the engine that solves every path at every
+        # step, bit for bit
         spec = next(s for s in family_zoo(4) if s.family == family)
         grid = TimeGrid(1.0, 33)
         plan = CollectorPlan(
@@ -642,6 +646,7 @@ class TestSimulateBlock:
         )
         seeds = np.arange(12, dtype=np.uint64)
         monkeypatch.setattr(simulate_module, "_CHUNK", 4)
+        monkeypatch.setattr(simulate_module, "_REPLAY_BYTES", replay_bytes)
         out = simulate_block(spec, grid, seeds, plan)
         ref = always_solve_block(spec, grid, seeds, plan)
         assert not ref["excluded"].any()
