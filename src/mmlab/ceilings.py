@@ -2,20 +2,27 @@
 turns them into skipped eigen solves.
 
 For n >= 3 the engine (:func:`mmlab.simulate.simulate_block`) takes each
-maximum over the states X_k of a path in two passes.  The bound pass reads
-the states a few steps at a time (:class:`Window`), bounds each from above
-(:func:`ceilings`), records the bounds (:func:`record`) and keeps, per
-path, copies of the states whose bounds are the largest (:class:`Best`).
-Solved, those give lower bounds on the maxima.  The solve pass flags a
-state where a recorded bound still :func:`reaches` one, bounds the flagged
-states again by :func:`sharper_ceilings`, and solves those whose sharper
-bounds still reach.  The sharper bound costs about ten times the first,
-and a third of a small eigvalsh, so it runs on the flagged states only.
+maximum over the states X_k of a path from a few exact spectra and many
+upper bounds.  Every state is bounded from above, the bounds are recorded
+(:func:`record`), and per path the steps whose bounds are the largest are
+kept (:class:`Best`).  Solved, those give lower bounds on the maxima.  A
+:class:`Replay` of the states then flags those whose recorded bounds
+still :func:`reaches` one, bounds them again by :func:`sharper_ceilings`,
+and solves those whose sharper bounds still reach.  The sharper bound
+costs about ten times the first, and a third of a small eigvalsh, so it
+runs on the flagged states only.
+
+Where the integrand depends on time alone every state is a combination
+of one fixed basis, and :func:`sweep` bounds them all from their
+coefficients (:class:`Coefficients`), without forming a state.  On
+path_feedback the states are read a few steps at a time (:class:`Window`)
+and bounded by :func:`ceilings`.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +31,19 @@ import numpy as np
 # of n * eps (about 1e-16) relative to the norms involved, so this leaves
 # room for n far beyond any dimension a LAPACK solve per path can afford
 MARGIN = 1e-8
+EPS = np.finfo(np.float64).eps
 # squares summed below n^2 times this have lost digits to underflow: the
 # smallest normal float over the unit roundoff
-SQUARES_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-# bytes of states above which a Window halves its length, down to one
-# step (two states per path): speed and memory only
+SQUARES_FLOOR = np.finfo(np.float64).tiny / EPS
+# the smallest subnormal float: the most a product's underflow loses is
+# half of it
+SUBNORMAL = math.ldexp(1.0, -1074)
+# added to each scaled basis norm of Coefficients, whose largest entry is
+# near 1: far above what underflows in its traces and Gram matrix, far
+# below any norm that matters
+TINY_WEIGHT = math.ldexp(1.0, -500)
+# bytes of states above which a path_feedback Window halves its length,
+# down to one step (two states per path): speed and memory only
 WINDOW_BYTES = 1 << 18
 # the ||x - m I||_F^2 for which the eighth powers in sharper_ceilings stay
 # normal floats
@@ -79,7 +94,12 @@ def _styan(n, mean, dev, squares):
         unsure = np.flatnonzero(unsure)
         squares = squares.copy()
         squares[unsure[dev[unsure].any(axis=1)]] = np.inf
-    radius = np.sqrt(squares)
+    return _widened(n, mean, np.sqrt(squares))
+
+
+def _widened(n, mean, radius):
+    """Ceilings on ||x|| and lambda_max(x) from m = tr x / n and a radius
+    at least ||x - m I||_F, widened by the margin."""
     size = np.abs(mean)
     spread = radius * (math.sqrt((n - 1) / n) + MARGIN) + MARGIN * size
     size += spread
@@ -162,13 +182,113 @@ def reaches(ceiling: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return ~(ceiling < floor)
 
 
+class Coefficients:
+    """Ceilings on X = sum_b c_b B_b, for a fixed stack ``basis`` of M
+    symmetric n x n matrices, from the coefficients c alone.
+
+    Where the integrand depends on time alone every Euler state is such a
+    combination: X_k = sum_i W_k^i A_i with the drivers' running sums
+    W_k = sum_{j<k} dB_j, and time_poly adds its slopes S_i with the
+    coefficients sum_{j<k} t_j dB_j^i.  Then tr X = c . tau with
+    tau_b = tr B_b, and ||X - (tr X / n) I||_F^2 = c^T G c with G the Gram
+    matrix of the traceless parts B_b - (tau_b / n) I: the Wolkowicz-Styan
+    ceilings of :func:`ceilings` at O(M^2) per state, not O(n^2) per
+    basis matrix.
+
+    Rounding, with u = eps / 2 the unit roundoff, gamma_m = m u / (1 - m u)
+    and S_k = sum_{j<k} sum_b |dc_j^b| ||B_b||_F the size of the path of
+    coefficient increments dc up to grid index k:
+
+    (a) The Euler state and sum_b c_{k,b} B_b, with c as computed, differ
+        by rounding only: ||X^Euler_k - sum_b c_{k,b} B_b||_F <= drift_k,
+        drift_k = 2 (k + M + n + 4) eps S_k + k n (2M + 3) 2^-1074.
+        Step j adds D_j = fl(sum_i dB_j^i fl(A_i + fl(t_j S_i))), within
+        gamma_{N+3} sum_b |dc_j^b| |B_b| of its exact value entrywise, and
+        the sum X_j + D_j rounds by u times its size, at most
+        (1 + gamma) sum_{l<=j} sum_b |dc_l^b| |B_b|.  Over k steps that is
+        (N + 3 + k)(1 + gamma) u S_k in the Frobenius norm.  The computed c
+        is a running sum (of the products t_j dB_j on the slopes), within
+        gamma_{k+1} sum_{j<k} |dc_j^b| of the exact one: (k + 1) u S_k
+        more.  Underflow adds at most 2^-1075 per product and nothing to a
+        sum, n (2M + 3) 2^-1075 per step in the Frobenius norm.  The bound
+        also covers the traces and the mean below (n + M + 2) u S_k, and
+        the (M + 1) u S_k of :meth:`rebuild`.  It grows with k and S_k, so
+        the bound at a later grid index holds for every state before it.
+    (b) c^T G c cancels where the state is small against its coefficients
+        (a basis matrix and nearly its negative on equal coefficients,
+        say).  Its rounding, at most gamma_{n^2 + 2M} w^2 with
+        w = sum_b |c_b| ||B_b - (tau_b / n) I||_F, goes inside the square
+        root.  After the root it would cost sqrt(gamma) w, far above the
+        margin times the norm of such a small state, so no margin that
+        scales with the state can cover it.
+
+    G is the Gram matrix of the traceless parts as computed, which move
+    the radius by (n + 3) u S_k at most, inside (a).  Every ceiling is
+    widened by (a) on top of the widening of :func:`ceilings`.  The basis
+    is scaled by a power of two to entries below 1, so that G neither
+    overflows nor underflows; ``TINY_WEIGHT`` added to each basis norm
+    covers what underflows in the scaled traces and Gram matrix.
+    """
+
+    def __init__(self, basis: np.ndarray):
+        self.basis = basis
+        m, n = basis.shape[:2]
+        self.n, self.m = n, m
+        largest = float(np.abs(basis).max())
+        self.scale = math.ldexp(1.0, math.frexp(largest)[1]) if largest > 0.0 else 1.0
+        scaled = basis / self.scale
+        self.trace = np.einsum("bii->b", scaled)
+        free = scaled.reshape(m, n * n).copy()
+        free[:, :: n + 1] -= self.trace[:, None] / n
+        self.gram = free @ free.T
+        # each norm rounded up past its own rounding
+        grow = 1.0 + (n * n + 2) * EPS
+        self.norms = np.sqrt(np.einsum("bij,bij->b", scaled, scaled)) * grow + TINY_WEIGHT
+        self.free_norms = np.sqrt(np.einsum("bi,bi->b", free, free)) * grow + TINY_WEIGHT
+        self.in_root = (n * n + 2 * m + 2) * EPS
+        # per step, what underflow adds to the Euler state, in scaled units
+        self.underflow = n * (2 * m + 3) * SUBNORMAL / self.scale
+
+    def sizes(self, dc: np.ndarray) -> np.ndarray:
+        """sum_b |dc^b| ||B_b||_F for each row of coefficient increments
+        ``dc`` (..., M), in the units of :meth:`ceilings`; summed over the
+        steps up to grid index k they give S_k."""
+        return np.abs(dc) @ self.norms
+
+    def drift(self, size, k):
+        """Bound (a) at grid index ``k`` on paths whose S_k are ``size``,
+        in the units of the basis."""
+        return self.scale * self._drift(size, k)
+
+    def _drift(self, size, k):
+        return (2.0 * EPS) * (k + self.m + self.n + 4) * size + k * self.underflow
+
+    def ceilings(self, c, size, k) -> tuple[np.ndarray, np.ndarray]:
+        """Ceilings on ||X^Euler|| and lambda_max(X^Euler), as eigvalsh
+        returns them, from the coefficients ``c`` (..., paths, M) of
+        states at grid indices up to ``k``, on paths whose S_k are
+        ``size`` (in the units of :meth:`sizes`); inf where they leave
+        float64 range."""
+        mean = c @ self.trace / self.n
+        squares = np.einsum("...b,...b->...", c @ self.gram, c)
+        w = np.abs(c) @ self.free_norms
+        radius = np.sqrt(np.maximum(squares, 0.0) + self.in_root * w * w)
+        norm, top = _widened(self.n, mean, radius)
+        drift = self._drift(size, k)
+        return self.scale * (norm + drift), self.scale * (top + drift)
+
+    def rebuild(self, c: np.ndarray) -> np.ndarray:
+        """sum_b c_b B_b for each row of ``c`` (..., M)."""
+        return np.einsum("...b,bij->...ij", c, self.basis)
+
+
 class Window:
-    """The bound pass's last few states: up to ``length`` consecutive
-    states X_{k0+1}, ... in rows 1 to ``count`` of ``states``, row 0
-    holding X_{k0}, and their ceilings (see :func:`ceilings`) in ``norm``
-    and ``top``, shape (count + 1, paths).  ``length`` is a power of two up
-    to ``longest``, so that windows fall inside batches of that many steps,
-    and as large as WINDOW_BYTES allows.
+    """The bound pass's last few states on path_feedback: up to ``length``
+    consecutive states X_{k0+1}, ... in rows 1 to ``count`` of ``states``,
+    row 0 holding X_{k0}, and their ceilings (see :func:`ceilings`) in
+    ``norm`` and ``top``, shape (count + 1, paths).  ``length`` is a power
+    of two up to ``longest``, so that windows fall inside batches of that
+    many steps, and as large as WINDOW_BYTES allows.
     """
 
     def __init__(self, paths: int, n: int, steps: int, longest: int):
@@ -179,6 +299,11 @@ class Window:
         self.states = np.zeros((length + 1, paths, n, n))
         # X_0 = 0, whose ceilings are 0
         self.norm = self.top = np.zeros((1, paths))
+
+    @property
+    def source(self) -> np.ndarray:
+        """What :meth:`Best.offer` keeps of a step: its states."""
+        return self.states
 
     def add(self, step) -> bool:
         """Take the state after ``step``; True once the window is full or
@@ -197,26 +322,56 @@ class Window:
         return True
 
 
-class Best:
-    """Per path, copies of the states at the step with the largest ceiling
-    offered so far, their grid indices and that step's ``ve``.  Until a
-    path is offered a step its states are X_0 = 0."""
+class Batch(NamedTuple):
+    """The coefficient ceilings of one batch of steps from grid index k0,
+    as a :class:`Window` holds those of its states: rows 0 to ``count`` of
+    ``norm`` and ``top`` bound X_{k0}, ..., and ``source`` holds their
+    coefficients c (see :class:`Coefficients`)."""
 
-    def __init__(self, paths: int, n: int, count: int):
+    k0: int
+    count: int
+    norm: np.ndarray
+    top: np.ndarray
+    source: np.ndarray
+
+
+class Best:
+    """Per path, the step with the largest ceiling offered so far.
+
+    For each of ``rows`` (0 for the state before the step, 1 for the state
+    after it) it keeps the state's grid index and a copy of what a batch's
+    ``source`` holds there, per path of the shape ``shape``: the state
+    itself (a :class:`Window`), or its coefficients (see
+    :class:`Coefficients`).  It keeps the step's ``ve`` too.
+    Until a path is offered a step it keeps X_0 = 0.  Once the kept states
+    are solved, ``eigs`` holds their spectra row by row, and ``slack`` how
+    far below them the exact spectra of the Euler states may lie.
+    """
+
+    def __init__(self, paths: int, rows: tuple[int, ...], shape: tuple[int, ...]):
+        self.rows = rows
         self.ceiling = np.full(paths, -np.inf)
-        self.states = np.zeros((count, paths, n, n))
-        self.index = np.zeros((count, paths), dtype=np.int64)
+        self.kept = np.zeros((len(rows), paths, *shape))
+        self.index = np.zeros((len(rows), paths), dtype=np.int64)
         self.ve = np.zeros(paths)
+        self.slack = np.zeros((len(rows), 1))
 
     def copy(self) -> Best:
         twin = Best.__new__(Best)
-        twin.__dict__ = {name: value.copy() for name, value in self.__dict__.items()}
+        twin.__dict__ = {
+            name: value.copy() if isinstance(value, np.ndarray) else value
+            for name, value in self.__dict__.items()
+        }
         return twin
 
-    def offer(self, ceilings, window: Window, rows, ve=None) -> None:
-        """Offer the window's steps, whose ceilings are ``ceilings`` (count,
-        paths); where one beats a path's best, keep the window's states at
-        the step's index plus each of ``rows``, and the step's ``ve``."""
+    def offer(self, ceilings, batch, ve=None) -> None:
+        """Offer the steps of ``batch`` from grid index ``batch.k0``, whose
+        ceilings are ``ceilings`` (count, paths); where one beats a path's
+        best, keep it.  A nan ceiling never wins, and the other steps of
+        its batch are offered as usual."""
+        nan = np.isnan(ceilings)
+        if nan.any():
+            ceilings = np.where(nan, -np.inf, ceilings)
         step = ceilings.argmax(axis=0)
         paths = np.arange(len(step))
         top = ceilings[step, paths]
@@ -224,8 +379,136 @@ class Best:
         if len(idx):
             step = step[idx]
             self.ceiling[idx] = top[idx]
-            for kept, index, row in zip(self.states, self.index, rows):
-                kept[idx] = window.states[step + row, idx]
-                index[idx] = window.k0 + step + row
+            for j, row in enumerate(self.rows):
+                self.index[j, idx] = batch.k0 + step + row
+                self.kept[j, idx] = batch.source[step + row, idx]
             if ve is not None:
                 self.ve[idx] = ve[step, idx]
+
+
+def sweep(scheme, maxima, dB, batch: int) -> np.ndarray:
+    """The bound pass of a time-only family: array arithmetic on the
+    coefficient path of the increments ``dB`` (paths, steps, drivers) of
+    ``scheme``, a :class:`mmlab.simulate.EulerScheme`, ``batch`` steps at a
+    time, with no state formed.  Each of the ``maxima`` collectors' ``bound``
+    records a :class:`Batch`'s ceilings and offers its steps to the
+    trackers, which keep the coefficients of the steps with the largest
+    ceilings.  Returns each path's S_k at the last step (see
+    :class:`Coefficients`)."""
+    coefficients, steps = scheme.coefficients, scheme.grid.steps
+    paths = len(dB)
+    # row 0 of each is X_{k0}: X_0 = 0 for the first batch
+    c = np.zeros((1, paths, len(coefficients.basis)))
+    norm = top = np.zeros((1, paths))
+    size = np.zeros(paths)
+    for k0 in range(0, steps, batch):
+        ks = range(k0, min(k0 + batch, steps))
+        dc = scheme.increments(dB, ks)
+        # running sums in step order, as the bound (a) assumes
+        c = np.cumsum(np.concatenate([c[-1:], dc]), axis=0)
+        # bound (a) grows with the grid index and the size, so that at the
+        # batch's last step holds for all of its states
+        size += coefficients.sizes(dc).sum(axis=0)
+        norm_k, top_k = coefficients.ceilings(c[1:], size, ks.stop)
+        norm = np.concatenate([norm[-1:], norm_k])
+        top = np.concatenate([top[-1:], top_k])
+        for m in maxima:
+            m.bound(Batch(k0, len(ks), norm, top, c))
+    return size
+
+
+def kept_states(bests: list[Best], paths: int):
+    """What the trackers keep, once per state: the sorted keys
+    grid index * paths + path of their states, what they keep of each, and
+    for each of their rows, stacked, the index of its state."""
+    index = np.concatenate([b.index for b in bests]).reshape(-1)
+    key = index * paths + np.tile(np.arange(paths), len(index) // paths)
+    unique, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    kept = np.concatenate([b.kept for b in bests])
+    return unique, kept.reshape(-1, *kept.shape[2:])[first], inverse
+
+
+def per_tracker(bests: list[Best], values: np.ndarray, inverse: np.ndarray) -> list:
+    """Per tracker, ``values`` (one per kept state) at its rows."""
+    rows = values[inverse.reshape(-1)].reshape(-1, len(bests[0].ve), *values.shape[1:])
+    bounds = np.cumsum([0] + [len(b.rows) for b in bests])
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class Replay:
+    """Settles the maxima over x after steps 0 to steps - 2, which
+    :meth:`take` is handed in order, on ``paths`` paths of n x n states.
+
+    ``maxima`` are the collectors that take maxima over x (see
+    :class:`mmlab.simulate._Collector`).  The replay works one batch of
+    ``batch`` steps at a time, or a shorter span of one where the batch's
+    flagged states would exceed ``budget`` bytes.  Each collector's
+    ``flags`` says which states of a span its recorded ceilings still let
+    move its maxima.  Those are re-certified by :func:`sharper_ceilings`:
+    each collector's ``recertify`` says which of them may still move its
+    maxima, and ``solve`` solves the survivors in one call.  ``settle``
+    then takes x after each step of the span, in order.  ``known`` are
+    states solved already, if any, as (grid index, path, spectrum) sorted
+    by grid index: they are flagged nowhere, and ``settle`` takes their
+    spectra.  No state of a ``dropped`` path is flagged.
+    """
+
+    def __init__(self, maxima, steps, paths, n, batch, budget, solve, known=None, dropped=None):
+        self.maxima, self.steps, self.n = maxima, steps, n
+        self.batch, self.budget, self.solve, self.dropped = batch, budget, solve, dropped
+        none = np.zeros(0, dtype=np.int64)
+        self.grid_index, self.path, self.eigs = known or (none, none, np.zeros((0, n)))
+        self.edges = np.searchsorted(self.grid_index, np.arange(steps + 1))
+        # ceilings on the states of one span, row j holding X_{k0 + j}: inf
+        # where a state is neither flagged nor known, the spectrum where
+        # known; row 0 is the last span's last row, X_0 = 0 for the first
+        self.norm = self.top = np.zeros((1, paths))
+        self.ks = range(0)
+
+    def take(self, k: int, x: np.ndarray) -> None:
+        """x after step k."""
+        if k == self.ks.stop:
+            self._span(k)
+        at = slice(self.starts[k - self.ks.start], self.starts[k - self.ks.start + 1])
+        self.flagged[at] = x[self.col[at]]
+        if k == self.ks.stop - 1:
+            self._settle()
+
+    def _span(self, k0):
+        """The rest of this batch of steps, or as much of it as keeps the
+        flagged states within the budget, and at least one step."""
+        n, edges = self.n, self.edges
+        end = min(k0 - k0 % self.batch + self.batch, self.steps - 1)
+        need = np.logical_or.reduce([c.flags(slice(k0, end)) for c in self.maxima])
+        known = slice(edges[k0 + 1], edges[end + 1])
+        need[self.grid_index[known] - 1 - k0, self.path[known]] = False
+        if self.dropped is not None:
+            need[:, self.dropped] = False
+        held = np.cumsum(need.sum(axis=1)) * (8 * n * n)
+        self.ks = range(k0, k0 + max(1, int(np.searchsorted(held, self.budget, side="right"))))
+        # the flagged states: x after step k0 + row on path col
+        self.row, self.col = need[: len(self.ks)].nonzero()
+        self.starts = np.searchsorted(self.row, np.arange(len(self.ks) + 1))
+        self.flagged = np.empty((len(self.row), n, n))
+
+    def _settle(self):
+        ks, row, col, flagged = self.ks, self.row, self.col, self.flagged
+        grid_index, path, eigs, edges = self.grid_index, self.path, self.eigs, self.edges
+        k0, paths = ks.start, self.norm.shape[1]
+        norm = np.concatenate([self.norm[-1:], np.full((len(ks), paths), np.inf)])
+        top = np.concatenate([self.top[-1:], np.full((len(ks), paths), np.inf)])
+        norm[row + 1, col], top[row + 1, col] = sharper_ceilings(flagged)
+        known = slice(edges[k0 + 1], edges[ks.stop + 1])
+        norm[grid_index[known] - k0, path[known]] = np.abs(eigs[known][:, [0, -1]]).max(axis=1)
+        top[grid_index[known] - k0, path[known]] = eigs[known][:, -1]
+        survive = np.logical_or.reduce([c.recertify(k0, norm, top) for c in self.maxima])[row, col]
+        solved = self.solve(flagged[survive]) if survive.any() else eigs[:0]
+        row, col = row[survive], col[survive]
+        starts = np.searchsorted(row, np.arange(len(ks) + 1))
+        for j, k in enumerate(ks):
+            at, known = slice(starts[j], starts[j + 1]), slice(edges[k + 1], edges[k + 2])
+            idx = np.concatenate([col[at], path[known]])
+            spectra = np.concatenate([solved[at], eigs[known]])
+            for c in self.maxima:
+                c.settle(k, idx, spectra)
+        self.norm, self.top, self.flagged = norm, top, None

@@ -25,25 +25,29 @@ The statistics that read x at every step, sup_k ||X_k|| and the bridge
 suprema of lambda_max, are maxima over the steps, and a maximum does not
 depend on the order of its terms.  Each is taken by one method,
 ``settle(k, idx, eigs)``, from x after step k solved on the paths ``idx``.
-Where the dimension has a closed form (n <= 2) each chunk takes one pass
-through the stepper, and ``settle`` sees every path after every step.  For
-n >= 3, where every solve is a LAPACK call, each chunk takes two.  The
-bound pass runs every collector but solves x only at the last step; it
-bounds ||X_k|| and lambda_max(X_k) from above by the Wolkowicz-Styan
-ceilings (from tr X and ||X - (tr X / n) I||_F alone) and keeps, per path,
-the states whose ceilings are the largest.  Solved in one call, those
-give lower bounds that the maxima actually attain somewhere on the path.
-The solve pass replays x alone by :meth:`EulerScheme.advance`, on the
-paths the bound pass kept, and flags the states whose ceilings still
-reach such a bound.  A batch of steps at a time it bounds the flagged
-states again, by the sharper eighth-power ceilings of
-:func:`~mmlab.ceilings.sharper_ceilings` (up to n = 12), solves those
-that still reach in one call, and feeds them to ``settle``, and every
-path at the last step.  The ceilings are widened by a relative margin
-far above the rounding of ``eigvalsh``, so the outputs are bit-identical
-to solving every path at every step.  On path_feedback the bound pass
-brackets qv by Weyl's inequality and solves it only where a sigma^2
-level falls inside.
+Where the dimension has a closed form (n <= 2) ``settle`` sees every path
+after every step.  For n >= 3, where every solve is a LAPACK call, x is
+bounded from above by the Wolkowicz-Styan ceilings (from tr X and
+||X - (tr X / n) I||_F alone), and per path the states whose ceilings are
+the largest are kept.  Solved in one call, those give lower bounds that
+the maxima actually attain somewhere on the path, and a state is flagged
+where its ceilings still reach such a bound.  Where the integrand depends
+on time alone X_k = sum_b c_{k,b} B_b on the fixed basis of the payloads
+(and slopes), so the bound pass is array arithmetic on the drivers'
+coefficient path (:class:`~mmlab.ceilings.Coefficients`), and the kept
+states are rebuilt from their coefficients, their spectra lowered by the
+rounding between the two.  The chunk then takes one pass through the
+stepper.  On path_feedback the bound pass is a pass through the stepper,
+which keeps states, and a replay of x alone by
+:meth:`EulerScheme.advance` follows it.  Either way, a batch of steps at a
+time, the flagged states are bounded again by the sharper eighth-power
+ceilings of :func:`~mmlab.ceilings.sharper_ceilings` (up to n = 12) and
+against the maxima so far; those that still reach are solved in one call
+and fed to ``settle``, and every path at the last step.  The ceilings are
+widened by a relative margin far above the rounding of ``eigvalsh``, so
+the outputs are bit-identical to solving every path at every step.  On
+path_feedback the bound pass brackets qv by Weyl's inequality and solves
+it only where a sigma^2 level falls inside.
 """
 
 from __future__ import annotations
@@ -56,7 +60,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ceilings import MARGIN, Best, Window, record, reaches, sharper_ceilings
+from .ceilings import (
+    MARGIN,
+    Best,
+    Coefficients,
+    Replay,
+    Window,
+    kept_states,
+    per_tracker,
+    record,
+    reaches,
+    sweep,
+)
 from .errors import InputDomainError, PathBlowupError
 from .integrands import (
     IntegrandSpec,
@@ -77,7 +92,7 @@ DEFAULT_STEPS = 256
 _CHUNK = 1024
 # grid steps per batch of bridge draws; memory and speed only
 _BRIDGE_STEPS = 16
-# most bytes of flagged states the solve pass holds at once, unless one
+# most bytes of flagged states the replay holds at once, unless one
 # step's exceed it; memory only
 _REPLAY_BYTES = 1 << 20
 
@@ -253,9 +268,13 @@ class EulerScheme:
 
     Construction does the path-free work once: the driver aggregates
     and, for families whose integrand depends on time alone, ``s2``
-    (sum_i H_i(t_k)^2 at each left endpoint, shape (steps, n, n)) and
-    ``qv`` (the quadratic variation on the whole grid, shape
-    (steps + 1, n, n)).  For path_feedback both are None.
+    (sum_i H_i(t_k)^2 at each left endpoint, shape (steps, n, n)), ``qv``
+    (the quadratic variation on the whole grid, shape (steps + 1, n, n))
+    and ``coefficients``, the ceilings of the states from their
+    coefficients on the basis of the payloads (and slopes).  For
+    path_feedback all three are None.  ``kept`` is the per-path shape of
+    what a :class:`~mmlab.ceilings.Best` keeps of a state: the state, or
+    its coefficients.
     """
 
     def __init__(self, spec: IntegrandSpec, grid: TimeGrid):
@@ -264,19 +283,34 @@ class EulerScheme:
         self.feedback = is_path_dependent(spec)
         self.agg = aggregates(spec)
         self.times = grid.times()
-        self.s2 = self.qv = None
+        self.s2 = self.qv = self.coefficients = None
+        n = spec.n
+        self.kept = (n, n)
         if not self.feedback:
-            n = spec.n
             with np.errstate(over="ignore", invalid="ignore"):
                 self.s2 = deterministic_sum_squares(spec, self.times[:-1])
                 self.qv = np.concatenate(
                     [np.zeros((1, n, n)), np.cumsum(self.s2 * grid.dt, axis=0)]
                 )
+            basis = spec.matrices
+            if spec.slopes is not None:
+                basis = np.concatenate([basis, spec.slopes])
+            self.coefficients = Coefficients(basis)
+            self.kept = (len(basis),)
+
+    def increments(self, dB, ks: range) -> np.ndarray:
+        """The coefficient increments (len(ks), paths, M) of the steps
+        ``ks``, from the increments ``dB`` (paths, steps, drivers): dB_k,
+        and on time_poly also t_k dB_k for the slopes."""
+        dc = dB[:, ks.start : ks.stop].transpose(1, 0, 2)
+        if self.spec.slopes is None:
+            return dc
+        return np.concatenate([dc, self.times[ks.start : ks.stop, None, None] * dc], axis=-1)
 
     def advance(self, x, dB_k, k):
         """x after Euler step k, from x at t_k and the increments ``dB_k``
-        (paths, drivers): the one X update, which both passes of
-        :func:`simulate_block` run."""
+        (paths, drivers): the one X update, which the stepper and the
+        path_feedback replay of :func:`simulate_block` run."""
         spec = self.spec
         h_k = spec.matrices
         if spec.family == "time_poly":
@@ -494,9 +528,8 @@ class _Spectra:
 
     Where the dimension has a closed form, which costs less than any bound,
     x is solved on every path at every step, and :func:`simulate_block`
-    hands it to the collectors' ``settle``.  Otherwise (``certify``) this
-    serves the bound pass of :func:`_solve_pass`, and x is solved only at
-    the last step.
+    hands it to the collectors' ``settle``.  Otherwise (``certify``) x is
+    solved here only at the last step.
     """
 
     def __init__(self, scheme: EulerScheme):
@@ -553,17 +586,21 @@ class _Collector:
     Its ``update`` reads no x.  Where x has a closed form, ``settle`` sees
     every path right after every step's ``update``.  Otherwise (solves are
     certified) the collector lists its :class:`~mmlab.ceilings.Best`
-    trackers in ``bests``, and ``bound`` takes each full
-    :class:`~mmlab.ceilings.Window` of the bound pass: it offers the
-    window's ceilings to the trackers and records them.  After the bound
-    pass ``lower`` turns the exact spectra of the kept states into lower
-    bounds on the maxima and sets ``need``, per step and path, whether x
-    after the step may still move a maximum.  In the solve pass
-    ``recertify(k0, norm, top)`` re-decides ``need`` for a span of steps
-    from k0, inside one batch of _BRIDGE_STEPS, from sharper ceilings on x
-    after each step (rows 1 on of ``norm`` and ``top``, row 0 x before
-    step k0); ``settle`` is then called where x may still move a maximum,
-    and on every path at the last step.
+    trackers in ``bests``, and ``bound`` takes the ceilings of the states
+    of each batch of steps of the bound pass (a
+    :class:`~mmlab.ceilings.Window` on path_feedback, a
+    :class:`~mmlab.ceilings.Batch` of coefficient ceilings otherwise): it
+    offers them to the trackers and records them.  After the bound pass
+    ``lower`` turns the spectra of the kept states, less their ``slack``,
+    into lower bounds on the maxima, and decides from the recorded
+    ceilings, per step and path, whether x after the step may move a
+    maximum.  The :class:`~mmlab.ceilings.Replay` reads that by
+    ``flags(ks)``, a span of steps ``ks`` at a time inside one batch of
+    _BRIDGE_STEPS, and ``recertify(k0, norm, top)`` re-decides it for the
+    span from k0 from sharper ceilings on x after each step (rows 1 on of
+    ``norm`` and ``top``, row 0 x before step k0), against the lower
+    bounds raised to the maxima so far; ``settle`` is then called where x
+    may still move a maximum, and on every path at the last step.
     """
 
     bests: tuple[Best, ...] = ()
@@ -583,9 +620,10 @@ class _Norms(_Collector):
     """sup_k ||X_k||, ||X_T|| and ||<X>_T||; always on.
 
     Certified, the bound pass keeps each path's state with the largest norm
-    ceiling.  Its exact norm, or ||X_T|| if larger, bounds sup_k ||X_k||
-    from below, the ``floor``, and the solve pass solves a state only where
-    its ceiling, and then its sharper ceiling, reach that bound.
+    ceiling.  Its norm, lowered by its slack, bounds sup_k ||X_k|| from
+    below, the ``floor`` (on path_feedback ||X_T|| if larger), and the
+    replay solves a state only where its ceiling, and then its sharper
+    ceiling, reach that bound or the maximum so far.
     """
 
     columns = {"sup_spectral": (), "terminal_spectral": (), "terminal_qv_norm": ()}
@@ -597,13 +635,13 @@ class _Norms(_Collector):
         self.rows = rows
         if self.spectra.certify:
             paths, scheme = len(seeds), self.spectra.scheme
-            self.best = Best(paths, scheme.spec.n, 1)
+            self.best = Best(paths, (1,), scheme.kept)
             self.bests = (self.best,)
             self.ceilings = np.empty((scheme.grid.steps, paths), dtype=np.float32)
 
     def bound(self, window):
         norm = window.norm[1:]
-        self.best.offer(norm, window, (1,))
+        self.best.offer(norm, window)
         record(self.ceilings[window.k0 : window.k0 + window.count], norm)
 
     def finish(self, spectra):
@@ -611,12 +649,20 @@ class _Norms(_Collector):
         self.rows["terminal_qv_norm"][...] = _norm(spectra("qv"))
 
     def lower(self):
-        self.floor = np.maximum(self.rows["terminal_spectral"], _norm(self.best.eigs[0]))
+        # ||X_T|| is known here on path_feedback only; elsewhere its row is
+        # still 0, which bounds a norm from below too
+        floor = _norm(self.best.eigs[0]) - self.best.slack[0]
+        self.floor = np.maximum(self.rows["terminal_spectral"], floor)
         self.need = reaches(self.ceilings, self.floor)
         self.ceilings = None
 
+    def flags(self, ks):
+        return self.need[ks]
+
     def recertify(self, k0, norm, top):
-        return self.need[k0 : k0 + len(norm) - 1] & reaches(norm[1:], self.floor)
+        # the maximum so far is attained, so it is a lower bound too
+        np.maximum(self.floor, self.rows["sup_spectral"], out=self.floor)
+        return reaches(norm[1:], self.floor)
 
     def settle(self, k, idx, eigs):
         sup = self.rows["sup_spectral"]
@@ -638,14 +684,15 @@ class _BridgeTail(_Collector):
     of a step's endpoints bound it.  Certified, the bound pass keeps each
     path's endpoint pair with the largest peak ceiling, overall and per
     level over the steps the level admits (a level shares the overall pair
-    until a step it does not admit); their exact peaks bound the maxima
-    from below.  A step is a candidate where its peak ceiling reaches the
-    overall bound or that of a level admitting it, and x is needed after
-    a step where it or the next step is one.  The solve pass keeps a
-    candidate only where the peak ceiling from the sharper ceilings of its
-    endpoints also reaches.  A span of steps re-decides its own steps only,
-    so x after its last step stays needed where the next span's first step
-    is a candidate of the bound pass.
+    until a step it does not admit); their peaks, from the endpoints'
+    lambda_max lowered by their slack, bound the maxima from below.  A step
+    is a candidate where its peak ceiling reaches the overall bound or that
+    of a level admitting it, and x is needed after a step where it or the
+    next step is one.  The replay keeps a candidate only where the peak
+    ceiling from the sharper ceilings of its endpoints also reaches, the
+    bound raised to the maximum so far.  A span of steps re-decides its own
+    steps only, so x after its last step stays needed where the next
+    span's first step is a candidate of the bound pass.
 
     On path_feedback ``update`` records each step's variance and admitted
     levels per path for ``settle`` and ``bound``; the one-pass route keeps
@@ -689,8 +736,7 @@ class _BridgeTail(_Collector):
         # the Exp(1) draws of one batch of steps, from grid index exps_from
         self.exps_from = None
         if spectra.certify:
-            n = spectra.scheme.spec.n
-            self.best = Best(paths, n, 2)
+            self.best = Best(paths, (0, 1), spectra.scheme.kept)
             self.bests = (self.best,)
             self.level_bests = [self.best] * len(self.levels)
             self.ceilings = np.empty((steps, paths), dtype=np.float32)
@@ -764,30 +810,40 @@ class _BridgeTail(_Collector):
                 self.bests += (self.level_bests[j],)
             if admitted.any():
                 level = np.where(admitted, ceiling, -np.inf)
-                self.level_bests[j].offer(level, window, (0, 1), ve)
-        self.best.offer(ceiling, window, (0, 1), ve)
+                self.level_bests[j].offer(level, window, ve)
+        self.best.offer(ceiling, window, ve)
         record(self.ceilings[ks], ceiling)
 
     def lower(self):
-        def exact(best):
-            return _peak(best.eigs[0][:, -1], best.eigs[1][:, -1], best.ve)
+        def floor(best):
+            (a, b), (a_slack, b_slack) = best.eigs, best.slack
+            return _peak(a[:, -1] - a_slack, b[:, -1] - b_slack, best.ve)
 
-        overall = exact(self.best)
-        levels = [overall if b is self.best else exact(b) for b in self.level_bests]
+        overall = floor(self.best)
+        levels = [overall if b is self.best else floor(b) for b in self.level_bests]
         self.floors = [overall, *levels]
         steps, paths = self.ceilings.shape
         self.cand = np.empty((steps, paths), dtype=bool)
         for k0 in range(0, steps, _BRIDGE_STEPS):
             ks = slice(k0, k0 + _BRIDGE_STEPS)
             self.cand[ks] = reaches(self.ceilings[ks], self._floor(ks))
-        self.need = self.cand.copy()
-        self.need[:-1] |= self.cand[1:]
         self.ceilings = None
 
     def recertify(self, k0, norm, top):
         ks = slice(k0, k0 + len(top) - 1)
-        cand = self.cand[ks] & reaches(self._ceiling(ks, norm, top)[0], self._floor(ks))
-        self.cand[ks] = cand
+        # the maxima so far are attained, so they are lower bounds too (new
+        # arrays: a level may share the overall one)
+        overall, *levels = self.floors
+        prefix = self.rows["bridge_prefix_max"]
+        self.floors = [np.maximum(overall, self.rows["bridge_sup"])]
+        self.floors += [np.maximum(level, prefix[:, j]) for j, level in enumerate(levels)]
+        self.cand[ks] &= reaches(self._ceiling(ks, norm, top)[0], self._floor(ks))
+        return self.flags(ks)
+
+    def flags(self, ks):
+        """Where x after the steps ``ks`` is needed: after a candidate step
+        and before one."""
+        cand = self.cand[ks]
         need = cand.copy()
         need[:-1] |= cand[1:]
         # x after the span's last step is also a left end of the next
@@ -906,94 +962,82 @@ def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
     return out
 
 
-def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, terminal, dropped) -> None:
-    """The certified route's second pass over a chunk.
+def _floors(scheme: EulerScheme, maxima: list[_Collector], size) -> None:
+    """After :func:`~mmlab.ceilings.sweep`: the kept states
+    X~ = sum_b c_b B_b, rebuilt from their coefficients and solved in one
+    call, give the lower bounds.
+    Each eigenvalue is lowered by bound (a) of
+    :class:`~mmlab.ceilings.Coefficients` at the chunk's last step, from
+    each path's summed ``size``, and by the margin, so that it bounds the
+    Euler state's from below (Weyl's inequality).  A bridge pair is
+    lowered by the margin times sqrt(ve) more, which covers the rounding
+    of its peak."""
+    bests = [b for c in maxima for b in c.bests]
+    paths, coefficients = len(bests[0].ve), scheme.coefficients
+    unique, c, inverse = kept_states(bests, paths)
+    grid_index = unique // paths
+    # X_0 = 0 needs no solve; a rebuilt state that left float64 range
+    # gets nan, which certifies nothing, and never reaches LAPACK
+    eigs = np.zeros((len(unique), scheme.spec.n))
+    solve = np.flatnonzero(grid_index > 0)
+    eigs[solve] = np.nan
+    x = coefficients.rebuild(c[solve])
+    finite = np.isfinite(x).all(axis=(1, 2))
+    if not finite.all():
+        x, solve = x[finite], solve[finite]
+    eigs[solve] = stacked_eigenvalues(x)
+    del x
+    drift = coefficients.drift(size, scheme.grid.steps)[unique % paths]
+    slack = drift + MARGIN * _norm(eigs)
+    rows = zip(bests, per_tracker(bests, eigs, inverse), per_tracker(bests, slack, inverse))
+    for b, e, s in rows:
+        b.eigs, b.slack = e, s + MARGIN * np.sqrt(b.ve)
+    for c in maxima:
+        c.lower()
+
+
+def _replay(maxima, steps, paths, n, known=None, dropped=None) -> Replay:
+    """A :class:`~mmlab.ceilings.Replay` of batches of _BRIDGE_STEPS steps
+    that holds at most _REPLAY_BYTES of flagged states and solves them
+    here, through ``stacked_eigenvalues``."""
+    return Replay(
+        maxima, steps, paths, n, _BRIDGE_STEPS, _REPLAY_BYTES, stacked_eigenvalues, known, dropped
+    )
+
+
+def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, dropped) -> None:
+    """The path_feedback route's second pass over a chunk, for n >= 3.
 
     The first, the bound pass, ran every collector as usual but solved x
     only at the last step; the collectors that take maxima over x kept
     states and recorded ceilings instead (see :class:`_Collector`).  Here
-    the kept states are solved in one call, for the lower bounds, and each
-    collector's ``lower`` flags the states whose ceilings reach them.  Then
-    x alone is replayed by :meth:`EulerScheme.advance`, one batch of
-    _BRIDGE_STEPS steps at a time, or a shorter span of one where its
-    flagged states would exceed _REPLAY_BYTES.  The flagged states of a
-    span, on the paths the bound pass kept, are re-certified by
-    :func:`~mmlab.ceilings.sharper_ceilings`: each collector's
-    ``recertify`` says which of them may still move its maxima, and the
-    survivors are solved in one call.  ``settle`` then takes x after each
-    step of the span, in order.  No drop touched a kept path's state, so
-    its replayed states are the bound pass's bit for bit, and a
-    ``dropped`` path's may have left float64 range.  At the last step
-    ``settle`` takes ``terminal``, the spectrum of X_T that the bound pass
-    solved on every path.  Each kept state is solved once: the replay takes
-    its spectrum from the first call.
+    the kept states are solved in one call, for each collector's ``lower``
+    bounds.  Then x alone is replayed by :meth:`EulerScheme.advance` into
+    a :class:`~mmlab.ceilings.Replay`.  No drop touched a kept path's
+    state, so its replayed states are the bound pass's bit for bit, and a
+    ``dropped`` path's may have left float64 range: its states are flagged
+    nowhere.
+    Each kept state is solved once: the replay takes its spectrum from the
+    first call.
     """
     n, steps = scheme.spec.n, scheme.grid.steps
     bests = [b for c in maxima for b in c.bests]
     paths = len(dB)
-    # each kept state is solved once, keyed by (grid index, path), and not
-    # again in the replay; X_0 = 0 needs no solve
-    index = np.concatenate([b.index for b in bests]).reshape(-1)
-    key = index * paths + np.tile(np.arange(paths), len(index) // paths)
-    unique, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    states = np.concatenate([b.states for b in bests]).reshape(-1, n, n)
+    unique, states, inverse = kept_states(bests, paths)
     eigs = np.zeros((len(unique), n))
     solve = unique >= paths
-    eigs[solve] = stacked_eigenvalues(states[first[solve]])
+    eigs[solve] = stacked_eigenvalues(states[solve])
     del states
-    kept = eigs[inverse.reshape(-1)].reshape(-1, paths, n)
-    at = 0
-    for b in bests:
-        b.eigs, at = kept[at : at + len(b.states)], at + len(b.states)
+    for b, e in zip(bests, per_tracker(bests, eigs, inverse)):
+        b.eigs = e
     for c in maxima:
         c.lower()
-    # the states some collector flagged, other than the kept ones and
-    # those of dropped paths
-    need = np.logical_or.reduce([c.need for c in maxima])
     grid_index, path = np.divmod(unique, paths)
-    inner = (grid_index > 0) & (grid_index < steps)
-    need[grid_index[inner] - 1, path[inner]] = False
-    need[:, dropped] = False
-    edges = np.searchsorted(grid_index, np.arange(steps + 1))
+    replay = _replay(maxima, steps, paths, n, (grid_index, path, eigs), dropped)
     x = np.zeros((paths, n, n))
-    # ceilings on the states of one span, row j holding X_{k0 + j}: inf
-    # where a state is neither flagged nor kept, the spectrum where kept;
-    # row 0 is the last span's last row, X_0 = 0 for the first
-    norm = top = np.zeros((1, paths))
-    k0 = 0
-    while k0 < steps - 1:
-        # the rest of this batch of steps, or as much of it as keeps the
-        # flagged states within _REPLAY_BYTES, and at least one step
-        end = min(k0 - k0 % _BRIDGE_STEPS + _BRIDGE_STEPS, steps - 1)
-        held = np.cumsum(need[k0:end].sum(axis=1)) * (8 * n * n)
-        ks = range(k0, k0 + max(1, int(np.searchsorted(held, _REPLAY_BYTES, side="right"))))
-        # their flagged states: x after step k0 + row on path col
-        row, col = need[k0 : ks.stop].nonzero()
-        starts = np.searchsorted(row, np.arange(len(ks) + 1))
-        flagged = np.empty((len(row), n, n))
-        for j, k in enumerate(ks):
-            x = scheme.advance(x, dB[:, k, :], k)
-            at = slice(starts[j], starts[j + 1])
-            flagged[at] = x[col[at]]
-        norm = np.concatenate([norm[-1:], np.full((len(ks), paths), np.inf)])
-        top = np.concatenate([top[-1:], np.full((len(ks), paths), np.inf)])
-        norm[row + 1, col], top[row + 1, col] = sharper_ceilings(flagged)
-        known = slice(edges[k0 + 1], edges[ks.stop + 1])
-        norm[grid_index[known] - k0, path[known]] = _norm(eigs[known])
-        top[grid_index[known] - k0, path[known]] = eigs[known][:, -1]
-        survive = np.logical_or.reduce([c.recertify(k0, norm, top) for c in maxima])[row, col]
-        solved = stacked_eigenvalues(flagged[survive]) if survive.any() else eigs[:0]
-        row, col = row[survive], col[survive]
-        starts = np.searchsorted(row, np.arange(len(ks) + 1))
-        for j, k in enumerate(ks):
-            at, known = slice(starts[j], starts[j + 1]), slice(edges[k + 1], edges[k + 2])
-            idx = np.concatenate([col[at], path[known]])
-            spectra = np.concatenate([solved[at], eigs[known]])
-            for c in maxima:
-                c.settle(k, idx, spectra)
-        k0 = ks.stop
-    for c in maxima:
-        c.settle(steps - 1, slice(None), terminal)
+    for k in range(steps - 1):
+        x = scheme.advance(x, dB[:, k, :], k)
+        replay.take(k, x)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -1030,14 +1074,20 @@ def simulate_block(
         dB = brownian_increments(grid, spec.drivers, chunk_seeds)
         for c in collectors:
             c.start({name: out[name][idx] for name in c.columns}, chunk_seeds)
-        window = None
-        if spectra.certify:
+        window = replay = None
+        if spectra.certify and scheme.feedback:
             window = Window(len(chunk_seeds), spec.n, grid.steps, _BRIDGE_STEPS)
+        elif spectra.certify:
+            _floors(scheme, maxima, sweep(scheme, maxima, dB, _BRIDGE_STEPS))
+            replay = _replay(maxima, grid.steps, len(chunk_seeds), spec.n)
         for step in scheme.steps(dB):
             spectra.at(step)
             for c in collectors:
                 c.update(step, spectra)
-            if window is None:
+            if replay is not None:
+                if not spectra.last:
+                    replay.take(step.k, step.x)
+            elif window is None:
                 for c in maxima:
                     c.settle(step.k, slice(None), spectra("x"))
             elif window.add(step):
@@ -1047,8 +1097,12 @@ def simulate_block(
             c.finish(spectra)
         dropped = step.excluded
         if window is not None:
-            window = None  # free it: the solve pass keeps no states
-            _solve_pass(scheme, maxima, dB, spectra("x"), dropped)
+            window = None  # free it: the replay keeps no states
+            _solve_pass(scheme, maxima, dB, dropped)
+        if spectra.certify:
+            # X_T, which the stepper solved on every path
+            for c in maxima:
+                c.settle(grid.steps - 1, slice(None), spectra("x"))
         # the one exclusion rule: a state that left float64 range, or a
         # non-finite statistic (np.maximum carries a nan or inf peak to
         # the end), must not reach an event count or an interval

@@ -14,7 +14,14 @@ import mmlab.ceilings as ceilings_module
 import mmlab.simulate as simulate_module
 from mmlab.checks import CHECK_REGISTRY, CheckRequest, evaluate_checks, recompute_holds
 from mmlab.errors import InputDomainError
-from mmlab.integrands import path_feedback_spec, rect_constant_spec
+from mmlab.integrands import (
+    constant_spec,
+    diag_basis_spec,
+    goe_like_spec,
+    path_feedback_spec,
+    rect_constant_spec,
+    time_poly_spec,
+)
 from mmlab.linalg import stacked_eigenvalues, symmetrize
 from mmlab.montecarlo import (
     BOOTSTRAP_BLOCK_ELEMENTS,
@@ -336,8 +343,10 @@ def test_certified_block_matches_always_solve(
     # skipping the solves that the ceilings and lower bounds certify leaves
     # every statistic of every kept path bit-identical, whatever the split
     # into blocks and vectorized chunks.  LAPACK never sees a non-finite
-    # matrix, and the solve pass's replay of x gives the bound pass's
-    # states bit for bit on every path the bound pass kept.
+    # matrix.  On path_feedback the solve pass's replay of x gives the
+    # bound pass's states bit for bit on every path the bound pass kept;
+    # the time-only families bound their states from the coefficient path
+    # and replay nothing.
     spec = payload_spec(next(s for s in family_zoo(n, payload_seed) if s.family == family), payload)
     grid = TimeGrid(1.0, 32)
     norms = qv_norms(spec, grid, seeds)
@@ -363,7 +372,7 @@ def test_certified_block_matches_always_solve(
     finally:
         simulate_module._CHUNK = saved
     replayed = replays(advances)
-    assert len(replayed) == len(passes)
+    assert len(replayed) == (len(passes) if spec.family == "path_feedback" else 0)
     for bound_pass, replay in zip(passes, replayed):
         assert len(bound_pass) == grid.steps and len(replay) == grid.steps - 1
         kept = ~bound_pass[-1][1]
@@ -376,12 +385,13 @@ def test_certified_block_matches_always_solve(
         assert np.array_equal(got[key][kept], values[kept]), key
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
 def test_stepper_passes_per_chunk(monkeypatch, n):
-    # each chunk takes one pass of the stepper.  Where x has a closed form
-    # every maximum's settle sees every path after every step; for n >= 3
-    # the solve pass then replays x alone, one advance per step but the
-    # last, and settle sees every path at the last step only
+    # each chunk takes one pass of the stepper, the chunk's only X updates
+    # on every family but path_feedback at n >= 3.  Where x has a closed
+    # form every maximum's settle sees every path after every step.  For
+    # n >= 3 settle sees every path at the last step only; path_feedback's
+    # solve pass then replays x alone, one advance per step but the last
     grid = TimeGrid(1.0, 20)
     plan = CollectorPlan(sigma2_levels=(0.5, 2.0))
     chunks, maxima = 3, (simulate_module._Norms, simulate_module._BridgeTail)
@@ -403,7 +413,9 @@ def test_stepper_passes_per_chunk(monkeypatch, n):
             simulate_block(spec, grid, np.arange(10, dtype=np.uint64), plan)
         one_pass = simulate_module.has_closed_form(n)
         assert len(passes) == chunks, spec.family
-        replay_steps = [] if one_pass else [grid.steps - 1] * chunks
+        replay_steps = [grid.steps - 1] * chunks
+        if one_pass or spec.family != "path_feedback":
+            replay_steps = []
         assert [len(r) for r in replays(advances)] == replay_steps
         assert sum(by_steps for _, by_steps in advances) == chunks * grid.steps
         for cls in maxima:
@@ -510,6 +522,118 @@ def test_ceilings_bound_eigvalsh(kind, n, exponent, noise, seed):
     assert (sharp_top >= eigs[:, -1]).all()
     assert (sharp_norm >= np.abs(eigs).max(axis=-1)).all()
     assert (sharp_top <= top).all() and (sharp_norm <= norm).all()
+
+
+def coefficient_spec(family, n, scale, cancel, rng):
+    """A time-only spec of ``family`` whose payloads (and slopes) are
+    scaled by ``scale``; with ``cancel`` its two drivers carry a matrix and
+    nearly its negative, -(1 + 2^-30) times it.  diag_basis keeps its
+    projectors."""
+    if family == "diag_basis":
+        return diag_basis_spec(n)
+    spec = {
+        "constant": lambda: constant_spec(symmetrize(rng.standard_normal((2, n, n)))),
+        "goe_like": lambda: goe_like_spec(n, 2, seed=int(rng.integers(2**32))),
+        "time_poly": lambda: time_poly_spec(
+            symmetrize(rng.standard_normal((2, n, n))), symmetrize(rng.standard_normal((2, n, n)))
+        ),
+    }[family]()
+
+    def scaled(a):
+        if a is None:
+            return None
+        if cancel:
+            a = np.stack([a[0], -(1.0 + 2.0**-30) * a[0]])
+        return a * scale
+
+    return dataclasses.replace(spec, matrices=scaled(spec.matrices), slopes=scaled(spec.slopes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["constant", "diag_basis", "goe_like", "time_poly"]),
+    n=st.sampled_from([3, 5, 8]),
+    exponent=st.integers(-150, 150),
+    cancel=st.booleans(),
+    returns=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="constant", n=3, exponent=0, cancel=False, returns=True, seed=1)
+@example(family="goe_like", n=5, exponent=-150, cancel=True, returns=False, seed=2)
+def test_coefficient_ceilings_and_floors(family, n, exponent, cancel, returns, seed):
+    # on the time-only families the engine bounds every Euler state from
+    # its coefficients alone, and takes its lower bounds from the kept
+    # states rebuilt from their coefficients.  At every step the ceilings
+    # are at least what eigvalsh gives for the Euler state, and at every
+    # kept step the lowered floors at most that.  Payloads span 1e-150 to
+    # 1e150.  With ``cancel`` the drivers carry a matrix and nearly its
+    # negative on equal increments, so c^T G c cancels to rounding; with
+    # ``returns`` the last step brings the drivers' running sums back to
+    # 0 exactly, where the Euler state keeps its rounding
+    rng = np.random.default_rng(seed)
+    spec = coefficient_spec(family, n, 10.0**exponent, cancel, rng)
+    grid, paths = TimeGrid(1.0, 24), 6
+    dB = rng.standard_normal((paths, grid.steps, spec.drivers)) * np.sqrt(grid.dt)
+    if cancel:
+        dB[:, :, 1] = dB[:, :, 0]
+    if returns:
+        dB[:, -1] = -np.cumsum(dB[:, :-1], axis=1)[:, -1]
+    scheme = EulerScheme(spec, grid)
+    xs = np.stack([step.x.copy() for step in scheme.steps(dB)])
+    exact = stacked_eigenvalues(xs)
+    exact_top, exact_norm = exact[..., -1], np.abs(exact).max(axis=-1)
+    level = float(np.abs(np.linalg.eigvalsh(scheme.qv[grid.steps // 2])).max())
+    plan = CollectorPlan(sigma2_levels=(level,))
+    bounded, kept = [], []
+    ceilings, lowers = ceilings_module.Coefficients.ceilings, []
+
+    def recording_ceilings(self, c, size, k):
+        # c holds the states after the steps up to k - 1
+        norm, top = ceilings(self, c, size, k)
+        bounded.append((np.arange(k - len(c), k), norm, top))
+        return norm, top
+
+    def recording_lower(cls):
+        lower = cls.lower
+
+        def recorded(self):
+            kept.extend(self.bests)
+            lower(self)
+
+        return recorded
+
+    saved = (
+        ceilings_module.Coefficients.ceilings,
+        simulate_module.brownian_increments,
+        simulate_module._Norms.lower,
+        simulate_module._BridgeTail.lower,
+    )
+    ceilings_module.Coefficients.ceilings = recording_ceilings
+    simulate_module.brownian_increments = lambda grid, drivers, seeds: dB.copy()
+    simulate_module._Norms.lower = recording_lower(simulate_module._Norms)
+    simulate_module._BridgeTail.lower = recording_lower(simulate_module._BridgeTail)
+    try:
+        out = simulate_block(spec, grid, np.arange(paths, dtype=np.uint64), plan)
+    finally:
+        (
+            ceilings_module.Coefficients.ceilings,
+            simulate_module.brownian_increments,
+            simulate_module._Norms.lower,
+            simulate_module._BridgeTail.lower,
+        ) = saved
+    assert not out["excluded"].any()
+    assert sum(len(rows) for rows, _, _ in bounded) == grid.steps
+    for rows, norm, top in bounded:
+        assert not (norm < exact_norm[rows]).any()
+        assert not (top < exact_top[rows]).any()
+    assert kept
+    everywhere = np.arange(paths)
+    for best in kept:
+        for index, eigs, slack in zip(best.index, best.eigs, best.slack):
+            inner = index > 0
+            at = (index[inner] - 1, everywhere[inner])
+            assert not (eigs[inner, -1] - slack[inner] > exact_top[at]).any()
+            assert not (np.abs(eigs[inner]).max(axis=-1) - slack[inner] > exact_norm[at]).any()
 
 
 @settings(max_examples=30, deadline=None)

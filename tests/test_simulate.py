@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -492,17 +493,20 @@ class TestSimulateBlock:
         #   and one solve per beta per checkpoint
         # - path_feedback solved x, qv, s2 and sum_i H_i per step, plus
         #   the checkpoints; ||<X>_T|| reuses the last step's qv spectrum
-        # At n = 3 x is solved in two passes: the bound pass solves X_T, one
-        # call per chunk solves the states kept for the lower bounds, and
-        # the solve pass makes at most one call per batch of 16 steps, on
-        # the states that the sharper ceilings do not rule out; on
-        # path_feedback qv is solved only where its bracket straddles a
-        # level.  So the calls may exceed the old count by one per chunk and
-        # no more, and the matrices must stay below the budget of the
-        # per-path Weyl bounds of the engine before (323, 336 and 641).  The
-        # counts are pinned for these seeds; with one call per step and the
-        # Wolkowicz-Styan ceilings alone they were (78, 284), (68, 276) and
-        # (177, 577).
+        # At n = 3 the stepper solves X_T, one call per chunk solves the
+        # states kept for the lower bounds, and the replay makes at most one
+        # call per batch of 16 steps, on the states that the sharper
+        # ceilings do not rule out; on path_feedback qv is solved only where
+        # its bracket straddles a level.  So the calls may exceed the old
+        # count by one per chunk and no more, and the matrices must stay
+        # below the budget of the per-path Weyl bounds of the engine before
+        # (323, 336 and 641).  The counts are pinned for these seeds.  On
+        # the time-only families the kept states are rebuilt from their
+        # coefficients, and the replay solves the Euler states there again:
+        # (54, 254) and (52, 255) when the bound pass kept the Euler states
+        # and the replay reused their spectra.  With one call per step and
+        # the Wolkowicz-Styan ceilings alone they were (78, 284), (68, 276)
+        # and (177, 577).
         grid = TimeGrid(1.0, 16)
         plan = CollectorPlan(
             sigma2_levels=(0.5, 2.0),
@@ -518,7 +522,7 @@ class TestSimulateBlock:
             "path_feedback": (3 * (4 * 16 + 14), 10 * (4 * 16 + 14)),
         }
         certificates = {"goe_like": 323, "time_poly": 336, "path_feedback": 641}
-        budget = {"goe_like": (54, 254), "time_poly": (52, 255), "path_feedback": (158, 554)}
+        budget = {"goe_like": (54, 295), "time_poly": (54, 301), "path_feedback": (158, 554)}
         solve = simulate_module.stacked_eigenvalues
         monkeypatch.setattr(simulate_module, "_CHUNK", 4)
         for spec in (s for s in zoo if s.family in budget):
@@ -570,6 +574,35 @@ class TestSimulateBlock:
         simulate_block(exp.spec, exp.grid, seeds, plan_for_config(exp))
         assert rows[0] <= 0.12 * 256 * exp.grid.steps
 
+    def test_working_memory_is_a_few_states_per_path(self):
+        # the memory the engine owns at its peak, traced by tracemalloc, on
+        # one 1024-path chunk of a time-only family (goe_like, n = 16, four
+        # drivers, 64 steps, every collector on, a level that stops
+        # admitting steps halfway): at most the increments plus 8 states
+        # per path, 18 MiB.  It read about 5.7 states per path beyond the
+        # increments; a (steps, paths, n) float64 array alone adds 4, and a
+        # copy of every state of the chunk 64
+        spec = goe_like_spec(16, 4, seed=1)
+        grid = TimeGrid(1.0, 64)
+        plan = CollectorPlan(
+            sigma2_levels=(1.0,),
+            supermartingale_betas=(0.5,),
+            schatten_orders=(2.0,),
+            quad_schatten_orders=(1.0,),
+            sum_norm_quad=True,
+        )
+        seeds = np.arange(simulate_module._CHUNK, dtype=np.uint64)
+        assert len(seeds) == 1024
+        simulate_block(spec, grid, seeds[:8], plan)
+        tracemalloc.start()
+        try:
+            simulate_block(spec, grid, seeds, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        increments, state = grid.steps * spec.drivers * 8, spec.n * spec.n * 8
+        assert peak <= len(seeds) * (increments + 8 * state)
+
     def test_ties_and_nans_reach(self):
         # a ceiling equal to the lower bound may be the step that attains
         # it, and a nan on either side certifies nothing
@@ -579,47 +612,73 @@ class TestSimulateBlock:
         assert reaches(ceiling, floor).tolist() == [True, True, True, True, False]
 
     def test_nonfinite_bound_forces_a_solve(self, monkeypatch):
-        # a nan or infinite ceiling certifies nothing: from step 4 on, path
-        # 0's norm ceiling is nan and path 1's lambda_max ceiling infinite,
-        # so the solve pass solves both after every step, where with finite
-        # ceilings each is skipped after some step; the outputs still match
-        # the engine that solves every path
-        spec = goe_like_spec(3, 2, seed=7)
+        # a nan or infinite ceiling certifies nothing, and a nan voids no
+        # offer.  Path 0's norm ceiling is made nan at every state but the
+        # one its tracker keeps, and path 1's lambda_max ceiling infinite
+        # from grid index 5 on: in the coefficient ceilings on goe_like, in
+        # the Window on path_feedback.  Path 0 still keeps that state, so
+        # its norm floor is the unpoisoned one, and every other state of it
+        # is flagged; every bridge step of path 1 that ends at index 5 or
+        # later is a candidate.  The outputs still match the engine that
+        # solves every path
+        a = np.array([[0.8, 0.2, 0.1], [0.2, 0.5, -0.3], [0.1, -0.3, 0.4]])
+        specs = (goe_like_spec(3, 2, seed=7), path_feedback_spec(a, 0.3))
         grid = TimeGrid(1.0, 32)
         plan = CollectorPlan(sigma2_levels=(1.0,))
         seeds = np.arange(4, dtype=np.uint64)
-        window, norms = ceilings_module.Window, simulate_module._Norms
-        add, settle = window.add, norms.settle
+        coefficients, window = ceilings_module.Coefficients, ceilings_module.Window
+        norms, bridge = simulate_module._Norms, simulate_module._BridgeTail
+        ceilings, add, lower, lower_bridge = (
+            coefficients.ceilings, window.add, norms.lower, bridge.lower
+        )
+        seen = {}
 
-        def run(poison):
-            solved = np.zeros((grid.steps, 2), dtype=bool)
+        def poison(norm, top, grid_index, kept):
+            norm[(grid_index != kept) & (grid_index > 0), 0] = np.nan
+            top[grid_index >= 5, 1] = np.inf
 
-            def poisoned_add(self, step):
-                full = add(self, step)
-                if full and poison:
-                    # row r holds X_{k0 + r}, the state after step k0 + r - 1
-                    late = self.k0 + np.arange(self.count + 1) - 1 >= 4
-                    self.norm[late, 0] = np.nan
-                    self.top[late, 1] = np.inf
-                return full
+        def poisoned_ceilings(self, c, size, k):
+            # c holds the states at grid indices up to k
+            norm, top = ceilings(self, c, size, k)
+            poison(norm, top, np.arange(k - len(c) + 1, k + 1), seen["kept"])
+            return norm, top
 
-            def recording_settle(self, k, idx, eigs):
-                solved[k] = np.isin([0, 1], idx)
-                settle(self, k, idx, eigs)
+        def poisoned_add(self, step):
+            full = add(self, step)
+            if full:
+                poison(self.norm, self.top, self.k0 + np.arange(self.count + 1), seen["kept"])
+            return full
 
+        def recording_lower(self):
+            lower(self)
+            seen["floor"] = self.floor.copy()
+            seen["need"] = self.need.copy()
+            seen.setdefault("kept", self.best.index[0, 0])
+
+        def recording_lower_bridge(self):
+            lower_bridge(self)
+            seen["candidates"] = self.cand.copy()
+
+        for spec in specs:
+            seen.clear()
+            monkeypatch.setattr(norms, "lower", recording_lower)
+            monkeypatch.setattr(bridge, "lower", recording_lower_bridge)
+            simulate_block(spec, grid, seeds, plan)
+            clean = dict(seen)
+            assert not clean["need"][:, 0].all() and not clean["candidates"][4:, 1].all()
+            monkeypatch.setattr(coefficients, "ceilings", poisoned_ceilings)
             monkeypatch.setattr(window, "add", poisoned_add)
-            monkeypatch.setattr(norms, "settle", recording_settle)
-            # X_T is solved by the bound pass on every path
-            return simulate_block(spec, grid, seeds, plan), solved[4:-1]
-
-        _, clean = run(poison=False)
-        assert not clean.all(axis=0).any()
-        out, poisoned = run(poison=True)
-        assert poisoned.all()
-        monkeypatch.undo()
-        ref = always_solve_block(spec, grid, seeds, plan)
-        for key, values in ref.items():
-            assert np.array_equal(out[key], values), key
+            out = simulate_block(spec, grid, seeds, plan)
+            assert seen["floor"][0] == clean["floor"][0]
+            # need row k flags X_{k+1}
+            others = np.arange(1, grid.steps + 1) != clean["kept"]
+            assert seen["need"][others, 0].all()
+            assert seen["candidates"][4:, 1].all()
+            monkeypatch.undo()
+            ref = always_solve_block(spec, grid, seeds, plan)
+            assert not ref["excluded"].any()
+            for key, values in ref.items():
+                assert np.array_equal(out[key], values), (spec.family, key)
 
     @pytest.mark.parametrize(
         "replay_bytes", [simulate_module._REPLAY_BYTES, 1], ids=["batch", "step"]
