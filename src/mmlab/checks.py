@@ -12,14 +12,18 @@ collectors it needs, the integrands it applies to and its evaluator.
 An evaluator takes the batch (or the integrand spec), its parameters
 and a :class:`Judge`, which holds everything else a check depends on
 (confidence, slack, rhs multiplier, resamples, seeds, sample size) and
-forms every interval and every result.
+forms every interval and every result.  An evaluator that bootstraps
+means of the batch yields them as one :class:`Resample` and is sent
+back their intervals, so that :meth:`Judge.settle` can resample every
+check of a run at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
+from typing import Callable, Generator, NamedTuple
 
 import numpy as np
 
@@ -112,18 +116,44 @@ def _result(name: str, lhs: float, rhs: float, lhs_ci: float, rhs_ci: float, md:
     return CheckResult(name, lhs, rhs, lhs_ci, rhs_ci, _holds(lhs, rhs, lhs_ci, rhs_ci, md), md)
 
 
+class Resample(NamedTuple):
+    """The bootstrap means one check needs: ``samples`` of the same
+    paths, one label each, and ``statistic``, a map of the tuple of
+    their means to a tuple of values, one per sample."""
+
+    samples: tuple
+    statistic: Callable[[tuple], tuple]
+    labels: tuple[str, ...]
+
+
+# an evaluator that bootstraps means of the batch: it yields one Resample,
+# is sent back one interval per sample, and returns its result
+Evaluation = Generator[Resample, tuple[EstimateCI, ...], CheckResult]
+
+
+def _finish(evaluation: Evaluation, intervals: tuple[EstimateCI, ...]) -> CheckResult:
+    """Send a suspended evaluator its intervals; return its result."""
+    try:
+        evaluation.send(intervals)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("an evaluator asked for a second resample")
+
+
 @dataclass(frozen=True)
 class Judge:
     """How a check forms its intervals and its verdict.
 
-    Every interval is taken at level ``confidence``.  A check's
-    bootstrap means resample its paths together: ``resamples`` resamples
-    drawn once from stream ``seed``, shared by every mean of the check.
-    A kind that draws its own sample takes ``samples`` values from
-    stream ``sample_seed``.  ``rhs_multiplier`` scales every rhs (0
-    shows that a check can fail), and a result holds when lhs <= rhs +
-    slack_factor * (lhs_ci + rhs_ci).  :func:`evaluate_checks` builds
-    one per check from the config.
+    Every interval is taken at level ``confidence``.  Bootstrap
+    intervals take ``resamples`` resamples drawn from stream ``seed``.
+    An evaluator that reads the batch yields its means as one
+    :class:`Resample`, and :meth:`settle` resamples those of every check
+    of a run together, on one index stream; a kind that draws its own
+    sample takes ``samples`` values from stream ``sample_seed`` and
+    resamples them at once by :meth:`mean`.  ``rhs_multiplier`` scales
+    every rhs (0 shows that a check can fail), and a result holds when
+    lhs <= rhs + slack_factor * (lhs_ci + rhs_ci).
+    :func:`evaluate_checks` builds one from the config.
     """
 
     confidence: float = 0.99
@@ -134,25 +164,52 @@ class Judge:
     samples: int = 100_000
     sample_seed: int = 0
 
-    def mean(self, values, statistic=float, *, label: str | tuple[str, ...]):
-        """Bootstrap interval for statistic(mean(values)) on stream ``seed``.
-
-        ``values`` may be a tuple of samples of the same paths, with one
-        label each; see :func:`~mmlab.montecarlo.bootstrap_ci`.
-        """
+    def mean(self, values, statistic=float, *, label: str) -> EstimateCI:
+        """Bootstrap interval for statistic(mean(values)) on stream ``seed``."""
         return bootstrap_ci(
             values, statistic, self.resamples, self.confidence, self.seed, label=label
         )
 
-    def pair(
-        self, name: str, lhs, lhs_statistic, rhs, rhs_statistic
-    ) -> tuple[EstimateCI, EstimateCI]:
-        """The lhs and rhs means of check ``name``, on one resample of its paths."""
-        return self.mean(
+    def pair(self, name: str, lhs, lhs_statistic, rhs, rhs_statistic) -> Resample:
+        """The lhs and rhs means of check ``name``, each under its statistic."""
+        return Resample(
             (lhs, rhs),
             lambda means: (lhs_statistic(means[0]), rhs_statistic(means[1])),
-            label=(f"{name} lhs", f"{name} rhs"),
+            (f"{name} lhs", f"{name} rhs"),
         )
+
+    def settle(self, evaluations: list[CheckResult | Evaluation]) -> list[CheckResult]:
+        """The results of ``evaluations``: results, and suspended evaluators.
+
+        Each suspended evaluator is run to its :class:`Resample`, and
+        every sample of every request is resampled in one bootstrap
+        call on stream ``seed``: each resample's indices serve all of
+        them, so a check's intervals are those its own request would get
+        alone on that stream (see
+        :func:`~mmlab.montecarlo.bootstrap_ci`).
+        """
+        results = list(evaluations)
+        pending = [(i, e, next(e)) for i, e in enumerate(results) if not isinstance(e, CheckResult)]
+        if not pending:
+            return results
+        requests = [request for _, _, request in pending]
+        spans = list(accumulate((len(r.samples) for r in requests), initial=0))
+        bounds = list(zip(spans, spans[1:]))
+
+        def statistic(means):
+            return [v for r, (a, b) in zip(requests, bounds) for v in r.statistic(means[a:b])]
+
+        intervals = bootstrap_ci(
+            tuple(s for r in requests for s in r.samples),
+            statistic,
+            self.resamples,
+            self.confidence,
+            self.seed,
+            label=tuple(label for r in requests for label in r.labels),
+        )
+        for (i, evaluation, _), (a, b) in zip(pending, bounds):
+            results[i] = _finish(evaluation, intervals[a:b])
+        return results
 
     def frequency(self, hits: int, trials: int) -> EstimateCI:
         """Wilson interval for an event seen on ``hits`` of ``trials`` paths."""
@@ -320,11 +377,11 @@ def _moment_flag(p: float, est) -> bool:
 
 def bdg_check(
     batch: BatchStats, p: int, t: float | None = None, judge: Judge = Judge()
-) -> CheckResult:
+) -> Evaluation:
     """p-th moment of the running sup vs the sqrt(p + log n) weighted qv moment."""
     p = _moment_order(p)
     coeff = BDG_CONSTANT * math.sqrt(p + math.log(batch.spec.n)) * judge.rhs_multiplier
-    lhs, rhs = judge.pair(
+    lhs, rhs = yield judge.pair(
         "bdg",
         batch.data["sup_spectral"] ** p,
         lambda s: s ** (1.0 / p),
@@ -352,12 +409,12 @@ def _schatten_samples(batch: BatchStats, p: int) -> tuple[np.ndarray, np.ndarray
 
 def schatten_check(
     batch: BatchStats, p: int, t: float | None = None, judge: Judge = Judge()
-) -> CheckResult:
+) -> Evaluation:
     """Mean squared terminal 2p-norm vs (2p-1) times the quadrature mean."""
     p = _moment_order(p)
     values, quad = _schatten_samples(batch, p)
     factor = (2.0 * p - 1.0) * judge.rhs_multiplier
-    lhs, rhs = judge.pair("schatten", values, float, quad, lambda s: factor * s)
+    lhs, rhs = yield judge.pair("schatten", values, float, quad, lambda s: factor * s)
     return judge.result(
         "schatten", batch, lhs, rhs, t=t, p=p, unstable_moment=_moment_flag(p, lhs)
     )
@@ -365,7 +422,7 @@ def schatten_check(
 
 def schatten_rect_check(
     batch: BatchStats, p: int, t: float | None = None, judge: Judge = Judge()
-) -> CheckResult:
+) -> Evaluation:
     """Rectangular Schatten bound via the dilated process.
 
     The recorded dilated terminal 2p-norm relates to the rectangular
@@ -380,7 +437,9 @@ def schatten_rect_check(
     scale = 2.0 ** (-1.0 / p)
     factor_cons = scale * (2.0 * p - 1.0) * judge.rhs_multiplier
     factor_paper = scale * math.sqrt(2.0 * p - 1.0) * judge.rhs_multiplier
-    lhs, rhs = judge.pair("schatten_rect", squares * scale, float, quad, lambda s: factor_cons * s)
+    lhs, rhs = yield judge.pair(
+        "schatten_rect", squares * scale, float, quad, lambda s: factor_cons * s
+    )
     rhs_paper = rhs.point * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
     rhs_paper_ci = rhs.half_width * factor_paper / factor_cons if factor_cons != 0.0 else 0.0
     return judge.result(
@@ -430,12 +489,12 @@ def khintchine_check(spec: IntegrandSpec, judge: Judge = Judge()) -> CheckResult
 
 def biane_speicher_check(
     batch: BatchStats, t: float | None = None, judge: Judge = Judge()
-) -> CheckResult:
+) -> Evaluation:
     """Mean terminal norm vs 2*sqrt(2) times the root-quadrature mean."""
     if "sum_norm_quad" not in batch.data:
         raise InputDomainError("batch was not collected with the driver-sum quadrature")
     coeff = BIANE_SPEICHER_CONSTANT * judge.rhs_multiplier
-    lhs, rhs = judge.pair(
+    lhs, rhs = yield judge.pair(
         "biane_speicher",
         batch.data["terminal_spectral"],
         float,
@@ -447,7 +506,7 @@ def biane_speicher_check(
     )
 
 
-def supermartingale_check(batch: BatchStats, beta: float, judge: Judge = Judge()) -> CheckResult:
+def supermartingale_check(batch: BatchStats, beta: float, judge: Judge = Judge()) -> Evaluation:
     """Checkpoint means of Tr exp(beta*X - (beta^2/2)*qv) never increase.
 
     lhs/rhs are the later/earlier means of the worst consecutive
@@ -457,10 +516,10 @@ def supermartingale_check(batch: BatchStats, beta: float, judge: Judge = Judge()
     bi = _plan_index(batch.plan.supermartingale_betas, beta, "beta")
     cps = default_checkpoints(batch.grid.steps)
     vals = batch.data["supermart"][:, bi, :]
-    ests = judge.mean(
+    ests = yield Resample(
         tuple(vals.T),  # one column view per checkpoint
         lambda means: means,
-        label=tuple(f"supermartingale checkpoint {cp}" for cp in cps),
+        tuple(f"supermartingale checkpoint {cp}" for cp in cps),
     )
     worst = None
     worst_excess = -math.inf
@@ -537,16 +596,18 @@ class CheckKind:
     ``params`` lists, in order, the parameters a request of this kind
     takes; ``evaluate`` is called with the batch (or, when the kind does
     not need one, the integrand spec), those parameter values and a
-    :class:`Judge`, see :func:`evaluate_checks`.  ``collect(request)``
-    names the :class:`~mmlab.simulate.CollectorPlan` fields the request
-    needs: a tuple of values to record, or True for an opt-in
-    quadrature.  ``applies(spec)`` tells whether the kind can run on an
+    :class:`Judge`, see :func:`evaluate_checks`.  It returns the
+    result, or for a kind that bootstraps means of the batch an
+    :data:`Evaluation` that :meth:`Judge.settle` completes.
+    ``collect(request)`` names the :class:`~mmlab.simulate.CollectorPlan`
+    fields the request needs: a tuple of values to record, or True for
+    an opt-in quadrature.  ``applies(spec)`` tells whether the kind can run on an
     integrand at all; ``requires`` words that rule as errors state it.
     """
 
     name: str
     params: tuple[Param, ...]
-    evaluate: Callable[..., CheckResult]
+    evaluate: Callable[..., CheckResult | Evaluation]
     collect: Callable[..., dict] = _no_collectors
     needs_batch: bool = True
     requires: str = ""
@@ -658,34 +719,43 @@ class CheckRequest:
 def evaluate_checks(config: ExperimentConfig, batch: BatchStats | None) -> list[CheckResult]:
     """Run every requested check against one shared batch.
 
-    Each check is judged by a :class:`Judge` built from the config.
-    Check i resamples its paths once: every bootstrap mean of the check
-    shares one index stream, seeded by ``bootstrap_seed(config, 2i)``,
-    and a kind that draws its own sample seeds it by
-    ``bootstrap_seed(config, 2i + 1)``.  So results are reproducible
-    and independent of evaluation parallelism.  A kind that needs no batch
-    draws its own sample of ``config.paths`` from the integrand spec.
-    Overflow warns nothing: the checks refuse non-finite values by name.
+    One :class:`Judge` built from the config judges every check.  A run
+    resamples the batch's paths once: every bootstrap mean of every
+    check that reads the batch is gathered from one index stream, seeded
+    by ``bootstrap_seed(config, 0)``, so a check's intervals depend only
+    on that seed and its own samples, not on its position or on the
+    other checks.  A kind that needs no batch draws its own sample of
+    ``config.paths`` from the integrand spec; as check i it seeds that
+    sample by ``bootstrap_seed(config, 2i + 1)`` and resamples it on
+    stream ``bootstrap_seed(config, 2i)``.  So results are reproducible
+    and independent of evaluation parallelism.  Overflow warns nothing:
+    the checks refuse non-finite values by name.
     """
-    results = []
-    for i, req in enumerate(config.checks):
-        kind = CHECK_REGISTRY[req.kind]
-        judge = Judge(
-            confidence=config.confidence,
-            slack_factor=config.slack_factor,
-            rhs_multiplier=config.rhs_multiplier,
-            resamples=config.bootstrap_resamples,
-            seed=bootstrap_seed(config, 2 * i),
-            samples=config.paths,
-            sample_seed=bootstrap_seed(config, 2 * i + 1),
-        )
-        if kind.needs_batch and batch is None:
-            raise InputDomainError(f"check '{req.kind}' requires a simulated batch")
-        subject = batch if kind.needs_batch else config.spec
-        params = [getattr(req, p.name) for p in kind.params]
-        with np.errstate(over="ignore", invalid="ignore"):
-            results.append(kind.evaluate(subject, *params, judge))
-    return results
+    judge = Judge(
+        confidence=config.confidence,
+        slack_factor=config.slack_factor,
+        rhs_multiplier=config.rhs_multiplier,
+        resamples=config.bootstrap_resamples,
+        seed=bootstrap_seed(config, 0),
+        samples=config.paths,
+    )
+    evaluations = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, req in enumerate(config.checks):
+            kind = CHECK_REGISTRY[req.kind]
+            params = [getattr(req, p.name) for p in kind.params]
+            if not kind.needs_batch:
+                own = replace(
+                    judge,
+                    seed=bootstrap_seed(config, 2 * i),
+                    sample_seed=bootstrap_seed(config, 2 * i + 1),
+                )
+                evaluations.append(kind.evaluate(config.spec, *params, own))
+            elif batch is None:
+                raise InputDomainError(f"check '{req.kind}' requires a simulated batch")
+            else:
+                evaluations.append(kind.evaluate(batch, *params, judge))
+        return judge.settle(evaluations)
 
 
 def run_experiment_checks(config: ExperimentConfig, workers: int = 1) -> tuple[BatchStats | None, list[CheckResult]]:

@@ -228,10 +228,15 @@ def bootstrap_ci(
     stream: each resample's m indices follow on from the previous one's
     in the ``default_rng(seed)`` stream, as a per-resample loop would
     draw them, and are drawn once, in blocks of rows, for all samples.
+    So a sample's interval is the one it would get in a call of its own
+    on ``seed``, whatever other samples come with it, and one call can
+    serve every check of a run (:meth:`mmlab.checks.Judge.settle`).
     A constant sample gets a zero-width interval and is not gathered.
-    Each interval is widened (never narrowed) to contain its point
-    estimate.  Non-finite values or statistics raise NumericError naming
-    the sample's label (``label`` is one label per sample for a tuple).
+    The bounds are np.quantile's default percentiles of the resample
+    statistics.  Each interval is widened (never narrowed) to contain
+    its point estimate.  Non-finite values or statistics raise
+    NumericError naming the sample's label (``label`` is one label per
+    sample for a tuple).
     Returns one EstimateCI, or a tuple of them for a tuple of samples.
     """
     joint = isinstance(values, tuple)
@@ -268,17 +273,36 @@ def bootstrap_ci(
     bounds = [(point, point) for point in points]
     if varying:
         stats = _resample_statistics(arrs, means, varying, evaluate, resamples, seed)
+        ordered = np.sort(stats[:, varying], axis=0)
         alpha = 0.5 * (1.0 - confidence)
-        for j in varying:
-            column = stats[:, j]
+        for column, j in zip(ordered.T, varying):
             if not np.all(np.isfinite(column)):
                 raise NumericError(f"{labels[j]}: a bootstrap resample gave a non-finite statistic")
-            bounds[j] = float(np.quantile(column, alpha)), float(np.quantile(column, 1.0 - alpha))
+            bounds[j] = _percentile(column, alpha), _percentile(column, 1.0 - alpha)
     intervals = tuple(
         EstimateCI(point=point, lo=min(lo, point), hi=max(hi, point))
         for point, (lo, hi) in zip(points, bounds)
     )
     return intervals if joint else intervals[0]
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(ordered, q)`` of a sorted 1-D sample, bit for bit.
+
+    numpy's default "linear" method: the order statistics around the
+    virtual index (m - 1) * q are interpolated as numpy's ``_lerp`` does,
+    from the lower one below a fraction of 0.5 and back from the upper
+    one from 0.5 up.  np.quantile itself calls np.unique, which imports
+    numpy.ma on its first call.
+    """
+    virtual = (ordered.shape[0] - 1) * q
+    if virtual >= ordered.shape[0] - 1:
+        return float(ordered[-1])
+    below = math.floor(virtual)
+    lo, hi = float(ordered[below]), float(ordered[below + 1])
+    t = virtual - below
+    diff = hi - lo
+    return hi - diff * (1.0 - t) if t >= 0.5 else lo + diff * t
 
 
 def _resample_statistics(arrs, means, varying, evaluate, resamples: int, seed: int) -> np.ndarray:
@@ -307,7 +331,8 @@ def _resample_statistics(arrs, means, varying, evaluate, resamples: int, seed: i
         index = rng.integers(0, m, size=block.shape)
         for j in varying:
             np.take(arrs[j], index, out=block, mode="clip")
-            rows_means[:, j] = block.mean(axis=1)
+            # block.mean(axis=1) to the bit, without its Python-level wrapper
+            rows_means[:, j] = np.add.reduce(block, axis=1) / m
         stats[start:stop] = [evaluate(tuple(row)) for row in rows_means.tolist()]
     return stats
 
@@ -471,10 +496,13 @@ def run_batch(config: ExperimentConfig, workers: int = 1) -> BatchStats:
     )
 
 
-def bootstrap_seed(config: ExperimentConfig, check_index: int) -> int:
-    """Seed for the bootstrap stream of check number `check_index`.
+def bootstrap_seed(config: ExperimentConfig, stream: int) -> int:
+    """Seed for auxiliary stream number `stream` of the run.
 
-    Lives in a disjoint index namespace (offset 2^48) from path seeds.
+    Stream 0 resamples the batch's paths for every check; a check that
+    draws its own sample, as check i, takes streams 2i and 2i + 1 (see
+    :func:`mmlab.checks.evaluate_checks`).  Lives in a disjoint index
+    namespace (offset 2^48) from path seeds.
     """
-    return derive_path_seed(config.master_seed, STREAM_OFFSET + check_index)
+    return derive_path_seed(config.master_seed, STREAM_OFFSET + stream)
 

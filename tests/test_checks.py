@@ -48,6 +48,12 @@ from mmlab.simulate import TimeGrid
 from .oracles import grid_lambda_max, reflection_sup_tail
 
 
+def settled(evaluation, judge=Judge()):
+    """The result of one evaluator, its intervals resampled on ``judge``'s stream."""
+    (result,) = judge.settle([evaluation])
+    return result
+
+
 def make_batch(spec, checks, paths, seed, steps=256):
     config = ExperimentConfig(
         spec=spec,
@@ -345,7 +351,7 @@ class TestGoodLambda:
 
 class TestBdg:
     def test_scalar_p1_example(self, scalar_batch):
-        res = bdg_check(scalar_batch, p=1)
+        res = settled(bdg_check(scalar_batch, p=1))
         # qv_T = 1 on every path, so the rhs is the constant exactly
         assert res.rhs == pytest.approx(BDG_CONSTANT, rel=1e-15)
         assert res.rhs_ci == 0.0
@@ -354,7 +360,7 @@ class TestBdg:
         assert res.holds
 
     def test_diag_basis_analytic_rhs(self, diag2_batch):
-        res = bdg_check(diag2_batch, p=2)
+        res = settled(bdg_check(diag2_batch, p=2))
         assert res.rhs == pytest.approx(
             BDG_CONSTANT * math.sqrt(2.0 + math.log(2.0)), rel=1e-12
         )
@@ -362,26 +368,24 @@ class TestBdg:
         assert res.holds
 
     def test_unstable_moment_flag_present(self, diag2_batch):
-        res = bdg_check(diag2_batch, p=4)
+        res = settled(bdg_check(diag2_batch, p=4))
         assert isinstance(res.metadata["unstable_moment"], bool)
         assert res.holds
 
     def test_invalid_p(self, scalar_batch):
         with pytest.raises(InputDomainError):
-            bdg_check(scalar_batch, p=0)
+            settled(bdg_check(scalar_batch, p=0))
 
     def test_zero_integrand(self, zero_batch):
-        res = bdg_check(zero_batch, p=1)
+        res = settled(bdg_check(zero_batch, p=1))
         assert res.lhs == 0.0 and res.rhs == 0.0
         assert res.holds
 
     def test_scale_covariance(self):
         # doubling H doubles both sides exactly (power-of-two scaling)
         checks = [CheckRequest("bdg", p=1)]
-        small = bdg_check(make_batch(constant_spec([np.eye(1)]), checks, 500, 83), p=1)
-        big = bdg_check(
-            make_batch(constant_spec([2.0 * np.eye(1)]), checks, 500, 83), p=1
-        )
+        small = settled(bdg_check(make_batch(constant_spec([np.eye(1)]), checks, 500, 83), p=1))
+        big = settled(bdg_check(make_batch(constant_spec([2.0 * np.eye(1)]), checks, 500, 83), p=1))
         assert big.lhs == pytest.approx(2.0 * small.lhs, rel=1e-12)
         assert big.rhs == pytest.approx(2.0 * small.rhs, rel=1e-12)
         assert big.holds == small.holds
@@ -389,31 +393,31 @@ class TestBdg:
 
 class TestSchatten:
     def test_ito_isometry_equality(self, eye2_batch):
-        res = schatten_check(eye2_batch, p=1)
+        res = settled(schatten_check(eye2_batch, p=1))
         assert res.rhs == pytest.approx(2.0, rel=1e-15)
         assert abs(res.lhs - 2.0) < 0.2
         assert 0.9 < res.ratio < 1.1
         assert res.holds
 
     def test_p2_diagonal_closed_form(self, eye2_batch):
-        res = schatten_check(eye2_batch, p=2)
+        res = settled(schatten_check(eye2_batch, p=2))
         assert res.rhs == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-12)
         assert abs(res.lhs - math.sqrt(2.0)) < 0.15
         assert res.holds
 
     def test_missing_order_rejected(self, eye2_batch):
         with pytest.raises(InputDomainError):
-            schatten_check(eye2_batch, p=3)
+            settled(schatten_check(eye2_batch, p=3))
 
     def test_zero_integrand(self, zero_batch):
-        res = schatten_check(zero_batch, p=1)
+        res = settled(schatten_check(zero_batch, p=1))
         assert res.lhs == 0.0 and res.rhs == 0.0
         assert res.holds
 
 
 class TestSchattenRect:
     def test_scalar_reduction_p1(self, rect12_batch):
-        res = schatten_rect_check(rect12_batch, p=1)
+        res = settled(schatten_rect_check(rect12_batch, p=1))
         # p=1 is the Ito isometry: lhs = t = 1 and both factors coincide
         assert res.rhs == pytest.approx(1.0, rel=1e-12)
         assert res.metadata["rhs_paper"] == pytest.approx(1.0, rel=1e-12)
@@ -421,7 +425,7 @@ class TestSchattenRect:
         assert res.holds and res.metadata["holds_paper"]
 
     def test_scalar_reduction_p2(self, rect12_batch):
-        res = schatten_rect_check(rect12_batch, p=2)
+        res = settled(schatten_rect_check(rect12_batch, p=2))
         assert res.rhs == pytest.approx(3.0, rel=1e-12)
         assert res.metadata["rhs_paper"] == pytest.approx(math.sqrt(3.0), rel=1e-12)
         assert abs(res.lhs - 1.0) < 0.15
@@ -434,19 +438,18 @@ class TestSchattenRect:
         mats = [0.5 * (m + m.T) for m in rng.standard_normal((2, 2, 2))]
         checks_sq = [CheckRequest("schatten", p=2)]
         checks_rc = [CheckRequest("schatten_rect", p=2)]
-        sq = schatten_check(
-            make_batch(constant_spec(mats), checks_sq, 2000, 85), p=2, judge=Judge(seed=7)
-        )
-        rc = schatten_rect_check(
-            make_batch(rect_constant_spec(mats), checks_rc, 2000, 85), p=2, judge=Judge(seed=7)
-        )
+        judge = Judge(seed=7)
+        square = make_batch(constant_spec(mats), checks_sq, 2000, 85)
+        rect = make_batch(rect_constant_spec(mats), checks_rc, 2000, 85)
+        sq = settled(schatten_check(square, p=2, judge=judge), judge)
+        rc = settled(schatten_rect_check(rect, p=2, judge=judge), judge)
         assert rc.lhs == pytest.approx(sq.lhs, rel=1e-9)
         assert rc.rhs == pytest.approx(sq.rhs, rel=1e-9)
         assert rc.holds == sq.holds
 
     def test_square_batch_rejected(self, eye2_batch):
         with pytest.raises(InputDomainError):
-            schatten_rect_check(eye2_batch, p=1)
+            settled(schatten_rect_check(eye2_batch, p=1))
 
 
 class TestKhintchine:
@@ -484,24 +487,24 @@ class TestKhintchine:
 
 class TestBianeSpeicher:
     def test_scalar_closed_form(self, scalar_batch):
-        res = biane_speicher_check(scalar_batch)
+        res = settled(biane_speicher_check(scalar_batch))
         assert res.rhs == pytest.approx(BIANE_SPEICHER_CONSTANT, rel=1e-15)
         assert abs(res.lhs - math.sqrt(2.0 / math.pi)) < 0.03
         assert res.holds
 
     def test_zero_integrand(self, zero_batch):
-        res = biane_speicher_check(zero_batch)
+        res = settled(biane_speicher_check(zero_batch))
         assert res.lhs == 0.0 and res.rhs == 0.0
         assert res.holds
 
     def test_requires_collector(self, eye2_batch):
         with pytest.raises(InputDomainError):
-            biane_speicher_check(eye2_batch)
+            settled(biane_speicher_check(eye2_batch))
 
 
 class TestSupermartingale:
     def test_scalar_nonincreasing(self, scalar_batch):
-        res = supermartingale_check(scalar_batch, beta=0.5)
+        res = settled(supermartingale_check(scalar_batch, beta=0.5))
         assert res.holds
         assert res.metadata["initial_value"] == 1.0
         means = res.metadata["checkpoint_means"]
@@ -510,7 +513,7 @@ class TestSupermartingale:
 
     def test_missing_beta_rejected(self, scalar_batch):
         with pytest.raises(InputDomainError):
-            supermartingale_check(scalar_batch, beta=0.25)
+            settled(supermartingale_check(scalar_batch, beta=0.25))
 
 
 @pytest.fixture(scope="module")
@@ -528,6 +531,22 @@ def driver_config():
             CheckRequest("schatten", p=1),
         ),
     )
+
+
+@pytest.fixture
+def bootstrap_calls(monkeypatch):
+    """(label, seed) of every ``bootstrap_ci`` call the checks make."""
+    import mmlab.checks as checks_module
+
+    calls = []
+    bootstrap = checks_module.bootstrap_ci
+
+    def spy(values, statistic, resamples, confidence, seed, *, label):
+        calls.append((label, seed))
+        return bootstrap(values, statistic, resamples, confidence, seed, label=label)
+
+    monkeypatch.setattr(checks_module, "bootstrap_ci", spy)
+    return calls
 
 
 class TestEvaluateChecks:
@@ -569,21 +588,10 @@ class TestEvaluateChecks:
         with pytest.raises(InputDomainError):
             evaluate_checks(driver_config, None)
 
-    def test_one_bootstrap_call_per_check(self, monkeypatch):
-        # a check resamples its paths once: each paired kind and the
-        # supermartingale's checkpoints make one joint call, on one seed,
-        # and the frequency kinds none
-        import mmlab.checks as checks_module
-
-        calls = []
-        bootstrap = checks_module.bootstrap_ci
-
-        def spy(values, statistic, resamples, confidence, seed, *, label):
-            labels = label if isinstance(label, tuple) else (label,)
-            calls.append((labels[0].split()[0], seed))
-            return bootstrap(values, statistic, resamples, confidence, seed, label=label)
-
-        monkeypatch.setattr(checks_module, "bootstrap_ci", spy)
+    def test_one_bootstrap_call_per_run(self, bootstrap_calls):
+        # a run resamples its paths once: every bootstrap mean of every
+        # check that reads the batch comes from one joint call on the
+        # run's stream, and the frequency kinds make none
         config = ExperimentConfig(
             spec=path_feedback_spec([np.array([[0.8, 0.2], [0.2, 0.5]])], 0.3),
             grid=TimeGrid(1.0, 16),
@@ -599,9 +607,41 @@ class TestEvaluateChecks:
             ),
         )
         run_experiment_checks(config)
-        names = [name for name, _ in calls]
-        assert names == ["bdg", "schatten", "biane_speicher", "supermartingale"]
-        assert [seed for _, seed in calls] == [bootstrap_seed(config, 2 * i) for i in (2, 3, 4, 5)]
+        ((labels, seed),) = bootstrap_calls
+        assert seed == bootstrap_seed(config, 0)
+        checkpoints = [label for label in labels if label.startswith("supermartingale")]
+        assert labels == (
+            "bdg lhs",
+            "bdg rhs",
+            "schatten lhs",
+            "schatten rhs",
+            "biane_speicher lhs",
+            "biane_speicher rhs",
+            *checkpoints,
+        )
+        assert len(checkpoints) == 8
+
+    def test_khintchine_keeps_its_own_stream(self, bootstrap_calls):
+        # khintchine draws its own sample, of config.paths values, and
+        # resamples it on its own stream: check i's bootstrap_seed 2i
+        spec = constant_spec([np.array([[1.0, 0.3], [0.3, -0.5]])])
+        config = ExperimentConfig(
+            spec=spec,
+            grid=TimeGrid(1.0, 16),
+            paths=300,
+            master_seed=9,
+            checks=(
+                CheckRequest("bdg", p=1),
+                CheckRequest("freedman", u=1.0, sigma2=1.0),
+                CheckRequest("khintchine"),
+            ),
+        )
+        _, results = run_experiment_checks(config)
+        stream, sample = bootstrap_seed(config, 4), bootstrap_seed(config, 5)
+        assert bootstrap_calls[0] == ("khintchine lhs", stream)
+        assert [seed for _, seed in bootstrap_calls] == [stream, bootstrap_seed(config, 0)]
+        own = Judge(samples=300, seed=stream, sample_seed=sample)
+        assert results[2] == khintchine_check(spec, own)
 
     def test_khintchine_only_needs_no_batch(self):
         config = ExperimentConfig(

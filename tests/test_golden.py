@@ -47,6 +47,15 @@ one resample of its paths.  Only two kinds of field moved: each
 varies over paths.  Every ``lhs`` and ``lhs_ci`` of a paired check kept
 its bytes.
 
+Every report golden and ``golden/sweep_goe_n_sweep.{csv,json}`` were
+rewritten again when a run came to resample its paths once, on the
+stream of ``bootstrap_seed(config, 0)``, for every check that reads the
+batch.  Only bootstrap half-widths moved: the ``lhs_ci`` of ``bdg``,
+``schatten``, ``schatten_rect``, ``biane_speicher`` and
+``supermartingale``, and on ``path_feedback`` the ``rhs_ci`` of the
+paired kinds.  Every lhs and rhs point, every verdict and every Wilson
+row kept its bytes.
+
 ``golden/timepoly3_kinds.cfg`` runs a 3x3 ``time_poly`` integrand, H_i(t) =
 A_i + t * B_i with two drivers, under the freedman, good_lambda, bdg,
 schatten, biane_speicher and supermartingale checks: the only golden in

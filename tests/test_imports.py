@@ -13,6 +13,9 @@ only its own unit tests read should go.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +24,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmlab"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # stored attributes that nothing reads by name, each kept for a reason
 UNREAD_ON_PURPOSE = {
@@ -249,3 +253,23 @@ def test_an_unread_definition_is_found():
         "def run(): pass\n"
     )
     assert unread_definitions({"mmlab/m.py": ast.parse(source)}) == ["m.SPARE", "m.loop"]
+
+
+@pytest.mark.parametrize("config", ["all_kinds.cfg", "goe_kinds.cfg", "feedback3_kinds.cfg"])
+def test_verify_run_leaves_numpy_ma_and_scipy_out(config):
+    # importing numpy.ma costs every run about 10 ms (np.quantile's
+    # np.unique imports it on first use), and scipy is no dependency
+    code = (
+        "import sys\n"
+        "from mmlab.config import parse_settings\n"
+        "from mmlab.report import run_verify\n"
+        f"text = open({str(GOLDEN / config)!r}).read()\n"
+        "report = run_verify(parse_settings(text, {'paths': '200'}).experiment)\n"
+        "assert report.error is None and report.results, report.error\n"
+        "print(sorted(m for m in ('numpy.ma', 'scipy') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

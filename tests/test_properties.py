@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import sys
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import mmlab.ceilings as ceilings_module
 import mmlab.simulate as simulate_module
-from mmlab.checks import CHECK_REGISTRY, CheckRequest, evaluate_checks, recompute_holds
+from mmlab.checks import CHECK_REGISTRY, CheckRequest, Judge, evaluate_checks, recompute_holds
 from mmlab.errors import InputDomainError
 from mmlab.integrands import (
     constant_spec,
@@ -26,7 +27,9 @@ from mmlab.linalg import stacked_eigenvalues, symmetrize
 from mmlab.montecarlo import (
     BOOTSTRAP_BLOCK_ELEMENTS,
     ExperimentConfig,
+    _percentile,
     bootstrap_ci,
+    bootstrap_seed,
     derive_path_seed,
     derive_path_seeds,
     run_batch,
@@ -672,3 +675,97 @@ def test_joint_bootstrap_matches_loop(m, constant, resamples, seed):
     for ci, flat in zip(cis, constant):
         assert (ci.lo == ci.hi) == flat
     assert cis[0] == bootstrap_ci(samples[0], lambda s: scales[0] * s, resamples, 0.99, seed)
+
+
+# every kind on a constant (dilated 1x2) payload, where each rhs sample is
+# constant over paths, and the batch kinds on a path_feedback payload,
+# where the rhs varies; bdg appears twice, so a kind may repeat
+RUN_CHECKS = {
+    "rect": (
+        rect_constant_spec(np.array([[[0.8, -0.3]]])),
+        (
+            CheckRequest("freedman", u=1.0, sigma2=1.0),
+            CheckRequest("bdg", p=2),
+            CheckRequest("schatten", p=1),
+            CheckRequest("khintchine"),
+            CheckRequest("schatten_rect", p=1),
+            CheckRequest("good_lambda", u=0.5, sigma2=1.0),
+            CheckRequest("biane_speicher"),
+            CheckRequest("supermartingale", beta=0.5),
+            CheckRequest("bdg", p=1),
+        ),
+    ),
+    "feedback": (
+        path_feedback_spec([np.array([[0.8, 0.2], [0.2, 0.5]])], 0.3),
+        (
+            CheckRequest("bdg", p=1),
+            CheckRequest("freedman", u=1.0, sigma2=1.0),
+            CheckRequest("schatten", p=2),
+            CheckRequest("supermartingale", beta=1.0),
+            CheckRequest("biane_speicher"),
+            CheckRequest("bdg", p=2),
+        ),
+    ),
+}
+
+
+@functools.cache
+def run_checks(name):
+    """The full config of ``RUN_CHECKS[name]``, its batch and its results."""
+    spec, checks = RUN_CHECKS[name]
+    config = ExperimentConfig(
+        spec=spec, grid=GRID, paths=200, master_seed=13, checks=checks, bootstrap_resamples=150
+    )
+    batch = run_batch(config)
+    return config, batch, evaluate_checks(config, batch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(RUN_CHECKS)), data=st.data())
+def test_check_intervals_do_not_depend_on_the_other_checks(name, data):
+    # a bootstrapped check's numbers depend on the run's seed and its own
+    # samples alone: in any subset and order of the config's checks they
+    # equal, bit for bit, its numbers in the full config and those of a
+    # standalone bootstrap of its own request on the run's stream
+    config, batch, full = run_checks(name)
+    order = data.draw(
+        st.lists(st.sampled_from(range(len(config.checks))), min_size=1, unique=True)
+    )
+    subset = dataclasses.replace(config, checks=tuple(config.checks[i] for i in order))
+    results = evaluate_checks(subset, batch)
+    judge = Judge(
+        confidence=config.confidence, resamples=config.bootstrap_resamples, samples=config.paths
+    )
+    for i, result in zip(order, results):
+        kind = CHECK_REGISTRY[config.checks[i].kind]
+        if result.name in ("freedman", "good_lambda", "khintchine"):
+            continue
+        params = [getattr(config.checks[i], p.name) for p in kind.params]
+        evaluation = kind.evaluate(batch, *params, judge)
+        request = next(evaluation)
+        intervals = bootstrap_ci(
+            request.samples,
+            request.statistic,
+            config.bootstrap_resamples,
+            config.confidence,
+            bootstrap_seed(config, 0),
+            label=request.labels,
+        )
+        with pytest.raises(StopIteration) as done:
+            evaluation.send(intervals)
+        # every field, lhs, rhs, lhs_ci and rhs_ci among them, bit for bit
+        assert result == full[i] == done.value.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=2, max_size=60
+    ),
+    q=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.005, 0.995, 0.025, 0.975, 0.5])),
+)
+def test_percentile_matches_np_quantile(values, q):
+    ordered = np.sort(np.array(values))
+    expected = float(np.quantile(ordered, q))
+    got = _percentile(ordered, q)
+    assert got == expected or (np.isnan(got) and np.isnan(expected))
