@@ -3,20 +3,17 @@ turns them into skipped eigen solves.
 
 For n >= 3 the engine (:func:`mmlab.simulate.simulate_block`) takes each
 maximum over the states X_k of a path from a few exact spectra and many
-upper bounds.  Every state is bounded from above, the bounds are recorded
-(:func:`record`), and per path the steps whose bounds are the largest are
-kept (:class:`Best`).  Solved, those give lower bounds on the maxima.  A
-:class:`Replay` of the states then flags those whose recorded bounds
-still :func:`reaches` one, bounds them again by :func:`sharper_ceilings`,
-and solves those whose sharper bounds still reach.  The sharper bound
-costs about ten times the first, and a third of a small eigvalsh, so it
-runs on the flagged states only.
-
-Where the integrand depends on time alone every state is a combination
-of one fixed basis, and :func:`sweep` bounds them all from their
-coefficients (:class:`Coefficients`), without forming a state.  On
-path_feedback the states are read a few steps at a time (:class:`Window`)
-and bounded by :func:`ceilings`.
+upper bounds.  Every state is a combination of one fixed basis, and
+:func:`sweep` bounds them all from their coefficients
+(:class:`Coefficients`), without forming a state.  The bounds are
+recorded (:func:`record`), and per path the coefficients of the steps
+whose bounds are the largest are kept (:class:`Best`).  Rebuilt and
+solved, those give lower bounds on the maxima.  A :class:`Replay` of the
+states then flags those whose recorded bounds still :func:`reaches` one,
+bounds them again by :func:`sharper_ceilings`, and solves those whose
+sharper bounds still reach.  The sharper bound costs about ten times the
+first, and a third of a small eigvalsh, so it runs on the flagged states
+only.
 """
 
 from __future__ import annotations
@@ -42,9 +39,6 @@ SUBNORMAL = math.ldexp(1.0, -1074)
 # near 1: far above what underflows in its traces and Gram matrix, far
 # below any norm that matters
 TINY_WEIGHT = math.ldexp(1.0, -500)
-# bytes of states above which a path_feedback Window halves its length,
-# down to one step (two states per path): speed and memory only
-WINDOW_BYTES = 1 << 18
 # the ||x - m I||_F^2 for which the eighth powers in sharper_ceilings stay
 # normal floats
 EIGHTH_RANGE = (1e-60, 1e60)
@@ -186,17 +180,21 @@ class Coefficients:
     """Ceilings on X = sum_b c_b B_b, for a fixed stack ``basis`` of M
     symmetric n x n matrices, from the coefficients c alone.
 
-    Where the integrand depends on time alone every Euler state is such a
-    combination: X_k = sum_i W_k^i A_i with the drivers' running sums
+    Every Euler state is such a combination.  Where the integrand depends
+    on time alone, X_k = sum_i W_k^i A_i with the drivers' running sums
     W_k = sum_{j<k} dB_j, and time_poly adds its slopes S_i with the
-    coefficients sum_{j<k} t_j dB_j^i.  Then tr X = c . tau with
-    tau_b = tr B_b, and ||X - (tr X / n) I||_F^2 = c^T G c with G the Gram
-    matrix of the traceless parts B_b - (tau_b / n) I: the Wolkowicz-Styan
-    ceilings of :func:`ceilings` at O(M^2) per state, not O(n^2) per
-    basis matrix.
+    coefficients sum_{j<k} t_j dB_j^i.  On path_feedback the step
+    X_{k+1} = (1 + g_k) X_k + sum_i dB_k^i A_i, with g_k = gamma sum_i dB_k^i,
+    keeps X_k = sum_i c_{k,i} A_i on the coefficient path
+    c_{k+1} = (1 + g_k) c_k + dB_k (:meth:`feedback_path`).  Then
+    tr X = c . tau with tau_b = tr B_b, and
+    ||X - (tr X / n) I||_F^2 = c^T G c with G the Gram matrix of the
+    traceless parts B_b - (tau_b / n) I: the Wolkowicz-Styan ceilings of
+    :func:`ceilings` at O(M^2) per state, not O(n^2) per basis matrix.
 
-    Rounding, with u = eps / 2 the unit roundoff, gamma_m = m u / (1 - m u)
-    and S_k = sum_{j<k} sum_b |dc_j^b| ||B_b||_F the size of the path of
+    Rounding, with u = eps / 2 the unit roundoff, gamma_m = m u / (1 - m u),
+    ||B_b||_F read as the computed norms (rounded up) and
+    S_k = sum_{j<k} sum_b |dc_j^b| ||B_b||_F the size of the path of
     coefficient increments dc up to grid index k:
 
     (a) The Euler state and sum_b c_{k,b} B_b, with c as computed, differ
@@ -214,6 +212,29 @@ class Coefficients:
         also covers the traces and the mean below (n + M + 2) u S_k, and
         the (M + 1) u S_k of :meth:`rebuild`.  It grows with k and S_k, so
         the bound at a later grid index holds for every state before it.
+    (a') On path_feedback (M = N) X and c both take the step as
+        fl(fl(v + d) + fl(g_k v)), with d = D_k = fl(sum_i dB_k^i A_i)
+        for X and d = dB_k for c, and g_k computed once, bit for bit as
+        the stepper computes it.  Each result is within
+        2u(1 + u)(|v| + |d| + |g_k| |v|) + 2^-1074 of v + d + g_k v
+        entrywise, and D_k within gamma_N sum_i |dB_k^i| |A_i| + (N + 1)
+        2^-1075 of its exact value.  So E_k = X^Euler_k - sum_b c_{k,b} B_b
+        follows E_{k+1} = (1 + g_k) E_k + e_k.  With w_k = sum_b |c_{k,b}|
+        ||B_b||_F, a_k = sum_b |dB_k^b| ||B_b||_F + (1 + |g_k|) w_k, the
+        underflow U = n (2M + 3) 2^-1074 + 2^-1074 sum_b ||B_b||_F and
+        1 + |g| <= 3 max(1, |1 + g|), the step's own rounding is
+        ||e_k||_F <= (N + 4)(1 + 2^-38) u a_k + U
+        + 6u(1 + u) max(1, |1 + g_k|) ||E_k||_F (for N u <= 2^-40).
+        Later steps multiply it by their 1 + g_l.  With
+        G_k = prod_{l<k} max(1, |1 + g_l|) and S_k = sum_{j<k} a_j, the
+        recursion gives ||E_k||_F <= (1 + 7u)^k G_k ((N + 4)(1 + 2^-38) u
+        S_k + k U), and that of c gives w_k <= (1 + 7u)^k (1 + 3u) G_k
+        (S_k + k U), so the (2n + 2M + 6) u w_k of the traces, the Gram
+        radius and :meth:`rebuild` in (a) come on top.  Both are covered by
+        drift_k = G_k ((3M + 2n + 10) eps S_k + 2 k U), whose factor 2
+        also covers the (1 + O(u))^k of these bounds and of computing G_k
+        and S_k on any grid of fewer than 2^40 steps.  It grows with k,
+        S_k and G_k.
     (b) c^T G c cancels where the state is small against its coefficients
         (a basis matrix and nearly its negative on equal coefficients,
         say).  Its rounding, at most gamma_{n^2 + 2M} w^2 with
@@ -246,35 +267,59 @@ class Coefficients:
         self.norms = np.sqrt(np.einsum("bij,bij->b", scaled, scaled)) * grow + TINY_WEIGHT
         self.free_norms = np.sqrt(np.einsum("bi,bi->b", free, free)) * grow + TINY_WEIGHT
         self.in_root = (n * n + 2 * m + 2) * EPS
-        # per step, what underflow adds to the Euler state, in scaled units
+        # per step, what underflow adds to the Euler state, in scaled units;
+        # on path_feedback U of (a'), whose sum_b ||B_b||_F is below n M
+        # in scaled units
         self.underflow = n * (2 * m + 3) * SUBNORMAL / self.scale
+        self.feedback_underflow = self.underflow + n * m * SUBNORMAL
 
     def sizes(self, dc: np.ndarray) -> np.ndarray:
-        """sum_b |dc^b| ||B_b||_F for each row of coefficient increments
-        ``dc`` (..., M), in the units of :meth:`ceilings`; summed over the
-        steps up to grid index k they give S_k."""
+        """sum_b |dc^b| ||B_b||_F for each row of coefficients ``dc``
+        (..., M), in the units of :meth:`ceilings`; summed over the steps
+        up to grid index k they give S_k."""
         return np.abs(dc) @ self.norms
 
-    def drift(self, size, k):
+    def feedback_path(self, gamma, c, dB, ks: range, size, growth) -> np.ndarray:
+        """The coefficients (len(ks) + 1, paths, M) of path_feedback's
+        states at grid indices ks.start to ks.stop, from those at ks.start,
+        ``c`` (paths, M), the feedback ``gamma`` and the increments ``dB``
+        (paths, steps, drivers).  Adds each step's a_k of (a') to ``size``
+        and multiplies ``growth`` by its max(1, |1 + g_k|), in place."""
+        rows = np.empty((len(ks) + 1, *c.shape))
+        rows[0] = c
+        for j, k in enumerate(ks, 1):
+            dB_k = dB[:, k, :]
+            # g_k as EulerScheme.advance computes it
+            g = gamma * dB_k.sum(axis=1)
+            size += self.sizes(dB_k) + (1.0 + np.abs(g)) * self.sizes(c)
+            growth *= np.maximum(1.0, np.abs(1.0 + g))
+            c = rows[j] = (c + dB_k) + g[:, None] * c
+        return rows
+
+    def drift(self, size, k, growth=None):
         """Bound (a) at grid index ``k`` on paths whose S_k are ``size``,
-        in the units of the basis."""
-        return self.scale * self._drift(size, k)
+        or (a') where their G_k are ``growth``, in the units of the
+        basis."""
+        return self.scale * self._drift(size, k, growth)
 
-    def _drift(self, size, k):
-        return (2.0 * EPS) * (k + self.m + self.n + 4) * size + k * self.underflow
+    def _drift(self, size, k, growth):
+        if growth is None:
+            return (2.0 * EPS) * (k + self.m + self.n + 4) * size + k * self.underflow
+        terms = (3 * self.m + 2 * self.n + 10) * EPS * size + 2 * k * self.feedback_underflow
+        return growth * terms
 
-    def ceilings(self, c, size, k) -> tuple[np.ndarray, np.ndarray]:
+    def ceilings(self, c, size, k, growth=None) -> tuple[np.ndarray, np.ndarray]:
         """Ceilings on ||X^Euler|| and lambda_max(X^Euler), as eigvalsh
         returns them, from the coefficients ``c`` (..., paths, M) of
         states at grid indices up to ``k``, on paths whose S_k are
-        ``size`` (in the units of :meth:`sizes`); inf where they leave
-        float64 range."""
+        ``size`` (in the units of :meth:`sizes`) and, on path_feedback,
+        whose G_k are ``growth``; inf where they leave float64 range."""
         mean = c @ self.trace / self.n
         squares = np.einsum("...b,...b->...", c @ self.gram, c)
         w = np.abs(c) @ self.free_norms
         radius = np.sqrt(np.maximum(squares, 0.0) + self.in_root * w * w)
         norm, top = _widened(self.n, mean, radius)
-        drift = self._drift(size, k)
+        drift = self._drift(size, k, growth)
         return self.scale * (norm + drift), self.scale * (top + drift)
 
     def rebuild(self, c: np.ndarray) -> np.ndarray:
@@ -282,76 +327,33 @@ class Coefficients:
         return np.einsum("...b,bij->...ij", c, self.basis)
 
 
-class Window:
-    """The bound pass's last few states on path_feedback: up to ``length``
-    consecutive states X_{k0+1}, ... in rows 1 to ``count`` of ``states``,
-    row 0 holding X_{k0}, and their ceilings (see :func:`ceilings`) in
-    ``norm`` and ``top``, shape (count + 1, paths).  ``length`` is a power
-    of two up to ``longest``, so that windows fall inside batches of that
-    many steps, and as large as WINDOW_BYTES allows.
-    """
-
-    def __init__(self, paths: int, n: int, steps: int, longest: int):
-        length = longest
-        while length > 1 and (length + 1) * paths * n * n * 8 > WINDOW_BYTES:
-            length //= 2
-        self.length, self.steps = length, steps
-        self.states = np.zeros((length + 1, paths, n, n))
-        # X_0 = 0, whose ceilings are 0
-        self.norm = self.top = np.zeros((1, paths))
-
-    @property
-    def source(self) -> np.ndarray:
-        """What :meth:`Best.offer` keeps of a step: its states."""
-        return self.states
-
-    def add(self, step) -> bool:
-        """Take the state after ``step``; True once the window is full or
-        the chunk's last step is in, with the ceilings worked out."""
-        j = step.k % self.length
-        if j == 0 and step.k:
-            self.states[0] = self.states[self.length]
-        self.states[j + 1] = step.x
-        if j < self.length - 1 and step.k < self.steps - 1:
-            return False
-        self.k0, self.count = step.k - j, j + 1
-        x = self.states[1 : j + 2]
-        norm, top = ceilings(x.reshape(-1, *x.shape[2:]))
-        self.norm = np.concatenate([self.norm[-1:], norm.reshape(j + 1, -1)])
-        self.top = np.concatenate([self.top[-1:], top.reshape(j + 1, -1)])
-        return True
-
-
 class Batch(NamedTuple):
-    """The coefficient ceilings of one batch of steps from grid index k0,
-    as a :class:`Window` holds those of its states: rows 0 to ``count`` of
-    ``norm`` and ``top`` bound X_{k0}, ..., and ``source`` holds their
-    coefficients c (see :class:`Coefficients`)."""
+    """The coefficient ceilings of one batch of steps from grid index k0:
+    rows 0 to ``count`` of ``norm`` and ``top`` bound X_{k0}, ..., and
+    ``c`` holds their coefficients (see :class:`Coefficients`)."""
 
     k0: int
     count: int
     norm: np.ndarray
     top: np.ndarray
-    source: np.ndarray
+    c: np.ndarray
 
 
 class Best:
     """Per path, the step with the largest ceiling offered so far.
 
     For each of ``rows`` (0 for the state before the step, 1 for the state
-    after it) it keeps the state's grid index and a copy of what a batch's
-    ``source`` holds there, per path of the shape ``shape``: the state
-    itself (a :class:`Window`), or its coefficients (see
-    :class:`Coefficients`).  It keeps the step's ``ve`` too.
-    Until a path is offered a step it keeps X_0 = 0.  Once the kept states
-    are solved, ``eigs`` holds their spectra row by row, and ``slack`` how
-    far below them the exact spectra of the Euler states may lie.
+    after it) it keeps the state's grid index and its ``m`` coefficients
+    (see :class:`Coefficients`), and the step's ``ve``.  Until a path is
+    offered a step it keeps X_0 = 0.  Once the kept states are solved,
+    ``eigs`` holds their spectra row by row, and ``slack`` how far below
+    them the exact spectra of the Euler states may lie.
     """
 
-    def __init__(self, paths: int, rows: tuple[int, ...], shape: tuple[int, ...]):
+    def __init__(self, paths: int, rows: tuple[int, ...], m: int):
         self.rows = rows
         self.ceiling = np.full(paths, -np.inf)
-        self.kept = np.zeros((len(rows), paths, *shape))
+        self.kept = np.zeros((len(rows), paths, m))
         self.index = np.zeros((len(rows), paths), dtype=np.int64)
         self.ve = np.zeros(paths)
         self.slack = np.zeros((len(rows), 1))
@@ -381,40 +383,45 @@ class Best:
             self.ceiling[idx] = top[idx]
             for j, row in enumerate(self.rows):
                 self.index[j, idx] = batch.k0 + step + row
-                self.kept[j, idx] = batch.source[step + row, idx]
+                self.kept[j, idx] = batch.c[step + row, idx]
             if ve is not None:
                 self.ve[idx] = ve[step, idx]
 
 
 def sweep(scheme, maxima, dB, batch: int) -> np.ndarray:
-    """The bound pass of a time-only family: array arithmetic on the
-    coefficient path of the increments ``dB`` (paths, steps, drivers) of
-    ``scheme``, a :class:`mmlab.simulate.EulerScheme`, ``batch`` steps at a
-    time, with no state formed.  Each of the ``maxima`` collectors' ``bound``
-    records a :class:`Batch`'s ceilings and offers its steps to the
-    trackers, which keep the coefficients of the steps with the largest
-    ceilings.  Returns each path's S_k at the last step (see
-    :class:`Coefficients`)."""
+    """The bound pass: array arithmetic on the coefficient path of the
+    increments ``dB`` (paths, steps, drivers) of ``scheme``, a
+    :class:`mmlab.simulate.EulerScheme`, ``batch`` steps at a time, with
+    no state formed.  Each of the ``maxima`` collectors' ``bound`` records
+    a :class:`Batch`'s ceilings and offers its steps to the trackers,
+    which keep the coefficients of the steps with the largest ceilings.
+    Returns each path's bound (a), on path_feedback (a'), at the last step
+    (see :class:`Coefficients`), in the units of the basis."""
     coefficients, steps = scheme.coefficients, scheme.grid.steps
     paths = len(dB)
     # row 0 of each is X_{k0}: X_0 = 0 for the first batch
-    c = np.zeros((1, paths, len(coefficients.basis)))
+    c = np.zeros((1, paths, coefficients.m))
     norm = top = np.zeros((1, paths))
     size = np.zeros(paths)
+    # G_k of (a'); the other families' update adds to the state
+    growth = np.ones(paths) if scheme.feedback else None
     for k0 in range(0, steps, batch):
         ks = range(k0, min(k0 + batch, steps))
-        dc = scheme.increments(dB, ks)
-        # running sums in step order, as the bound (a) assumes
-        c = np.cumsum(np.concatenate([c[-1:], dc]), axis=0)
-        # bound (a) grows with the grid index and the size, so that at the
-        # batch's last step holds for all of its states
-        size += coefficients.sizes(dc).sum(axis=0)
-        norm_k, top_k = coefficients.ceilings(c[1:], size, ks.stop)
+        if growth is None:
+            dc = scheme.increments(dB, ks)
+            # running sums in step order, as the bound (a) assumes
+            c = np.cumsum(np.concatenate([c[-1:], dc]), axis=0)
+            size += coefficients.sizes(dc).sum(axis=0)
+        else:
+            c = coefficients.feedback_path(scheme.spec.gamma, c[-1], dB, ks, size, growth)
+        # the bound grows with the grid index, the size and the growth, so
+        # that at the batch's last step holds for all of its states
+        norm_k, top_k = coefficients.ceilings(c[1:], size, ks.stop, growth)
         norm = np.concatenate([norm[-1:], norm_k])
         top = np.concatenate([top[-1:], top_k])
         for m in maxima:
             m.bound(Batch(k0, len(ks), norm, top, c))
-    return size
+    return coefficients.drift(size, steps, growth)
 
 
 def kept_states(bests: list[Best], paths: int):
@@ -447,21 +454,16 @@ class Replay:
     move its maxima.  Those are re-certified by :func:`sharper_ceilings`:
     each collector's ``recertify`` says which of them may still move its
     maxima, and ``solve`` solves the survivors in one call.  ``settle``
-    then takes x after each step of the span, in order.  ``known`` are
-    states solved already, if any, as (grid index, path, spectrum) sorted
-    by grid index: they are flagged nowhere, and ``settle`` takes their
-    spectra.  No state of a ``dropped`` path is flagged.
+    then takes x after each step of the span, in order.  No state of a
+    ``dropped`` path is flagged.
     """
 
-    def __init__(self, maxima, steps, paths, n, batch, budget, solve, known=None, dropped=None):
+    def __init__(self, maxima, steps, paths, n, batch, budget, solve, dropped=None):
         self.maxima, self.steps, self.n = maxima, steps, n
         self.batch, self.budget, self.solve, self.dropped = batch, budget, solve, dropped
-        none = np.zeros(0, dtype=np.int64)
-        self.grid_index, self.path, self.eigs = known or (none, none, np.zeros((0, n)))
-        self.edges = np.searchsorted(self.grid_index, np.arange(steps + 1))
         # ceilings on the states of one span, row j holding X_{k0 + j}: inf
-        # where a state is neither flagged nor known, the spectrum where
-        # known; row 0 is the last span's last row, X_0 = 0 for the first
+        # where a state is not flagged; row 0 is the last span's last row,
+        # X_0 = 0 for the first
         self.norm = self.top = np.zeros((1, paths))
         self.ks = range(0)
 
@@ -477,11 +479,9 @@ class Replay:
     def _span(self, k0):
         """The rest of this batch of steps, or as much of it as keeps the
         flagged states within the budget, and at least one step."""
-        n, edges = self.n, self.edges
+        n = self.n
         end = min(k0 - k0 % self.batch + self.batch, self.steps - 1)
         need = np.logical_or.reduce([c.flags(slice(k0, end)) for c in self.maxima])
-        known = slice(edges[k0 + 1], edges[end + 1])
-        need[self.grid_index[known] - 1 - k0, self.path[known]] = False
         if self.dropped is not None:
             need[:, self.dropped] = False
         held = np.cumsum(need.sum(axis=1)) * (8 * n * n)
@@ -493,22 +493,16 @@ class Replay:
 
     def _settle(self):
         ks, row, col, flagged = self.ks, self.row, self.col, self.flagged
-        grid_index, path, eigs, edges = self.grid_index, self.path, self.eigs, self.edges
         k0, paths = ks.start, self.norm.shape[1]
         norm = np.concatenate([self.norm[-1:], np.full((len(ks), paths), np.inf)])
         top = np.concatenate([self.top[-1:], np.full((len(ks), paths), np.inf)])
         norm[row + 1, col], top[row + 1, col] = sharper_ceilings(flagged)
-        known = slice(edges[k0 + 1], edges[ks.stop + 1])
-        norm[grid_index[known] - k0, path[known]] = np.abs(eigs[known][:, [0, -1]]).max(axis=1)
-        top[grid_index[known] - k0, path[known]] = eigs[known][:, -1]
         survive = np.logical_or.reduce([c.recertify(k0, norm, top) for c in self.maxima])[row, col]
-        solved = self.solve(flagged[survive]) if survive.any() else eigs[:0]
+        solved = self.solve(flagged[survive]) if survive.any() else np.zeros((0, self.n))
         row, col = row[survive], col[survive]
         starts = np.searchsorted(row, np.arange(len(ks) + 1))
         for j, k in enumerate(ks):
-            at, known = slice(starts[j], starts[j + 1]), slice(edges[k + 1], edges[k + 2])
-            idx = np.concatenate([col[at], path[known]])
-            spectra = np.concatenate([solved[at], eigs[known]])
+            at = slice(starts[j], starts[j + 1])
             for c in self.maxima:
-                c.settle(k, idx, spectra)
+                c.settle(k, col[at], solved[at])
         self.norm, self.top, self.flagged = norm, top, None

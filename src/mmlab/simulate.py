@@ -31,15 +31,17 @@ bounded from above by the Wolkowicz-Styan ceilings (from tr X and
 ||X - (tr X / n) I||_F alone), and per path the states whose ceilings are
 the largest are kept.  Solved in one call, those give lower bounds that
 the maxima actually attain somewhere on the path, and a state is flagged
-where its ceilings still reach such a bound.  Where the integrand depends
-on time alone X_k = sum_b c_{k,b} B_b on the fixed basis of the payloads
-(and slopes), so the bound pass is array arithmetic on the drivers'
-coefficient path (:class:`~mmlab.ceilings.Coefficients`), and the kept
-states are rebuilt from their coefficients, their spectra lowered by the
-rounding between the two.  The chunk then takes one pass through the
-stepper.  On path_feedback the bound pass is a pass through the stepper,
-which keeps states, and a replay of x alone by
-:meth:`EulerScheme.advance` follows it.  Either way, a batch of steps at a
+where its ceilings still reach such a bound.  Every state is
+X_k = sum_b c_{k,b} B_b on the fixed basis of the payloads (and slopes),
+with coefficients that depend on the increments alone, so the bound pass
+is array arithmetic on the drivers' coefficient path
+(:class:`~mmlab.ceilings.Coefficients`), and the kept states are rebuilt
+from their coefficients, their spectra lowered by the rounding between
+the two.  Where the integrand depends on time alone the chunk then takes
+one pass through the stepper.  On path_feedback the stepper pass comes
+first, since the bridge's variance and admitted levels depend on the
+path, then the bound pass, and a replay of x alone by
+:meth:`EulerScheme.advance`.  Either way, a batch of steps at a
 time, the flagged states are bounded again by the sharper eighth-power
 ceilings of :func:`~mmlab.ceilings.sharper_ceilings` (up to n = 12) and
 against the maxima so far; those that still reach are solved in one call
@@ -65,7 +67,6 @@ from .ceilings import (
     Best,
     Coefficients,
     Replay,
-    Window,
     kept_states,
     per_tracker,
     record,
@@ -269,12 +270,10 @@ class EulerScheme:
     Construction does the path-free work once: the driver aggregates
     and, for families whose integrand depends on time alone, ``s2``
     (sum_i H_i(t_k)^2 at each left endpoint, shape (steps, n, n)), ``qv``
-    (the quadratic variation on the whole grid, shape (steps + 1, n, n))
-    and ``coefficients``, the ceilings of the states from their
-    coefficients on the basis of the payloads (and slopes).  For
-    path_feedback all three are None.  ``kept`` is the per-path shape of
-    what a :class:`~mmlab.ceilings.Best` keeps of a state: the state, or
-    its coefficients.
+    (the quadratic variation on the whole grid, shape (steps + 1, n, n)),
+    both None for path_feedback; and for every family ``coefficients``,
+    the ceilings of the states from their coefficients on the basis of
+    the payloads (and slopes).
     """
 
     def __init__(self, spec: IntegrandSpec, grid: TimeGrid):
@@ -283,20 +282,18 @@ class EulerScheme:
         self.feedback = is_path_dependent(spec)
         self.agg = aggregates(spec)
         self.times = grid.times()
-        self.s2 = self.qv = self.coefficients = None
+        self.s2 = self.qv = None
         n = spec.n
-        self.kept = (n, n)
         if not self.feedback:
             with np.errstate(over="ignore", invalid="ignore"):
                 self.s2 = deterministic_sum_squares(spec, self.times[:-1])
                 self.qv = np.concatenate(
                     [np.zeros((1, n, n)), np.cumsum(self.s2 * grid.dt, axis=0)]
                 )
-            basis = spec.matrices
-            if spec.slopes is not None:
-                basis = np.concatenate([basis, spec.slopes])
-            self.coefficients = Coefficients(basis)
-            self.kept = (len(basis),)
+        basis = spec.matrices
+        if spec.slopes is not None:
+            basis = np.concatenate([basis, spec.slopes])
+        self.coefficients = Coefficients(basis)
 
     def increments(self, dB, ks: range) -> np.ndarray:
         """The coefficient increments (len(ks), paths, M) of the steps
@@ -310,7 +307,9 @@ class EulerScheme:
     def advance(self, x, dB_k, k):
         """x after Euler step k, from x at t_k and the increments ``dB_k``
         (paths, drivers): the one X update, which the stepper and the
-        path_feedback replay of :func:`simulate_block` run."""
+        path_feedback replay of :func:`simulate_block` run.  On
+        path_feedback :meth:`~mmlab.ceilings.Coefficients.feedback_path`
+        takes the same step on the coefficients."""
         spec = self.spec
         h_k = spec.matrices
         if spec.family == "time_poly":
@@ -586,15 +585,13 @@ class _Collector:
     Its ``update`` reads no x.  Where x has a closed form, ``settle`` sees
     every path right after every step's ``update``.  Otherwise (solves are
     certified) the collector lists its :class:`~mmlab.ceilings.Best`
-    trackers in ``bests``, and ``bound`` takes the ceilings of the states
-    of each batch of steps of the bound pass (a
-    :class:`~mmlab.ceilings.Window` on path_feedback, a
-    :class:`~mmlab.ceilings.Batch` of coefficient ceilings otherwise): it
-    offers them to the trackers and records them.  After the bound pass
-    ``lower`` turns the spectra of the kept states, less their ``slack``,
-    into lower bounds on the maxima, and decides from the recorded
-    ceilings, per step and path, whether x after the step may move a
-    maximum.  The :class:`~mmlab.ceilings.Replay` reads that by
+    trackers in ``bests``, and ``bound`` takes the coefficient ceilings of
+    the states of each batch of steps of the bound pass (a
+    :class:`~mmlab.ceilings.Batch`): it offers them to the trackers and
+    records them.  After the bound pass ``lower`` turns the spectra of the
+    kept states, less their ``slack``, into lower bounds on the maxima,
+    and decides from the recorded ceilings, per step and path, whether x
+    after the step may move a maximum.  The :class:`~mmlab.ceilings.Replay` reads that by
     ``flags(ks)``, a span of steps ``ks`` at a time inside one batch of
     _BRIDGE_STEPS, and ``recertify(k0, norm, top)`` re-decides it for the
     span from k0 from sharper ceilings on x after each step (rows 1 on of
@@ -635,14 +632,14 @@ class _Norms(_Collector):
         self.rows = rows
         if self.spectra.certify:
             paths, scheme = len(seeds), self.spectra.scheme
-            self.best = Best(paths, (1,), scheme.kept)
+            self.best = Best(paths, (1,), scheme.coefficients.m)
             self.bests = (self.best,)
             self.ceilings = np.empty((scheme.grid.steps, paths), dtype=np.float32)
 
-    def bound(self, window):
-        norm = window.norm[1:]
-        self.best.offer(norm, window)
-        record(self.ceilings[window.k0 : window.k0 + window.count], norm)
+    def bound(self, batch):
+        norm = batch.norm[1:]
+        self.best.offer(norm, batch)
+        record(self.ceilings[batch.k0 : batch.k0 + batch.count], norm)
 
     def finish(self, spectra):
         self.rows["terminal_spectral"][...] = _norm(spectra("x"))
@@ -736,7 +733,7 @@ class _BridgeTail(_Collector):
         # the Exp(1) draws of one batch of steps, from grid index exps_from
         self.exps_from = None
         if spectra.certify:
-            self.best = Best(paths, (0, 1), spectra.scheme.kept)
+            self.best = Best(paths, (0, 1), spectra.scheme.coefficients.m)
             self.bests = (self.best,)
             self.level_bests = [self.best] * len(self.levels)
             self.ceilings = np.empty((steps, paths), dtype=np.float32)
@@ -799,9 +796,9 @@ class _BridgeTail(_Collector):
             floor = np.where(self.admits[ks, :, j], np.minimum(floor, level), floor)
         return floor
 
-    def bound(self, window):
-        ks = slice(window.k0, window.k0 + window.count)
-        ceiling, ve = self._ceiling(ks, window.norm, window.top)
+    def bound(self, batch):
+        ks = slice(batch.k0, batch.k0 + batch.count)
+        ceiling, ve = self._ceiling(ks, batch.norm, batch.top)
         for j, admitted in enumerate(np.moveaxis(self.admits[ks], -1, 0)):
             if self.level_bests[j] is self.best:
                 if admitted.all():
@@ -810,8 +807,8 @@ class _BridgeTail(_Collector):
                 self.bests += (self.level_bests[j],)
             if admitted.any():
                 level = np.where(admitted, ceiling, -np.inf)
-                self.level_bests[j].offer(level, window, ve)
-        self.best.offer(ceiling, window, ve)
+                self.level_bests[j].offer(level, batch, ve)
+        self.best.offer(ceiling, batch, ve)
         record(self.ceilings[ks], ceiling)
 
     def lower(self):
@@ -962,18 +959,23 @@ def _collectors(plan: CollectorPlan, spectra: _Spectra) -> list[_Collector]:
     return out
 
 
-def _floors(scheme: EulerScheme, maxima: list[_Collector], size) -> None:
-    """After :func:`~mmlab.ceilings.sweep`: the kept states
-    X~ = sum_b c_b B_b, rebuilt from their coefficients and solved in one
-    call, give the lower bounds.
-    Each eigenvalue is lowered by bound (a) of
-    :class:`~mmlab.ceilings.Coefficients` at the chunk's last step, from
-    each path's summed ``size``, and by the margin, so that it bounds the
-    Euler state's from below (Weyl's inequality).  A bridge pair is
-    lowered by the margin times sqrt(ve) more, which covers the rounding
-    of its peak."""
+def _bound(scheme: EulerScheme, maxima: list[_Collector], dB, dropped=None) -> Replay:
+    """The bound pass over a chunk (:func:`~mmlab.ceilings.sweep`), then
+    its lower bounds, and the :class:`~mmlab.ceilings.Replay` that takes x
+    after it: batches of _BRIDGE_STEPS steps, at most _REPLAY_BYTES of
+    flagged states, solved here through ``stacked_eigenvalues``.
+
+    The kept states X~ = sum_b c_b B_b are rebuilt from their coefficients
+    and solved in one call.  Each eigenvalue is lowered by bound (a) of
+    :class:`~mmlab.ceilings.Coefficients` ((a') on path_feedback) at the
+    chunk's last step, and by the margin, so that it bounds the Euler
+    state's from below (Weyl's inequality).  A bridge pair is lowered by
+    the margin times sqrt(ve) more, which covers the rounding of its peak.
+    The replay solves the Euler state again where a kept state is flagged.
+    """
+    drift = sweep(scheme, maxima, dB, _BRIDGE_STEPS)
     bests = [b for c in maxima for b in c.bests]
-    paths, coefficients = len(bests[0].ve), scheme.coefficients
+    paths, coefficients = len(dB), scheme.coefficients
     unique, c, inverse = kept_states(bests, paths)
     grid_index = unique // paths
     # X_0 = 0 needs no solve; a rebuilt state that left float64 range
@@ -987,57 +989,16 @@ def _floors(scheme: EulerScheme, maxima: list[_Collector], size) -> None:
         x, solve = x[finite], solve[finite]
     eigs[solve] = stacked_eigenvalues(x)
     del x
-    drift = coefficients.drift(size, scheme.grid.steps)[unique % paths]
-    slack = drift + MARGIN * _norm(eigs)
+    slack = drift[unique % paths] + MARGIN * _norm(eigs)
     rows = zip(bests, per_tracker(bests, eigs, inverse), per_tracker(bests, slack, inverse))
     for b, e, s in rows:
         b.eigs, b.slack = e, s + MARGIN * np.sqrt(b.ve)
     for c in maxima:
         c.lower()
-
-
-def _replay(maxima, steps, paths, n, known=None, dropped=None) -> Replay:
-    """A :class:`~mmlab.ceilings.Replay` of batches of _BRIDGE_STEPS steps
-    that holds at most _REPLAY_BYTES of flagged states and solves them
-    here, through ``stacked_eigenvalues``."""
+    steps, n = scheme.grid.steps, scheme.spec.n
     return Replay(
-        maxima, steps, paths, n, _BRIDGE_STEPS, _REPLAY_BYTES, stacked_eigenvalues, known, dropped
+        maxima, steps, paths, n, _BRIDGE_STEPS, _REPLAY_BYTES, stacked_eigenvalues, dropped
     )
-
-
-def _solve_pass(scheme: EulerScheme, maxima: list[_Collector], dB, dropped) -> None:
-    """The path_feedback route's second pass over a chunk, for n >= 3.
-
-    The first, the bound pass, ran every collector as usual but solved x
-    only at the last step; the collectors that take maxima over x kept
-    states and recorded ceilings instead (see :class:`_Collector`).  Here
-    the kept states are solved in one call, for each collector's ``lower``
-    bounds.  Then x alone is replayed by :meth:`EulerScheme.advance` into
-    a :class:`~mmlab.ceilings.Replay`.  No drop touched a kept path's
-    state, so its replayed states are the bound pass's bit for bit, and a
-    ``dropped`` path's may have left float64 range: its states are flagged
-    nowhere.
-    Each kept state is solved once: the replay takes its spectrum from the
-    first call.
-    """
-    n, steps = scheme.spec.n, scheme.grid.steps
-    bests = [b for c in maxima for b in c.bests]
-    paths = len(dB)
-    unique, states, inverse = kept_states(bests, paths)
-    eigs = np.zeros((len(unique), n))
-    solve = unique >= paths
-    eigs[solve] = stacked_eigenvalues(states[solve])
-    del states
-    for b, e in zip(bests, per_tracker(bests, eigs, inverse)):
-        b.eigs = e
-    for c in maxima:
-        c.lower()
-    grid_index, path = np.divmod(unique, paths)
-    replay = _replay(maxima, steps, paths, n, (grid_index, path, eigs), dropped)
-    x = np.zeros((paths, n, n))
-    for k in range(steps - 1):
-        x = scheme.advance(x, dB[:, k, :], k)
-        replay.take(k, x)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -1074,12 +1035,9 @@ def simulate_block(
         dB = brownian_increments(grid, spec.drivers, chunk_seeds)
         for c in collectors:
             c.start({name: out[name][idx] for name in c.columns}, chunk_seeds)
-        window = replay = None
-        if spectra.certify and scheme.feedback:
-            window = Window(len(chunk_seeds), spec.n, grid.steps, _BRIDGE_STEPS)
-        elif spectra.certify:
-            _floors(scheme, maxima, sweep(scheme, maxima, dB, _BRIDGE_STEPS))
-            replay = _replay(maxima, grid.steps, len(chunk_seeds), spec.n)
+        replay = None
+        if spectra.certify and not scheme.feedback:
+            replay = _bound(scheme, maxima, dB)
         for step in scheme.steps(dB):
             spectra.at(step)
             for c in collectors:
@@ -1087,18 +1045,23 @@ def simulate_block(
             if replay is not None:
                 if not spectra.last:
                     replay.take(step.k, step.x)
-            elif window is None:
+            elif not spectra.certify:
                 for c in maxima:
                     c.settle(step.k, slice(None), spectra("x"))
-            elif window.add(step):
-                for c in maxima:
-                    c.bound(window)
         for c in collectors:
             c.finish(spectra)
         dropped = step.excluded
-        if window is not None:
-            window = None  # free it: the replay keeps no states
-            _solve_pass(scheme, maxima, dB, dropped)
+        if spectra.certify and scheme.feedback:
+            # the bridge's var and admits come from the stepper pass, so
+            # the bound pass follows it, and a replay of x alone.  No drop
+            # touched a kept path's state, so the replay gives the stepper
+            # pass's states bit for bit; a dropped path's may have left
+            # float64 range, and none of them is flagged
+            replay = _bound(scheme, maxima, dB, dropped)
+            x = np.zeros((len(dB), spec.n, spec.n))
+            for k in range(grid.steps - 1):
+                x = scheme.advance(x, dB[:, k, :], k)
+                replay.take(k, x)
         if spectra.certify:
             # X_T, which the stepper solved on every path
             for c in maxima:

@@ -346,10 +346,9 @@ def test_certified_block_matches_always_solve(
     # skipping the solves that the ceilings and lower bounds certify leaves
     # every statistic of every kept path bit-identical, whatever the split
     # into blocks and vectorized chunks.  LAPACK never sees a non-finite
-    # matrix.  On path_feedback the solve pass's replay of x gives the
-    # bound pass's states bit for bit on every path the bound pass kept;
-    # the time-only families bound their states from the coefficient path
-    # and replay nothing.
+    # matrix.  On path_feedback the replay of x gives the stepper pass's
+    # states bit for bit on every path the stepper kept; the time-only
+    # families replay nothing, since their stepper pass is the replay.
     spec = payload_spec(next(s for s in family_zoo(n, payload_seed) if s.family == family), payload)
     grid = TimeGrid(1.0, 32)
     norms = qv_norms(spec, grid, seeds)
@@ -393,8 +392,10 @@ def test_stepper_passes_per_chunk(monkeypatch, n):
     # each chunk takes one pass of the stepper, the chunk's only X updates
     # on every family but path_feedback at n >= 3.  Where x has a closed
     # form every maximum's settle sees every path after every step.  For
-    # n >= 3 settle sees every path at the last step only; path_feedback's
-    # solve pass then replays x alone, one advance per step but the last
+    # n >= 3 settle sees every path at the last step only; on path_feedback
+    # the replay of x alone then takes one advance per step but the last.
+    # For n >= 3 the bound pass of every family, path_feedback too, takes
+    # one Coefficients.ceilings call per batch of 16 steps: two on 20
     grid = TimeGrid(1.0, 20)
     plan = CollectorPlan(sigma2_levels=(0.5, 2.0))
     chunks, maxima = 3, (simulate_module._Norms, simulate_module._BridgeTail)
@@ -410,11 +411,19 @@ def test_stepper_passes_per_chunk(monkeypatch, n):
 
     for cls in maxima:
         monkeypatch.setattr(cls, "settle", spy(cls, cls.settle))
+    bounds, ceilings = [], ceilings_module.Coefficients.ceilings
+
+    def counted(self, *args):
+        bounds.append(args[2])
+        return ceilings(self, *args)
+
+    monkeypatch.setattr(ceilings_module.Coefficients, "ceilings", counted)
     for spec in family_zoo(n):
-        passes, advances, seen[:] = [], [], []
+        passes, advances, seen[:], bounds[:] = [], [], [], []
         with engine_spies(passes, advances):
             simulate_block(spec, grid, np.arange(10, dtype=np.uint64), plan)
         one_pass = simulate_module.has_closed_form(n)
+        assert bounds == ([] if one_pass else [16, 20] * chunks), spec.family
         assert len(passes) == chunks, spec.family
         replay_steps = [grid.steps - 1] * chunks
         if one_pass or spec.family != "path_feedback":
@@ -527,11 +536,11 @@ def test_ceilings_bound_eigvalsh(kind, n, exponent, noise, seed):
     assert (sharp_top <= top).all() and (sharp_norm <= norm).all()
 
 
-def coefficient_spec(family, n, scale, cancel, rng):
-    """A time-only spec of ``family`` whose payloads (and slopes) are
-    scaled by ``scale``; with ``cancel`` its two drivers carry a matrix and
-    nearly its negative, -(1 + 2^-30) times it.  diag_basis keeps its
-    projectors."""
+def coefficient_spec(family, n, scale, cancel, gamma, rng):
+    """A spec of ``family`` whose payloads (and slopes) are scaled by
+    ``scale``, path_feedback with feedback ``gamma``; with ``cancel`` its
+    two drivers carry a matrix and nearly its negative, -(1 + 2^-30) times
+    it.  diag_basis keeps its projectors."""
     if family == "diag_basis":
         return diag_basis_spec(n)
     spec = {
@@ -539,6 +548,9 @@ def coefficient_spec(family, n, scale, cancel, rng):
         "goe_like": lambda: goe_like_spec(n, 2, seed=int(rng.integers(2**32))),
         "time_poly": lambda: time_poly_spec(
             symmetrize(rng.standard_normal((2, n, n))), symmetrize(rng.standard_normal((2, n, n)))
+        ),
+        "path_feedback": lambda: path_feedback_spec(
+            symmetrize(rng.standard_normal((2, n, n))), gamma
         ),
     }[family]()
 
@@ -554,46 +566,69 @@ def coefficient_spec(family, n, scale, cancel, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    family=st.sampled_from(["constant", "diag_basis", "goe_like", "time_poly"]),
+    family=st.sampled_from(["constant", "diag_basis", "goe_like", "time_poly", "path_feedback"]),
     n=st.sampled_from([3, 5, 8]),
     exponent=st.integers(-150, 150),
+    gamma=st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-30.0, 30.0])),
     cancel=st.booleans(),
     returns=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(family="constant", n=3, exponent=0, cancel=False, returns=True, seed=1)
-@example(family="goe_like", n=5, exponent=-150, cancel=True, returns=False, seed=2)
-def test_coefficient_ceilings_and_floors(family, n, exponent, cancel, returns, seed):
-    # on the time-only families the engine bounds every Euler state from
-    # its coefficients alone, and takes its lower bounds from the kept
-    # states rebuilt from their coefficients.  At every step the ceilings
-    # are at least what eigvalsh gives for the Euler state, and at every
-    # kept step the lowered floors at most that.  Payloads span 1e-150 to
-    # 1e150.  With ``cancel`` the drivers carry a matrix and nearly its
-    # negative on equal increments, so c^T G c cancels to rounding; with
-    # ``returns`` the last step brings the drivers' running sums back to
-    # 0 exactly, where the Euler state keeps its rounding
+@example(family="constant", n=3, exponent=0, gamma=0.0, cancel=False, returns=True, seed=1)
+@example(family="goe_like", n=5, exponent=-150, gamma=0.0, cancel=True, returns=False, seed=2)
+@example(family="path_feedback", n=3, exponent=0, gamma=30.0, cancel=False, returns=True, seed=3)
+@example(family="path_feedback", n=5, exponent=150, gamma=-30.0, cancel=True, returns=True, seed=4)
+def test_coefficient_ceilings_and_floors(family, n, exponent, gamma, cancel, returns, seed):
+    # the engine bounds every Euler state from its coefficients alone, and
+    # takes its lower bounds from the kept states rebuilt from their
+    # coefficients.  At every step bound (a) of Coefficients ((a') on
+    # path_feedback) holds: the Euler state lies within the batch's drift
+    # of the state rebuilt from its coefficients.  The ceilings are at
+    # least what eigvalsh gives for the Euler state, and at every kept step
+    # the lowered floors at most that.  Payloads span 1e-150 to 1e150.
+    # With ``cancel`` the drivers carry a matrix and nearly its negative on
+    # equal increments, so c^T G c cancels to rounding.  With ``returns``
+    # the last step brings the drivers' running sums back to 0 exactly,
+    # where the Euler state keeps its rounding; on path_feedback step 16
+    # has 1 + gamma sum_i dB^i = 0 to rounding instead, so the state before
+    # it survives as rounding alone, which the later steps multiply.  The
+    # Euler states are x advanced without the stepper's drops, since the
+    # bounds hold for every path
     rng = np.random.default_rng(seed)
-    spec = coefficient_spec(family, n, 10.0**exponent, cancel, rng)
+    spec = coefficient_spec(family, n, 10.0**exponent, cancel, gamma, rng)
     grid, paths = TimeGrid(1.0, 24), 6
     dB = rng.standard_normal((paths, grid.steps, spec.drivers)) * np.sqrt(grid.dt)
     if cancel:
         dB[:, :, 1] = dB[:, :, 0]
-    if returns:
+    if returns and family != "path_feedback":
         dB[:, -1] = -np.cumsum(dB[:, :-1], axis=1)[:, -1]
+    elif returns and abs(gamma) >= 1.0:
+        dB[:, 16] = -0.5 / gamma
     scheme = EulerScheme(spec, grid)
-    xs = np.stack([step.x.copy() for step in scheme.steps(dB)])
-    exact = stacked_eigenvalues(xs)
+    xs, x = [], np.zeros((paths, n, n))
+    for k in range(grid.steps):
+        x = scheme.advance(x, dB[:, k], k)
+        xs.append(x)
+    xs = np.stack(xs)
+    # the level is path 0's own ||<X>|| halfway
+    qv = next(step.qv for step in scheme.steps(dB) if step.k == grid.steps // 2 - 1)
+    level = float(np.abs(np.linalg.eigvalsh(qv if qv.ndim == 2 else qv[0])).max())
+    finite = np.isfinite(xs).all(axis=(2, 3))
+    exact = np.full((grid.steps, paths, n), np.nan)
+    exact[finite] = stacked_eigenvalues(xs[finite])
     exact_top, exact_norm = exact[..., -1], np.abs(exact).max(axis=-1)
-    level = float(np.abs(np.linalg.eigvalsh(scheme.qv[grid.steps // 2])).max())
     plan = CollectorPlan(sigma2_levels=(level,))
     bounded, kept = [], []
-    ceilings, lowers = ceilings_module.Coefficients.ceilings, []
+    ceilings = ceilings_module.Coefficients.ceilings
 
-    def recording_ceilings(self, c, size, k):
+    def recording_ceilings(self, c, size, k, growth=None):
         # c holds the states after the steps up to k - 1
-        norm, top = ceilings(self, c, size, k)
-        bounded.append((np.arange(k - len(c), k), norm, top))
+        norm, top = ceilings(self, c, size, k, growth)
+        rows = np.arange(k - len(c), k)
+        # in the units of the scaled basis, whose squares stay in range
+        gap = (xs[rows] - self.rebuild(c)) / self.scale
+        distance = np.sqrt(np.einsum("kpij,kpij->kp", gap, gap))
+        bounded.append((rows, norm, top, distance, self.drift(size, k, growth) / self.scale))
         return norm, top
 
     def recording_lower(cls):
@@ -624,9 +659,10 @@ def test_coefficient_ceilings_and_floors(family, n, exponent, cancel, returns, s
             simulate_module._Norms.lower,
             simulate_module._BridgeTail.lower,
         ) = saved
-    assert not out["excluded"].any()
-    assert sum(len(rows) for rows, _, _ in bounded) == grid.steps
-    for rows, norm, top in bounded:
+    assert family == "path_feedback" or not out["excluded"].any()
+    assert sum(len(rows) for rows, *_ in bounded) == grid.steps
+    for rows, norm, top, distance, drift in bounded:
+        assert not ((distance > drift) & finite[rows]).any()
         assert not (norm < exact_norm[rows]).any()
         assert not (top < exact_top[rows]).any()
     assert kept

@@ -500,11 +500,11 @@ class TestSimulateBlock:
         # its bracket straddles a level.  So the calls may exceed the old
         # count by one per chunk and no more, and the matrices must stay
         # below the budget of the per-path Weyl bounds of the engine before
-        # (323, 336 and 641).  The counts are pinned for these seeds.  On
-        # the time-only families the kept states are rebuilt from their
-        # coefficients, and the replay solves the Euler states there again:
-        # (54, 254) and (52, 255) when the bound pass kept the Euler states
-        # and the replay reused their spectra.  With one call per step and
+        # (323, 336 and 641).  The counts are pinned for these seeds.  The
+        # kept states are rebuilt from their coefficients, and the replay
+        # solves the Euler states there again: (54, 254), (52, 255) and
+        # (158, 554) when the bound pass kept the Euler states and the
+        # replay reused their spectra.  With one call per step and
         # the Wolkowicz-Styan ceilings alone they were (78, 284), (68, 276)
         # and (177, 577).
         grid = TimeGrid(1.0, 16)
@@ -522,7 +522,7 @@ class TestSimulateBlock:
             "path_feedback": (3 * (4 * 16 + 14), 10 * (4 * 16 + 14)),
         }
         certificates = {"goe_like": 323, "time_poly": 336, "path_feedback": 641}
-        budget = {"goe_like": (54, 295), "time_poly": (54, 301), "path_feedback": (158, 554)}
+        budget = {"goe_like": (54, 295), "time_poly": (54, 301), "path_feedback": (158, 601)}
         solve = simulate_module.stacked_eigenvalues
         monkeypatch.setattr(simulate_module, "_CHUNK", 4)
         for spec in (s for s in zoo if s.family in budget):
@@ -576,13 +576,18 @@ class TestSimulateBlock:
 
     def test_working_memory_is_a_few_states_per_path(self):
         # the memory the engine owns at its peak, traced by tracemalloc, on
-        # one 1024-path chunk of a time-only family (goe_like, n = 16, four
-        # drivers, 64 steps, every collector on, a level that stops
-        # admitting steps halfway): at most the increments plus 8 states
-        # per path, 18 MiB.  It read about 5.7 states per path beyond the
-        # increments; a (steps, paths, n) float64 array alone adds 4, and a
-        # copy of every state of the chunk 64
-        spec = goe_like_spec(16, 4, seed=1)
+        # one 1024-path chunk at n = 16 with four drivers, 64 steps, every
+        # collector on and a level that stops admitting steps about halfway.
+        # On goe_like: at most the increments plus 8 states per path,
+        # 18 MiB.  It read about 5.7 states per path beyond the increments;
+        # a (steps, paths, n) float64 array alone adds 4, and a copy of
+        # every state of the chunk 64.  On path_feedback, whose stepper
+        # carries x, qv and sum_i H_i^2 per path and whose collectors solve
+        # qv and sum_i H_i: at most 12 states per path, 25 MiB.  It read
+        # about 9.9; keeping a window of states and the kept states whole
+        # instead of their coefficients read 19.1
+        a = symmetrize(np.random.default_rng(1).standard_normal((4, 16, 16))) / 6
+        budgets = ((goe_like_spec(16, 4, seed=1), 8), (path_feedback_spec(a, gamma=0.3), 12))
         grid = TimeGrid(1.0, 64)
         plan = CollectorPlan(
             sigma2_levels=(1.0,),
@@ -593,15 +598,16 @@ class TestSimulateBlock:
         )
         seeds = np.arange(simulate_module._CHUNK, dtype=np.uint64)
         assert len(seeds) == 1024
-        simulate_block(spec, grid, seeds[:8], plan)
-        tracemalloc.start()
-        try:
-            simulate_block(spec, grid, seeds, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        increments, state = grid.steps * spec.drivers * 8, spec.n * spec.n * 8
-        assert peak <= len(seeds) * (increments + 8 * state)
+        for spec, budget in budgets:
+            simulate_block(spec, grid, seeds[:8], plan)
+            tracemalloc.start()
+            try:
+                simulate_block(spec, grid, seeds, plan)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            increments, state = grid.steps * spec.drivers * 8, spec.n * spec.n * 8
+            assert peak <= len(seeds) * (increments + budget * state), spec.family
 
     def test_ties_and_nans_reach(self):
         # a ceiling equal to the lower bound may be the step that attains
@@ -615,10 +621,10 @@ class TestSimulateBlock:
         # a nan or infinite ceiling certifies nothing, and a nan voids no
         # offer.  Path 0's norm ceiling is made nan at every state but the
         # one its tracker keeps, and path 1's lambda_max ceiling infinite
-        # from grid index 5 on: in the coefficient ceilings on goe_like, in
-        # the Window on path_feedback.  Path 0 still keeps that state, so
-        # its norm floor is the unpoisoned one, and every other state of it
-        # is flagged; every bridge step of path 1 that ends at index 5 or
+        # from grid index 5 on, in the coefficient ceilings on goe_like and
+        # on path_feedback.  Path 0 still keeps that state, so its norm
+        # floor is the unpoisoned one, and every other state of it is
+        # flagged; every bridge step of path 1 that ends at index 5 or
         # later is a candidate.  The outputs still match the engine that
         # solves every path
         a = np.array([[0.8, 0.2, 0.1], [0.2, 0.5, -0.3], [0.1, -0.3, 0.4]])
@@ -626,28 +632,18 @@ class TestSimulateBlock:
         grid = TimeGrid(1.0, 32)
         plan = CollectorPlan(sigma2_levels=(1.0,))
         seeds = np.arange(4, dtype=np.uint64)
-        coefficients, window = ceilings_module.Coefficients, ceilings_module.Window
+        coefficients = ceilings_module.Coefficients
         norms, bridge = simulate_module._Norms, simulate_module._BridgeTail
-        ceilings, add, lower, lower_bridge = (
-            coefficients.ceilings, window.add, norms.lower, bridge.lower
-        )
+        ceilings, lower, lower_bridge = coefficients.ceilings, norms.lower, bridge.lower
         seen = {}
 
-        def poison(norm, top, grid_index, kept):
-            norm[(grid_index != kept) & (grid_index > 0), 0] = np.nan
-            top[grid_index >= 5, 1] = np.inf
-
-        def poisoned_ceilings(self, c, size, k):
+        def poisoned_ceilings(self, c, size, k, growth=None):
             # c holds the states at grid indices up to k
-            norm, top = ceilings(self, c, size, k)
-            poison(norm, top, np.arange(k - len(c) + 1, k + 1), seen["kept"])
+            norm, top = ceilings(self, c, size, k, growth)
+            grid_index = np.arange(k - len(c) + 1, k + 1)
+            norm[(grid_index != seen["kept"]) & (grid_index > 0), 0] = np.nan
+            top[grid_index >= 5, 1] = np.inf
             return norm, top
-
-        def poisoned_add(self, step):
-            full = add(self, step)
-            if full:
-                poison(self.norm, self.top, self.k0 + np.arange(self.count + 1), seen["kept"])
-            return full
 
         def recording_lower(self):
             lower(self)
@@ -667,7 +663,6 @@ class TestSimulateBlock:
             clean = dict(seen)
             assert not clean["need"][:, 0].all() and not clean["candidates"][4:, 1].all()
             monkeypatch.setattr(coefficients, "ceilings", poisoned_ceilings)
-            monkeypatch.setattr(window, "add", poisoned_add)
             out = simulate_block(spec, grid, seeds, plan)
             assert seen["floor"][0] == clean["floor"][0]
             # need row k flags X_{k+1}
