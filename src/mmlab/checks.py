@@ -164,11 +164,9 @@ class Judge:
     samples: int = 100_000
     sample_seed: int = 0
 
-    def mean(self, values, statistic=float, *, label: str) -> EstimateCI:
-        """Bootstrap interval for statistic(mean(values)) on stream ``seed``."""
-        return bootstrap_ci(
-            values, statistic, self.resamples, self.confidence, self.seed, label=label
-        )
+    def mean(self, values, *, label: str) -> EstimateCI:
+        """Bootstrap interval for mean(values) on stream ``seed``."""
+        return bootstrap_ci(values, float, self.resamples, self.confidence, self.seed, label=label)
 
     def pair(self, name: str, lhs, lhs_statistic, rhs, rhs_statistic) -> Resample:
         """The lhs and rhs means of check ``name``, each under its statistic."""
@@ -294,9 +292,9 @@ def check_hessian_lemma(m, h, step: float = 1e-4) -> CheckResult:
     hm = check_symmetric(h, "H")
     if mm.shape != hm.shape:
         raise InputDomainError(f"dimension mismatch: {mm.shape} vs {hm.shape}")
-    f0 = trace_exp(mm, 1.0)
-    fp = trace_exp(mm + step * hm, 1.0)
-    fm = trace_exp(mm - step * hm, 1.0)
+    f0 = trace_exp(mm)
+    fp = trace_exp(mm + step * hm)
+    fm = trace_exp(mm - step * hm)
     lhs = (fp - 2.0 * f0 + fm) / (step * step)
     rhs = float(np.trace(matrix_exp_sym(mm) @ hm @ hm))
     tol = HESSIAN_LEMMA_TOL * (1.0 + abs(rhs))

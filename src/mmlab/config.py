@@ -39,8 +39,9 @@ Documented schema (defaults in parentheses):
                                 schatten_rect needs the rect_constant
                                 family and khintchine a constant-in-time
                                 one; any check needs paths >= 100
-    sweep.parameter             n | p | u | steps (p and u: the checks
-                                that take them)
+    sweep.parameter             n | p | u | steps: a value sets
+                                integrand.n, grid.steps, or the p or u
+                                of every check that takes it, as --set
     sweep.values                whitespace-separated finite numbers
     dump.paths (0)              path indices to dump as trajectories
     dump.beta                   adds a supermartingale dump column
@@ -82,14 +83,13 @@ class Family:
     order ``build`` takes them; ``optional`` those it may also take,
     passed after them when given.  ``matrix`` and ``slope`` stand for the
     indexed stacks ``integrand.matrix.<j>`` and ``integrand.slope.<j>``.
-    ``resize(spec, n)`` rebuilds a spec of the family at dimension n; it
-    is set on the families a sweep over n may vary.
+    A sweep may vary any of these keys that it names: it builds each
+    value's spec from the config's entries, as it builds the config's own.
     """
 
     build: Callable[..., IntegrandSpec]
     keys: tuple[str, ...]
     optional: tuple[str, ...] = ()
-    resize: Callable[[IntegrandSpec, int], IntegrandSpec] | None = None
 
 
 # every family a config can name: adding one takes its factory in
@@ -99,16 +99,13 @@ CONFIG_FAMILIES: dict[str, Family] = {
     "constant": Family(constant_spec, ("matrix",)),
     "time_poly": Family(time_poly_spec, ("matrix", "slope")),
     "path_feedback": Family(path_feedback_spec, ("matrix", "gamma")),
-    "diag_basis": Family(diag_basis_spec, ("n",), resize=lambda spec, n: diag_basis_spec(n)),
-    "goe_like": Family(
-        goe_like_spec,
-        ("n", "drivers"),
-        ("seed",),
-        resize=lambda spec, n: goe_like_spec(n, spec.drivers, spec.seed),
-    ),
+    "diag_basis": Family(diag_basis_spec, ("n",)),
+    "goe_like": Family(goe_like_spec, ("n", "drivers"), ("seed",)),
     "rect_constant": Family(rect_constant_spec, ("matrix",)),
 }
 SWEEP_PARAMETERS = ("n", "p", "u", "steps")
+# the keys a sweep value sets; p and u set theirs on every check that takes them
+_SWEEP_KEYS = {"n": ("integrand.n",), "steps": ("grid.steps",)}
 
 # the integrand values a family may take: indexed matrix stacks, and
 # scalars by whether they are integers
@@ -153,8 +150,13 @@ _KNOWN_KEYS = (
 
 @dataclass(frozen=True)
 class SweepSettings:
+    """A sweep over ``parameter``: each value is set on ``keys`` over the
+    config's ``entries``, as ``--set`` would set it (:func:`sweep_configs`)."""
+
     parameter: str
     values: tuple[float, ...]
+    keys: tuple[str, ...]
+    entries: dict[str, _Entry]
 
 
 @dataclass(frozen=True)
@@ -318,6 +320,8 @@ def _build_spec(entries):
         return family.build(*(given[s] for s in family.keys + family.optional if s in given))
     except InputDomainError as exc:
         raise ConfigError(str(exc), key="integrand") from exc
+    except (MemoryError, ValueError) as exc:  # numpy's refusal of a shape
+        raise ConfigError(f"cannot build the integrand: {exc}", key="integrand") from exc
 
 
 def _build_checks(entries) -> dict[str, CheckRequest]:
@@ -346,7 +350,8 @@ def _build_checks(entries) -> dict[str, CheckRequest]:
     return checks
 
 
-def _build_sweep(entries, spec: IntegrandSpec, checks) -> SweepSettings | None:
+def _build_sweep(entries, base: dict[str, _Entry]) -> SweepSettings | None:
+    """The sweep over the entries ``base`` of a config that has built."""
     param = entries.pop("sweep.parameter", None)
     values = entries.pop("sweep.values", None)
     if param is None and values is None:
@@ -365,29 +370,17 @@ def _build_sweep(entries, spec: IntegrandSpec, checks) -> SweepSettings | None:
     nums = _to_numbers("sweep.values", values)
     if not all(map(math.isfinite, nums)):
         raise _err(f"sweep over {name} needs finite values", "sweep.values", values)
-    if name in ("n", "p", "steps"):
-        if any(v != int(v) or v < 1 for v in nums):
-            raise _err(f"sweep over {name} needs integers >= 1", "sweep.values", values)
-    elif any(v <= 0.0 for v in nums):
-        raise _err("sweep over u needs values > 0", "sweep.values", values)
-    # a spec's family is the config family of the same name, except that
-    # rect_constant builds a constant spec; neither resizes
-    resizable = [fam for fam, family in CONFIG_FAMILIES.items() if family.resize]
-    if name == "n" and spec.family not in resizable:
-        raise _err(
-            f"sweep over n requires integrand.family {' or '.join(resizable)}",
-            "sweep.parameter",
-            param,
-        )
-    if name in _CHECK_PARAMS:
+    keys = _SWEEP_KEYS.get(name) or tuple(
+        key.replace(".kind", f".{name}")
+        for key, entry in base.items()
+        if re.match(rf"check\.{_INDEXED}\.kind\Z", key) and CHECK_REGISTRY[entry.value].takes(name)
+    )
+    if not keys:
         takers = [kind.name for kind in CHECK_REGISTRY.values() if kind.takes(name)]
-        if not any(c.kind in takers for c in checks):
-            raise _err(
-                f"sweep over {name} requires a {' or '.join(takers)} check",
-                "sweep.parameter",
-                param,
-            )
-    return SweepSettings(parameter=name, values=nums)
+        raise _err(
+            f"sweep over {name} requires a {' or '.join(takers)} check", "sweep.parameter", param
+        )
+    return SweepSettings(name, nums, keys, base)
 
 
 def _build_dump(entries, experiment: ExperimentConfig) -> DumpSettings | None:
@@ -409,18 +402,8 @@ def _build_dump(entries, experiment: ExperimentConfig) -> DumpSettings | None:
     return DumpSettings(paths=indices, beta=beta)
 
 
-def parse_settings(
-    text: str,
-    overrides: dict[str, str] | None = None,
-    environ: dict[str, str] | None = None,
-) -> RunSettings:
-    """Parse config text plus overrides into validated run settings."""
-    entries = _parse_pairs(text)
-    if environ:
-        _apply_overrides(entries, env_overrides(environ), "environment MMLAB_")
-    if overrides:
-        _apply_overrides(entries, dict(overrides), "--set")
-
+def _build_experiment(entries) -> ExperimentConfig:
+    """The experiment that ``entries`` describe; pops every key it reads."""
     spec = _build_spec(entries)
     values = {}
     for key, (name, integer) in _SCALARS.items():
@@ -433,14 +416,28 @@ def parse_settings(
         grid = TimeGrid(**{f: values.pop(f) for f in _GRID_FIELDS if f in values})
     except InputDomainError as exc:
         raise ConfigError(str(exc), key="grid") from exc
-    sweep = _build_sweep(entries, spec, checks.values())
     try:
-        experiment = ExperimentConfig(
-            spec=spec, grid=grid, checks=tuple(checks.values()), **values
-        )
+        return ExperimentConfig(spec=spec, grid=grid, checks=tuple(checks.values()), **values)
     except InputDomainError as exc:
         keys = {**_FIELD_KEYS, **{f"checks[{i}]": key for i, key in enumerate(checks)}}
         raise ConfigError(str(exc), key=keys.get(exc.field)) from exc
+
+
+def parse_settings(
+    text: str,
+    overrides: dict[str, str] | None = None,
+    environ: dict[str, str] | None = None,
+) -> RunSettings:
+    """Parse config text plus overrides into validated run settings."""
+    entries = _parse_pairs(text)
+    if environ:
+        _apply_overrides(entries, env_overrides(environ), "environment MMLAB_")
+    if overrides:
+        _apply_overrides(entries, dict(overrides), "--set")
+
+    base = dict(entries)
+    experiment = _build_experiment(entries)
+    sweep = _build_sweep(entries, base)
     dump = _build_dump(entries, experiment)
     for key, entry in entries.items():  # pragma: no cover - schema guards earlier
         raise _err(f"unknown key '{key}'", key, entry)
@@ -450,28 +447,24 @@ def parse_settings(
 def sweep_configs(settings: RunSettings) -> list[tuple[float, ExperimentConfig]]:
     """Expand a sweep into one experiment per parameter value.
 
-    All expansions share the master seed, so curves across values use
-    common random numbers.
+    Each value is set on the sweep's keys as ``--set`` would set it,
+    after the file, the environment, ``--set`` and ``--seed``, and the
+    experiment is built as the config's own.  All expansions share the
+    master seed, so curves across values use common random numbers.  A
+    value that does not build is a ConfigError keyed ``sweep.values``.
     """
-    if settings.sweep is None:
+    sweep = settings.sweep
+    if sweep is None:
         raise InputDomainError("settings carry no sweep section")
-    base = settings.experiment
     out = []
-    for v in settings.sweep.values:
-        param = settings.sweep.parameter
-        if param == "n":
-            spec = CONFIG_FAMILIES[base.spec.family].resize(base.spec, int(v))
-            cfg = dataclasses.replace(base, spec=spec)
-        elif param == "steps":
-            cfg = dataclasses.replace(base, grid=TimeGrid(base.grid.horizon, int(v)))
-        else:
-            value = int(v) if _CHECK_PARAMS[param].integer else float(v)
-            checks = tuple(
-                dataclasses.replace(c, **{param: value})
-                if CHECK_REGISTRY[c.kind].takes(param)
-                else c
-                for c in base.checks
-            )
-            cfg = dataclasses.replace(base, checks=checks)
-        out.append((float(v), cfg))
+    for v in sweep.values:
+        text = str(int(v)) if v == int(v) else repr(v)
+        entries = {**sweep.entries, **dict.fromkeys(sweep.keys, _Entry(text, None, None))}
+        try:
+            out.append((v, _build_experiment(entries)))
+        except ConfigError as exc:
+            raise ConfigError(
+                f"sweep value {sweep.parameter} = {text} fails at {exc.key}: {exc.reason}",
+                key="sweep.values",
+            ) from exc
     return out

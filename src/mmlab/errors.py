@@ -37,7 +37,8 @@ class BatchError(MmlabError):
 class ConfigError(MmlabError):
     """A configuration file or override is invalid.
 
-    ``key`` and ``line`` locate the offending entry when known.
+    ``key`` and ``line`` locate the offending entry when known;
+    ``reason`` is the message without them.
     """
 
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
@@ -48,5 +49,6 @@ class ConfigError(MmlabError):
         elif line is not None:
             where += f" (line {line})"
         super().__init__(message + where)
+        self.reason = message
         self.key = key
         self.line = line

@@ -44,13 +44,13 @@ def check_symmetric(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def check_rectangular(a, name: str = "matrix") -> np.ndarray:
+def check_rectangular(a) -> np.ndarray:
     """Validate a dense rectangular matrix (finite entries) as float64."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
-        raise InputDomainError(f"{name} must be 2-dimensional, got shape {m.shape}")
+        raise InputDomainError(f"matrix must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise InputDomainError(f"{name} has non-finite entries")
+        raise InputDomainError("matrix has non-finite entries")
     return m
 
 
@@ -143,17 +143,18 @@ def matrix_abs(a) -> np.ndarray:
     return symmetrize((spec.basis * np.abs(spec.eigenvalues)) @ spec.basis.T)
 
 
-def trace_exp(m, beta: float = 1.0) -> float:
-    """Trace of exp(beta * M) for symmetric M.
+def trace_exp(m) -> float:
+    """Trace of exp(M) for symmetric M.
 
     Refuses to return silent infinity: an exponent that would overflow
     float64 raises NumericError.
     """
-    w = sym_eigen(m, with_basis=False).eigenvalues
-    top = beta * w[0] if beta >= 0 else beta * w[-1]
-    if top + math.log(len(w)) > _LOG_DBL_MAX:
+    # a copy: at n = 1 the spectrum is a negative-stride view, on which
+    # numpy's exp skips its vector loop and rounds differently
+    w = sym_eigen(m, with_basis=False).eigenvalues.copy()
+    if w[0] + math.log(len(w)) > _LOG_DBL_MAX:
         raise NumericError("trace exponential overflows float64")
-    return float(np.sum(np.exp(beta * w)))
+    return float(np.sum(np.exp(w)))
 
 
 def matrix_exp_sym(m) -> np.ndarray:

@@ -383,6 +383,36 @@ REFUSED = [
         "config has no checks",
         "check.1.kind",
     ),
+    # integrands above 2**63 bytes, which numpy refuses before it allocates
+    (
+        "verify",
+        "khintchine_diag.cfg",
+        ["integrand.n=10000000"],
+        "cannot build the integrand: array is too big",
+        "integrand",
+    ),
+    (
+        "verify",
+        "verify_goe.cfg",
+        ["integrand.n=4294967296"],
+        "cannot build the integrand: array is too big",
+        "integrand",
+    ),
+    (
+        "sweep",
+        "sweep_khintchine_n.cfg",
+        ["sweep.values=4 10000000"],
+        "sweep value n = 10000000 fails at integrand: cannot build the integrand",
+        "sweep.values",
+    ),
+    # a sweep builds every value before the first one runs
+    (
+        "sweep",
+        None,
+        ["sweep.parameter=p", "sweep.values=2 1.5"],
+        "sweep value p = 1.5 fails at check.2.p: expected an integer, got '1.5'",
+        "sweep.values",
+    ),
 ]
 
 

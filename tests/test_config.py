@@ -1,5 +1,6 @@
 """Config text parsing: schema, overrides, and error reporting."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from mmlab.config import (
     CONFIG_FAMILIES,
     DumpSettings,
-    SweepSettings,
     env_overrides,
     parse_settings,
     sweep_configs,
 )
 from mmlab.errors import ConfigError
+from mmlab.integrands import diag_basis_spec, goe_like_spec
+from mmlab.simulate import TimeGrid
 
 MINIMAL = """\
 # minimal experiment
@@ -242,7 +244,7 @@ INTEGRAND_LINES = {
     "drivers": "integrand.drivers = 2\n",
     "seed": "integrand.seed = 5\n",
 }
-SWEEP_N = "check.1.kind = khintchine\nsweep.parameter = n\nsweep.values = 2 5\n"
+SWEEP_N = "check.1.kind = biane_speicher\nsweep.parameter = n\nsweep.values = 2 5\n"
 
 
 @pytest.mark.parametrize("name", list(CONFIG_FAMILIES))
@@ -270,13 +272,20 @@ def test_family_registry_drives_parsing(name):
             parse_settings(text(tuple(s for s in takes if s != stem)))
         assert str(err.value) == f"missing required key (key '{key(stem)}')"
         assert err.value.key == key(stem)
-    if family.resize is None:
-        with pytest.raises(ConfigError, match="requires integrand.family diag_basis or goe_like"):
-            parse_settings(text(takes, SWEEP_N))
+    # a sweep over n sets integrand.n as --set does, so a family without
+    # that key refuses it when the sweep expands
+    settings = parse_settings(text(takes, SWEEP_N))
+    if "n" not in takes:
+        with pytest.raises(ConfigError) as err:
+            sweep_configs(settings)
+        assert str(err.value) == (
+            "sweep value n = 2 fails at integrand.n: integrand.n is not valid for "
+            f"family '{name}' (key 'sweep.values')"
+        )
         return
     # each swept spec is the one the config gives at that n: goe_like keeps
     # its drivers and seed
-    for n, (value, cfg) in zip((2, 5), sweep_configs(parse_settings(text(takes, SWEEP_N)))):
+    for n, (value, cfg) in zip((2, 5), sweep_configs(settings)):
         direct = parse_settings(text(takes), overrides={"integrand.n": str(n)}).experiment.spec
         assert value == n and (cfg.spec.family, cfg.spec.n) == (name, n)
         assert (cfg.spec.drivers, cfg.spec.seed) == (direct.drivers, direct.seed)
@@ -347,7 +356,8 @@ class TestSweepAndDump:
             "check.1.kind = khintchine\nsweep.parameter = n\nsweep.values = 4 16\n"
         )
         settings = parse_settings(text)
-        assert settings.sweep == SweepSettings(parameter="n", values=(4.0, 16.0))
+        sweep = settings.sweep
+        assert (sweep.parameter, sweep.values, sweep.keys) == ("n", (4.0, 16.0), ("integrand.n",))
         expanded = sweep_configs(settings)
         assert [v for v, _ in expanded] == [4.0, 16.0]
         assert [cfg.spec.n for _, cfg in expanded] == [4, 16]
@@ -370,10 +380,6 @@ class TestSweepAndDump:
     def test_sweep_validation(self):
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             parse_settings(CHECKED + "sweep.parameter = gamma\nsweep.values = 1\n")
-        with pytest.raises(ConfigError, match="diag_basis or goe_like"):
-            parse_settings(CHECKED + "sweep.parameter = n\nsweep.values = 2 4\n")
-        with pytest.raises(ConfigError, match="integers >= 1"):
-            parse_settings(CHECKED + "sweep.parameter = p\nsweep.values = 1.5\n")
         with pytest.raises(ConfigError) as err:
             parse_settings(CHECKED + "sweep.values = 1 2\n")
         assert err.value.key == "sweep.parameter"
@@ -392,3 +398,93 @@ class TestSweepAndDump:
     def test_dump_index_out_of_range(self):
         with pytest.raises(ConfigError, match="outside"):
             parse_settings(MINIMAL + "dump.paths = 1000\n")
+
+
+# two moment checks, two tail checks and one check that takes neither p nor u
+SWEPT = """\
+paths = 500
+master_seed = 9
+grid.horizon = 2.0
+check.1.kind = bdg
+check.1.p = 2
+check.2.kind = freedman
+check.2.u = 2.0
+check.2.sigma2 = 1.0
+check.3.kind = schatten
+check.3.p = 3
+check.4.kind = good_lambda
+check.4.u = 1.5
+check.4.sigma2 = 1.0
+check.5.kind = supermartingale
+check.5.beta = 0.5
+"""
+DIAG = "integrand.family = diag_basis\nintegrand.n = 3\n"
+GOE = "integrand.family = goe_like\nintegrand.n = 3\nintegrand.drivers = 2\nintegrand.seed = 5\n"
+
+
+def _replace(exp, **fields):
+    return dataclasses.replace(exp, **fields)
+
+
+def _with_param(exp, name, value, kinds):
+    """``exp`` with the ``name`` of its checks of ``kinds`` at ``value``."""
+    checks = tuple(
+        dataclasses.replace(c, **{name: value}) if c.kind in kinds else c for c in exp.checks
+    )
+    return _replace(exp, checks=checks)
+
+
+# family lines, parameter, values, and the reference experiment at each
+# value, built from the base experiment without the config parser
+SWEEP_REFERENCES = [
+    pytest.param(DIAG, "n", "2 5", lambda exp, v: _replace(exp, spec=diag_basis_spec(v)), id="n-diag"),
+    pytest.param(GOE, "n", "2 5", lambda exp, v: _replace(exp, spec=goe_like_spec(v, 2, 5)), id="n-goe"),
+    pytest.param(DIAG, "steps", "8 32", lambda exp, v: _replace(exp, grid=TimeGrid(2.0, v)), id="steps"),
+    pytest.param(
+        DIAG, "p", "1 4 2.0", lambda exp, v: _with_param(exp, "p", v, {"bdg", "schatten"}), id="p"
+    ),
+    pytest.param(
+        DIAG,
+        "u",
+        "0.5 2 3.25",
+        lambda exp, v: _with_param(exp, "u", float(v), {"freedman", "good_lambda"}),
+        id="u",
+    ),
+]
+
+
+def _assert_same_fields(got, want):
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "spec":
+            _assert_same_fields(a, b)
+        elif isinstance(b, np.ndarray):
+            assert np.array_equal(a, b) and a.dtype == b.dtype, f.name
+        else:
+            assert repr(a) == repr(b), f.name  # repr tells 2 from 2.0
+
+
+@pytest.mark.parametrize("family, parameter, values, reference", SWEEP_REFERENCES)
+def test_swept_experiment_equals_its_reference(family, parameter, values, reference):
+    settings = parse_settings(
+        family + SWEPT + f"sweep.parameter = {parameter}\nsweep.values = {values}\n"
+    )
+    expanded = sweep_configs(settings)
+    nums = [float(v) for v in values.split()]
+    assert [value for value, _ in expanded] == nums
+    for value, cfg in expanded:
+        integral = int(value) if value == int(value) else value
+        _assert_same_fields(cfg, reference(settings.experiment, integral))
+
+
+def test_sweep_over_u_may_reach_zero_on_good_lambda_alone():
+    # u = 0 is good_lambda's own domain, as with --set check.1.u=0
+    text = DIAG + SWEPT.split("check.1.kind")[0] + (
+        "check.1.kind = good_lambda\ncheck.1.u = 1.5\ncheck.1.sigma2 = 1.0\n"
+        "sweep.parameter = u\nsweep.values = 0 1\n"
+    )
+    (zero, cfg), _ = sweep_configs(parse_settings(text))
+    direct = parse_settings(text, overrides={"check.1.u": "0"}).experiment
+    assert zero == 0.0 and cfg.checks == direct.checks and cfg.checks[0].u == 0.0
+    with pytest.raises(ConfigError, match="sweep value u = 0 fails at check.2: freedman"):
+        sweep_configs(parse_settings(DIAG + SWEPT + "sweep.parameter = u\nsweep.values = 0 1\n"))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mmlab import report as report_module
 from mmlab.checks import CheckResult
 from mmlab.config import parse_settings, sweep_configs
 from mmlab.errors import ConfigError, InputDomainError
@@ -210,6 +211,24 @@ class TestTrajectoryDump:
         assert [f.name for f in files] == ["trajectory_0.csv"]
 
 
+# sweep bases: a freedman check (u) and a bdg check (p)
+SWEEP_CONSTANT = """\
+integrand.family = constant
+integrand.matrix.1 = 1
+paths = 200
+master_seed = 3
+check.1.kind = freedman
+check.1.u = 2.0
+check.1.sigma2 = 1.0
+check.2.kind = bdg
+check.2.p = 2
+"""
+SWEEP_DIAG = SWEEP_CONSTANT.replace(
+    "integrand.family = constant\nintegrand.matrix.1 = 1",
+    "integrand.family = diag_basis\nintegrand.n = 2",
+)
+
+
 class TestDrivers:
     def test_run_lemmas_report(self):
         report = run_lemmas(seed=5, count=30)
@@ -264,6 +283,37 @@ class TestDrivers:
         assert obj["failed"] is False
         # ratio grows with n
         assert rows[1]["ratio"] > rows[0]["ratio"]
+
+    @pytest.mark.parametrize(
+        "text, parameter, values, cause",
+        [
+            (SWEEP_DIAG, "p", "2 1.5", "p = 1.5 fails at check.2.p: expected an integer, got '1.5'"),
+            (SWEEP_DIAG, "steps", "8 0", "steps = 0 fails at grid: steps must be >= 1, got 0"),
+            (SWEEP_DIAG, "u", "1 0", "u = 0 fails at check.1: freedman check requires u > 0"),
+            (
+                SWEEP_CONSTANT,
+                "n",
+                "2",
+                "n = 2 fails at integrand.n: integrand.n is not valid for family 'constant'",
+            ),
+            # above 2**63 bytes, which numpy refuses before it allocates
+            (SWEEP_DIAG, "n", "2 10000000", "n = 10000000 fails at integrand: cannot build"),
+        ],
+    )
+    def test_run_sweep_refuses_a_bad_value_before_any_runs(
+        self, monkeypatch, text, parameter, values, cause
+    ):
+        def spy(*args, **kwargs):
+            raise AssertionError("a sweep ran a value before every value was built")
+
+        monkeypatch.setattr(report_module, "run_verify", spy)
+        # the sweep section is inert until it expands
+        settings = parse_settings(text + f"sweep.parameter = {parameter}\nsweep.values = {values}\n")
+        with pytest.raises(ConfigError) as err:
+            run_sweep(settings)
+        assert err.value.key == "sweep.values"
+        assert str(err.value).startswith(f"sweep value {cause}")
+        assert str(err.value).count("(key ") == 1
 
     def test_verify_failed_report_on_falsified_rhs(self):
         text = SMALL_VERIFY.replace("paths = 200", "paths = 3000") + "test_hooks.rhs_multiplier = 0\n"
